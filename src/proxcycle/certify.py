@@ -27,7 +27,7 @@ from .report import (
 )
 from .sets import ConvexSet, DeclaredDistance, contains, dist as set_dist
 from .space import (
-    TOL_NUM,
+    ModulusUnavailable,
     NormedSpaceSpec,
     ProductPoint,
     Vector,
@@ -140,8 +140,8 @@ def solve_and_certify(
     """Iterate from each start, certify, and compare the limits.
 
     Starts that already certify are their own limits (no iteration).
-    Runs ending in a domain error contribute no limit.  Uniqueness holds
-    when all limits found agree within 10 * t_tol.
+    Starts outside A x B and runs ending in a domain error contribute no
+    limit.  Uniqueness holds when all limits found agree within 10 * t_tol.
     """
     if not starts:
         raise CertifyError("need at least one start")
@@ -152,7 +152,11 @@ def solve_and_certify(
         if c0.accepted:
             records.append(SolveRecord(p0, p0, c0, None, "start already certifies"))
             continue
-        traj = run(T, x0, y0, rule)
+        try:
+            traj = run(T, x0, y0, rule)
+        except DomainError as exc:  # the start itself is outside A x B
+            records.append(SolveRecord(p0, None, None, None, str(exc)))
+            continue
         if traj.stop_reason == "domain_error":
             records.append(SolveRecord(
                 p0, None, None, traj,
@@ -224,7 +228,6 @@ def proximal_squeeze_check(
     PremiseNotMet when a premise fails, naming it.
     """
     if not space.modulus_available:
-        from .space import ModulusUnavailable
         raise ModulusUnavailable(
             f"squeeze argument needs a convexity modulus; {space.norm} has none")
     if not (len(seq_xy) == len(seq_wz) == len(seq_uv)) or len(seq_xy) < 2:

@@ -1,38 +1,45 @@
-"""Experiment configuration: a single JSON document.
+"""Experiment configuration: a single JSON document, and the check table.
 
 Vectors are written sparsely as {"index": value} maps ({"1": 1, "2": 1}
 is e1 + e2); a plain list is accepted as dense shorthand.  The map comes
 from the builtin registry; its convex sets and declared distance can be
 overridden for contrapositive experiments.  See docs/config.schema.json
 for the full shape.
+
+CHECKS is the one description of the checks a config can name: whether
+each needs trajectories, its parameters with their defaults, its seed
+offset, and how it runs.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable
 
-from .iterate import StopRule
-from .maps import BUILTIN_MAPS, CyclicMapSpec, MapsError, PhiSpec, builtin
-from .sets import Box, ConvexSet, Hull, SetsError
-from .space import Vector
-
-# check name -> (needs trajectories, allowed parameter keys)
-CHECK_REGISTRY: dict[str, tuple[bool, frozenset[str]]] = {
-    "cyclic_invariance": (False, frozenset({"samples", "tol"})),
-    "phi_contraction": (False, frozenset({"samples", "tol", "quantification",
-                                          "starts", "steps"})),
-    "kannan": (False, frozenset({"samples", "tol"})),
-    "kannan_strict": (False, frozenset({"samples", "tol"})),
-    "certify_candidates": (False, frozenset({"tol"})),
-    "second_iterate": (False, frozenset({"tol"})),
-    "certify_limits": (True, frozenset({"tol"})),
-    "monotone_t": (True, frozenset({"tol"})),
-    "t_limit": (True, frozenset({"tol"})),
-    "even_gaps": (True, frozenset({"tol"})),
-    "interleaved": (True, frozenset({"eps", "tol"})),
-    "cauchy": (True, frozenset({"k", "tol"})),
-}
+from .certify import Certificate, certify, second_iterate_check, solve_and_certify
+from .iterate import (
+    StopRule,
+    Trajectory,
+    diagnose_cauchy,
+    diagnose_even_gaps,
+    diagnose_interleaved,
+    diagnose_monotone_t,
+    diagnose_t_limit,
+)
+from .maps import (
+    CyclicMapSpec,
+    MapsError,
+    PhiSpec,
+    builtin,
+    check_cyclic_invariance,
+    check_kannan,
+    check_kannan_strict_hypothesis,
+    check_phi_contraction,
+)
+from .report import INCONCLUSIVE, CheckReport, Violation, conclude, merge_reports
+from .sets import Box, ConvexSet, Hull, SetsError, sample
+from .space import ProductPoint, Vector
 
 
 class ConfigError(ValueError):
@@ -99,7 +106,7 @@ class CheckSpec:
 
     @property
     def needs_trajectories(self) -> bool:
-        return CHECK_REGISTRY[self.name][0]
+        return CHECKS[self.name].needs_trajectories
 
 
 @dataclass(frozen=True)
@@ -125,6 +132,139 @@ class ExperimentConfig:
         return self.phi
 
 
+# ---------------------------------------------------------------------------
+# the check table
+
+# parameter defaults read from the experiment
+CFG_TOL, CFG_CERT_TOL = attrgetter("tol"), attrgetter("cert_tol")
+
+
+@dataclass
+class CheckContext:
+    """The experiment, its trajectories, and what certification gathered."""
+
+    cfg: ExperimentConfig
+    trajectories: list[Trajectory]
+    say: Callable[[str], None]
+    accepted: list[Certificate] = field(default_factory=list)
+    certifications: list[dict] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named check.
+
+    params maps each parameter a config may give to (convert, default);
+    a default of None leaves the value to the stop rule.  fn(ctx, name, p)
+    runs the check with the resolved parameters p and p["seed"], the
+    experiment's seed plus seed_offset.  fn calls the library by global
+    name, so that a wrapper installed on a module attribute sees the call.
+    """
+
+    name: str
+    needs_trajectories: bool
+    params: dict[str, tuple[Callable[[Any], Any], Any]]
+    seed_offset: int
+    fn: Callable[[CheckContext, str, dict[str, Any]], CheckReport]
+
+    def run(self, ctx: CheckContext, given: dict[str, Any]) -> CheckReport:
+        p: dict[str, Any] = {"seed": ctx.cfg.seed + self.seed_offset}
+        for key, (convert, default) in self.params.items():
+            if key in given:
+                p[key] = convert(given[key])
+            elif callable(default):
+                p[key] = convert(default(ctx.cfg))
+            else:
+                p[key] = default
+        return self.fn(ctx, self.name, p)
+
+
+def _certify(ctx: CheckContext, name: str, pool_attr: str, tol: float) -> CheckReport:
+    """Solve and certify from cfg.candidates or cfg.starts, and record the
+    certificates for the summary and for second_iterate."""
+    pool = getattr(ctx.cfg, pool_attr)
+    if not pool:
+        raise ConfigError(f"check {name!r} needs {pool_attr}")
+    records, uniq = solve_and_certify(ctx.cfg.T, pool, ctx.cfg.rule, tol)
+    violations = []
+    for i, rec in enumerate(records):
+        cert = rec.certificate
+        if cert is None:
+            violations.append(Violation((f"start {i}", rec.reason), 1.0, 0.0, 1.0,
+                                        note="no limit produced"))
+        elif cert.accepted:
+            ctx.accepted.append(cert)
+        else:
+            violations.append(Violation(
+                (f"start {i}", cert.reason),
+                max(abs(cert.residual_x - cert.dist_used), abs(cert.residual_y - cert.dist_used)),
+                cert.tolerance, 1.0, note=f"verdict {cert.verdict}"))
+    ctx.certifications.append({
+        "name": name,
+        "certificates": [None if r.certificate is None else r.certificate.to_json()
+                         for r in records],
+        "uniqueness": uniq.to_json(),
+    })
+    ctx.say(f"{name}: {len(records)} starts, "
+            f"max pairwise limit distance {uniq.max_pairwise_limit_distance!r}, "
+            f"unique_within_tol={uniq.unique_within_tol}")
+    return conclude(name, len(records), violations,
+                    f"max pairwise limit distance {uniq.max_pairwise_limit_distance!r}; "
+                    f"unique_within_tol={uniq.unique_within_tol}")
+
+
+def _second_iterate(ctx: CheckContext, name: str, p: dict[str, Any]) -> CheckReport:
+    """Second-iterate identity at every certified candidate or limit."""
+    T = ctx.cfg.T
+    pool = ctx.accepted or [certify(T, ProductPoint(x, y), tol=ctx.cfg.cert_tol)
+                            for x, y in ctx.cfg.candidates]
+    pool = [c for c in pool if c.accepted]
+    if not pool:
+        return CheckReport(name, 0, status=INCONCLUSIVE,
+                           detail="no certified candidate available")
+    return merge_reports(name, [second_iterate_check(T, c.candidate, p["tol"]) for c in pool])
+
+
+def _each_run(diagnose: Callable[[Trajectory, dict[str, Any]], CheckReport]):
+    """A check fn that diagnoses every trajectory and merges the reports."""
+    return lambda ctx, name, p: merge_reports(name, [diagnose(t, p) for t in ctx.trajectories])
+
+
+CHECKS: dict[str, Check] = {c.name: c for c in (
+    Check("cyclic_invariance", False, {"samples": (int, 200), "tol": (float, CFG_TOL)}, 11,
+          lambda ctx, _, p: check_cyclic_invariance(ctx.cfg.T, p["samples"], p["seed"],
+                                                    p["tol"])),
+    Check("phi_contraction", False,
+          {"samples": (int, 1000), "tol": (float, CFG_TOL),
+           "quantification": (str, "all_cross_pairs"), "starts": (int, 5),
+           "steps": (int, 20)}, 23,
+          lambda ctx, _, p: check_phi_contraction(
+              ctx.cfg.T, ctx.cfg.require_phi(), p["samples"], p["seed"],
+              p["quantification"], p["starts"], p["steps"], p["tol"])),
+    Check("kannan", False, {"samples": (int, 1000), "tol": (float, CFG_TOL)}, 37,
+          lambda ctx, _, p: check_kannan(ctx.cfg.T, p["samples"], p["seed"], p["tol"])),
+    Check("kannan_strict", False, {"samples": (int, 500), "tol": (float, CFG_TOL)}, 53,
+          lambda ctx, _, p: check_kannan_strict_hypothesis(ctx.cfg.T, p["samples"],
+                                                           p["seed"], p["tol"])),
+    Check("certify_candidates", False, {"tol": (float, CFG_CERT_TOL)}, 0,
+          lambda ctx, name, p: _certify(ctx, name, "candidates", p["tol"])),
+    Check("second_iterate", False, {"tol": (float, CFG_CERT_TOL)}, 0, _second_iterate),
+    Check("certify_limits", True, {"tol": (float, CFG_CERT_TOL)}, 0,
+          lambda ctx, name, p: _certify(ctx, name, "starts", p["tol"])),
+    Check("monotone_t", True, {"tol": (float, CFG_TOL)}, 0,
+          _each_run(lambda t, p: diagnose_monotone_t(t, p["tol"]))),
+    Check("t_limit", True, {"tol": (float, None)}, 0,
+          _each_run(lambda t, p: diagnose_t_limit(t, tol=p["tol"]))),
+    Check("even_gaps", True, {"tol": (float, None)}, 0,
+          _each_run(lambda t, p: diagnose_even_gaps(t, tol=p["tol"]))),
+    Check("interleaved", True,
+          {"eps": (lambda v: tuple(map(float, v)), (0.5, 0.1, 0.01)), "tol": (float, CFG_TOL)}, 0,
+          _each_run(lambda t, p: diagnose_interleaved(t, p["eps"], tol=p["tol"]))),
+    Check("cauchy", True, {"k": (int, 10), "tol": (float, None)}, 0,
+          _each_run(lambda t, p: diagnose_cauchy(t, p["k"], tol=p["tol"]))),
+)}
+
+
 def _parse_checks(obj: Any) -> list[CheckSpec]:
     if obj is None:
         return []
@@ -139,12 +279,11 @@ def _parse_checks(obj: Any) -> list[CheckSpec]:
             params = {k: v for k, v in item.items() if k != "name"}
         else:
             raise ConfigError(f"bad check entry {item!r}")
-        if name not in CHECK_REGISTRY:
+        if name not in CHECKS:
             raise ConfigError(
-                f"unknown check {name!r}; available: {', '.join(sorted(CHECK_REGISTRY))}")
-        allowed = CHECK_REGISTRY[name][1]
+                f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}")
         for k in params:
-            if k not in allowed:
+            if k not in CHECKS[name].params:
                 raise ConfigError(f"check {name!r} takes no parameter {k!r}")
         out.append(CheckSpec(name, params))
     return out
@@ -170,8 +309,6 @@ def _parse_rule(obj: Any) -> StopRule:
 
 
 def _resolve_starts(obj: Any, T: CyclicMapSpec, default_seed: int) -> list[tuple[Vector, Vector]]:
-    from .sets import sample
-
     if obj is None:
         return []
     if isinstance(obj, dict) and "explicit" in obj:

@@ -7,7 +7,6 @@ whose violations carry printable witnesses.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,9 +17,9 @@ from .space import (
     NormedSpaceSpec,
     ProductPoint,
     Vector,
+    basis,
     norm,
     pair_distance,
-    product_norm,
 )
 
 SIDE_AB = "AB"
@@ -346,8 +345,6 @@ def l1_kannan() -> CyclicMapSpec:
 
     Kannan-type nonexpansive; its best proximity points are not unique.
     """
-    from .space import basis
-
     space = NormedSpaceSpec(norm="l1", mode="sequence", dimension=None)
     A, B, _declared = l1_example_sets()
     to_b = basis(2) + basis(3)

@@ -1,7 +1,7 @@
 """Check reports shared by the inequality checkers, diagnostics and certifiers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .space import ProductPoint, Vector
 
@@ -9,7 +9,9 @@ PASSED = "passed"
 FAILED = "failed"
 INCONCLUSIVE = "inconclusive"
 NOT_APPLICABLE = "not_applicable"
-PREMISE_NOT_MET = "premise_not_met"
+
+# worst status wins when reports are merged
+_STATUS_RANK = {PASSED: 0, NOT_APPLICABLE: 1, INCONCLUSIVE: 2, FAILED: 3}
 
 
 def render_vector(v: Vector) -> str:
@@ -70,3 +72,16 @@ def conclude(name: str, checked: int, violations: list[Violation], detail: str =
     """Report for a sampled checker: passed exactly when no violations."""
     status = PASSED if not violations else FAILED
     return CheckReport(name, checked, tuple(violations), status, detail)
+
+
+def merge_reports(name: str, parts: list[CheckReport]) -> CheckReport:
+    """One report for several runs of a check: the worst status, every
+    violation tagged with its run index, and the runs' details joined."""
+    if not parts:
+        return CheckReport(name, 0, status=INCONCLUSIVE, detail="nothing to check")
+    status = max((r.status for r in parts), key=lambda s: _STATUS_RANK[s])
+    violations = [Violation((f"run {i}",) + v.inputs, v.lhs, v.rhs, v.slack, v.note)
+                  for i, r in enumerate(parts) for v in r.violations]
+    detail = "; ".join(f"run {i}: {r.detail}" for i, r in enumerate(parts) if r.detail)
+    return CheckReport(name, sum(r.checked for r in parts), tuple(violations),
+                       status, detail)

@@ -11,77 +11,19 @@ import json
 import os
 from typing import Callable
 
-from .certify import Certificate, certify, second_iterate_check, solve_and_certify
-from .config import CheckSpec, ConfigError, ExperimentConfig
-from .iterate import (
-    Trajectory,
-    diagnose_cauchy,
-    diagnose_even_gaps,
-    diagnose_interleaved,
-    diagnose_monotone_t,
-    diagnose_t_limit,
-    run,
-    trajectory_to_csv,
-)
-from .maps import (
-    DomainError,
-    check_cyclic_invariance,
-    check_kannan,
-    check_kannan_strict_hypothesis,
-    check_phi_contraction,
-)
-from .report import FAILED, INCONCLUSIVE, NOT_APPLICABLE, PASSED, CheckReport, Violation
+from .certify import certify
+from .config import CHECKS, CheckContext, ConfigError, ExperimentConfig, parse_vector
+from .iterate import Trajectory, run, trajectory_to_csv
+from .maps import DomainError
+from .report import FAILED, INCONCLUSIVE, NOT_APPLICABLE, PASSED, CheckReport
 from .space import ProductPoint
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
-# fixed offsets keep each check on its own deterministic sample stream
-_SEED_OFFSETS = {
-    "cyclic_invariance": 11,
-    "phi_contraction": 23,
-    "kannan": 37,
-    "kannan_strict": 53,
-}
 
-_STATUS_RANK = {PASSED: 0, NOT_APPLICABLE: 1, INCONCLUSIVE: 2, "premise_not_met": 3, FAILED: 4}
-
-
-def _merge_reports(name: str, parts: list[CheckReport]) -> CheckReport:
-    if not parts:
-        return CheckReport(name, 0, status=INCONCLUSIVE, detail="nothing to check")
-    status = max((r.status for r in parts), key=lambda s: _STATUS_RANK[s])
-    violations: list[Violation] = []
-    for i, r in enumerate(parts):
-        for v in r.violations:
-            violations.append(Violation((f"run {i}",) + v.inputs, v.lhs, v.rhs,
-                                        v.slack, v.note))
-    detail = "; ".join(f"run {i}: {r.detail}" for i, r in enumerate(parts) if r.detail)
-    return CheckReport(name, sum(r.checked for r in parts), tuple(violations),
-                       status, detail)
-
-
-def _certification_report(name: str, records, uniq, expect_unique: bool | None = None) -> CheckReport:
-    violations = []
-    for i, rec in enumerate(records):
-        if rec.certificate is None:
-            violations.append(Violation((f"start {i}", rec.reason), 1.0, 0.0, 1.0,
-                                        note="no limit produced"))
-        elif not rec.certificate.accepted:
-            violations.append(Violation(
-                (f"start {i}", rec.certificate.reason),
-                max(abs(rec.certificate.residual_x - rec.certificate.dist_used),
-                    abs(rec.certificate.residual_y - rec.certificate.dist_used)),
-                rec.certificate.tolerance, 1.0,
-                note=f"verdict {rec.certificate.verdict}"))
-    status = PASSED if not violations else FAILED
-    detail = (f"max pairwise limit distance {uniq.max_pairwise_limit_distance!r}; "
-              f"unique_within_tol={uniq.unique_within_tol}")
-    return CheckReport(name, len(records), tuple(violations), status, detail)
-
-
-def _run_trajectories(cfg: ExperimentConfig, outdir: str | None,
+def _run_trajectories(cfg: ExperimentConfig, outdir: str,
                       say: Callable[[str], None]) -> list[Trajectory]:
     trajectories = []
     for i, (x0, y0) in enumerate(cfg.starts):
@@ -90,31 +32,11 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: str | None,
         except DomainError as exc:
             raise ConfigError(f"start {i} is unusable: {exc}") from exc
         trajectories.append(traj)
-        if outdir is not None:
-            path = os.path.join(outdir, f"trace_{i:03d}.csv")
-            trajectory_to_csv(traj, path)
+        trajectory_to_csv(traj, os.path.join(outdir, f"trace_{i:03d}.csv"))
         final_t = traj.t_series[-1] if traj.t_series else float("nan")
         say(f"run {i}: {traj.stop_reason} after {len(traj.points)} points, "
             f"final t = {final_t!r}")
     return trajectories
-
-
-def _dispatch_static(cfg: ExperimentConfig, spec: CheckSpec) -> CheckReport:
-    T, p, tol = cfg.T, spec.params, cfg.tol
-    seed = cfg.seed + _SEED_OFFSETS.get(spec.name, 0)
-    tol = float(p.get("tol", tol))
-    if spec.name == "cyclic_invariance":
-        return check_cyclic_invariance(T, int(p.get("samples", 200)), seed, tol)
-    if spec.name == "phi_contraction":
-        return check_phi_contraction(
-            T, cfg.require_phi(), int(p.get("samples", 1000)), seed,
-            str(p.get("quantification", "all_cross_pairs")),
-            int(p.get("starts", 5)), int(p.get("steps", 20)), tol)
-    if spec.name == "kannan":
-        return check_kannan(T, int(p.get("samples", 1000)), seed, tol)
-    if spec.name == "kannan_strict":
-        return check_kannan_strict_hypothesis(T, int(p.get("samples", 500)), seed, tol)
-    raise ConfigError(f"unhandled check {spec.name!r}")
 
 
 def execute(cfg: ExperimentConfig, mode: str,
@@ -131,74 +53,16 @@ def execute(cfg: ExperimentConfig, mode: str,
     outdir = cfg.output
     os.makedirs(outdir, exist_ok=True)
 
-    trajectories: list[Trajectory] = []
-    if mode == "run" and cfg.starts:
-        trajectories = _run_trajectories(cfg, outdir, say)
+    trajectories = _run_trajectories(cfg, outdir, say) if mode == "run" else []
 
+    ctx = CheckContext(cfg, trajectories, say)
     reports: list[CheckReport] = []
-    certifications: list[dict] = []
-    accepted: list[Certificate] = []
-
     for spec in cfg.checks:
-        name, p = spec.name, spec.params
-        if name in _SEED_OFFSETS:
-            rep = _dispatch_static(cfg, spec)
-        elif name in ("certify_candidates", "certify_limits"):
-            pool = cfg.candidates if name == "certify_candidates" else cfg.starts
-            if not pool:
-                raise ConfigError(f"check {name!r} needs "
-                                  + ("candidates" if name == "certify_candidates" else "starts"))
-            records, uniq = solve_and_certify(
-                cfg.T, pool, cfg.rule, float(p.get("tol", cfg.cert_tol)))
-            rep = _certification_report(name, records, uniq)
-            accepted.extend(r.certificate for r in records
-                            if r.certificate is not None and r.certificate.accepted)
-            certifications.append({
-                "name": name,
-                "certificates": [None if r.certificate is None else r.certificate.to_json()
-                                 for r in records],
-                "uniqueness": uniq.to_json(),
-            })
-            say(f"{name}: {len(records)} starts, "
-                f"max pairwise limit distance {uniq.max_pairwise_limit_distance!r}, "
-                f"unique_within_tol={uniq.unique_within_tol}")
-        elif name == "second_iterate":
-            pool = accepted or [certify(cfg.T, ProductPoint(x, y), tol=cfg.cert_tol)
-                                for x, y in cfg.candidates]
-            pool = [c for c in pool if c.accepted]
-            if not pool:
-                rep = CheckReport(name, 0, status=INCONCLUSIVE,
-                                  detail="no certified candidate available")
-            else:
-                rep = _merge_reports(name, [
-                    second_iterate_check(cfg.T, c.candidate, float(p.get("tol", cfg.cert_tol)))
-                    for c in pool])
-        else:
-            parts = []
-            for traj in trajectories:
-                if name == "monotone_t":
-                    parts.append(diagnose_monotone_t(traj, float(p.get("tol", cfg.tol))))
-                elif name == "t_limit":
-                    parts.append(diagnose_t_limit(
-                        traj, tol=None if "tol" not in p else float(p["tol"])))
-                elif name == "even_gaps":
-                    parts.append(diagnose_even_gaps(
-                        traj, tol=None if "tol" not in p else float(p["tol"])))
-                elif name == "interleaved":
-                    eps = tuple(float(e) for e in p.get("eps", (0.5, 0.1, 0.01)))
-                    parts.append(diagnose_interleaved(traj, eps,
-                                                      tol=float(p.get("tol", cfg.tol))))
-                elif name == "cauchy":
-                    parts.append(diagnose_cauchy(
-                        traj, int(p.get("k", 10)),
-                        tol=None if "tol" not in p else float(p["tol"])))
-                else:
-                    raise ConfigError(f"unhandled check {name!r}")
-            rep = _merge_reports(name, parts)
+        rep = CHECKS[spec.name].run(ctx, spec.params)
         reports.append(rep)
         _say_report(rep, say)
 
-    failed = any(r.status in (FAILED, "premise_not_met") for r in reports)
+    failed = any(r.status == FAILED for r in reports)
     exit_code = EXIT_VIOLATION if failed else EXIT_OK
     summary = {
         "mode": mode,
@@ -218,7 +82,7 @@ def execute(cfg: ExperimentConfig, mode: str,
             }
             for i, t in enumerate(trajectories)
         ],
-        "certifications": certifications,
+        "certifications": ctx.certifications,
         "exit_code": exit_code,
     }
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
@@ -245,8 +109,6 @@ def _say_report(rep: CheckReport, say: Callable[[str], None]) -> None:
 def run_certify_command(cfg: ExperimentConfig, x_obj, y_obj,
                         say: Callable[[str], None] = print) -> int:
     """Certify a single explicit candidate; exit 0 only if accepted."""
-    from .config import parse_vector
-
     x, y = parse_vector(x_obj), parse_vector(y_obj)
     cert = certify(cfg.T, ProductPoint(x, y), tol=cfg.cert_tol)
     say(json.dumps(cert.to_json(), indent=2, sort_keys=True))

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import TOL_NUM, NormedSpaceSpec, SpaceError, Vector, norm
+from .space import TOL_NUM, NormedSpaceSpec, Vector, basis, norm
 
 # witness must achieve the reported distance this tightly
 TOL_DIST = 1e-8
@@ -248,23 +248,25 @@ def _lmo(kind: str, data, grad: np.ndarray) -> np.ndarray:
     return np.where(grad > 0.0, lo, hi)
 
 
-def _fw_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: int,
-                 budget: int, gap_tol: float):
-    verts = []
-    for S in (A, B):
-        if isinstance(S, Hull):
-            verts.extend(S.vertices)
-    index = _support_union(verts, space)
+def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, method: str):
+    """The coordinate index over both sets' support, and each set as
+    (kind, data): a hull's vertex array or a box's (lower, upper) arrays."""
+    index = _support_union([v for S in (A, B) if isinstance(S, Hull) for v in S.vertices],
+                           space)
 
     def prepare(S):
         if isinstance(S, Hull):
             return "hull", np.array([_to_array(v, index) for v in S.vertices])
         if isinstance(S, Box):
             return "box", _box_arrays(S, space, index)
-        raise SetsError("frank_wolfe needs box or hull sets")
+        raise SetsError(f"{method} needs box or hull sets")
 
-    ka, da = prepare(A)
-    kb, db = prepare(B)
+    return index, prepare(A), prepare(B)
+
+
+def _fw_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: int,
+                 budget: int, gap_tol: float):
+    index, (ka, da), (kb, db) = _prepare_pair(A, B, space, "frank_wolfe")
     rng = random.Random(f"fw:{seed}")
 
     def start(kind, data):
@@ -312,21 +314,7 @@ def _project_simplex(w: np.ndarray) -> np.ndarray:
 
 def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: int,
                       n_starts: int = 6, iters: int = 2500):
-    verts = []
-    for S in (A, B):
-        if isinstance(S, Hull):
-            verts.extend(S.vertices)
-    index = _support_union(verts, space)
-
-    def prepare(S):
-        if isinstance(S, Hull):
-            return "hull", np.array([_to_array(v, index) for v in S.vertices])
-        if isinstance(S, Box):
-            return "box", _box_arrays(S, space, index)
-        raise SetsError("subgradient needs box or hull sets")
-
-    ka, da = prepare(A)
-    kb, db = prepare(B)
+    index, (ka, da), (kb, db) = _prepare_pair(A, B, space, "subgradient")
     rng = np.random.default_rng(seed)
 
     def point(kind, data, par):
@@ -517,8 +505,6 @@ def paired_block_hull(offset: int, label: str) -> DeclaredSet:
 
 def l1_example_sets() -> tuple[DeclaredSet, DeclaredSet, DeclaredDistance]:
     """The two paired-block hulls in the l1 sequence space, distance 2."""
-    from .space import basis
-
     A = paired_block_hull(1, "paired-blocks-odd")
     B = paired_block_hull(2, "paired-blocks-even")
     e = basis

@@ -62,9 +62,6 @@ class Vector:
     def zero() -> "Vector":
         return Vector(())
 
-    def as_map(self) -> dict[int, float]:
-        return dict(self.coords)
-
     def value_at(self, i: int) -> float:
         for j, v in self.coords:
             if j == i:

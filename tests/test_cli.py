@@ -15,6 +15,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 from proxcycle.cli import main
+from proxcycle.config import CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -43,6 +44,19 @@ def run_config(name, tmp_path, *extra):
 @pytest.mark.parametrize("name", sorted(c.name for c in CONFIGS.glob("*.json")))
 def test_shipped_configs_match_their_schema(name):
     CONFIG_VALIDATOR.validate(json.loads((CONFIGS / name).read_text()))
+
+
+def test_config_schema_gives_each_check_the_table_parameters():
+    schema = json.loads((ROOT / "docs" / "config.schema.json").read_text())
+    assert sorted(schema["definitions"]["check_name"]["enum"]) == sorted(CHECKS)
+    objects = [o["properties"] for o in schema["properties"]["checks"]["items"]["oneOf"]
+               if "properties" in o]
+    assert len(objects) == len(CHECKS)
+    assert {o["name"]["const"]: set(o) - {"name"} for o in objects} == {
+        name: set(check.params) for name, check in CHECKS.items()}
+    # the loader refuses a parameter another check takes; so must the schema
+    assert not CONFIG_VALIDATOR.is_valid(
+        {"map": {"builtin": "interval_contraction"}, "checks": [{"name": "kannan", "k": 3}]})
 
 
 @pytest.mark.parametrize("name,expected", EXPECTED_EXITS)
@@ -125,6 +139,24 @@ def test_budget_override_keeps_diagnostic_verdicts_open(tmp_path):
     assert by_name["t_limit"]["status"] == "inconclusive"
     assert by_name["even_gaps"]["status"] == "inconclusive"
     assert by_name["monotone_t"]["status"] == "passed"
+
+
+# 2.000000005 lies in A = [1, 2] at cert_tol, but not at the run's own tolerance
+@pytest.mark.parametrize("x", [3.0, 2.000000005])
+def test_candidate_outside_the_sets_fails_without_a_limit(x, tmp_path):
+    cfg = dict(BASE, candidates=[[[x], [-1.0]]], checks=["certify_candidates"])
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    text = (out / "summary.json").read_text()
+    assert "NaN" not in text
+    summary = json.loads(text)
+    SUMMARY_VALIDATOR.validate(summary)
+    rep = summary["checks"][0]
+    assert rep["status"] == "failed"
+    assert rep["violations"][0]["inputs"] == ["start 0", "start x0 is not in the A set"]
+    assert summary["certifications"][0]["certificates"] == [None]
 
 
 def test_truncated_limits_are_rejected_hard(tmp_path):
@@ -222,6 +254,8 @@ def test_check_param_typo_is_a_config_error(tmp_path, capsys):
 
 def run_subprocess(config, outdir, hash_seed, seed_args=()):
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    # the child imports proxcycle from this checkout, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "proxcycle.cli", "run", str(config),
          "--out", str(outdir), *seed_args],
