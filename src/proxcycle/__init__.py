@@ -67,7 +67,6 @@ from .sets import (
     dist,
     l1_example_sets,
     paired_block_hull,
-    proximal_pairs,
     sample,
 )
 from .space import (

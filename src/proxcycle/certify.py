@@ -118,7 +118,7 @@ class UniquenessReport:
     starts: tuple[ProductPoint, ...]
     limits: tuple[ProductPoint | None, ...]
     max_pairwise_limit_distance: float
-    unique_within_tol: bool
+    unique_within_tol: bool | None  # None when no start produced a limit
     tolerance: float
 
     def to_json(self) -> dict:
@@ -141,7 +141,8 @@ def solve_and_certify(
 
     Starts that already certify are their own limits (no iteration).
     Starts outside A x B and runs ending in a domain error contribute no
-    limit.  Uniqueness holds when all limits found agree within 10 * t_tol.
+    limit.  Uniqueness holds when all limits found agree within 10 * t_tol,
+    and is undecided (None) when there are none.
     """
     if not starts:
         raise CertifyError("need at least one start")
@@ -176,7 +177,7 @@ def solve_and_certify(
         starts=tuple(r.start for r in records),
         limits=tuple(limits),
         max_pairwise_limit_distance=worst,
-        unique_within_tol=worst <= u_tol,
+        unique_within_tol=worst <= u_tol if found else None,
         tolerance=u_tol,
     )
     return records, report

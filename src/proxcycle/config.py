@@ -13,7 +13,7 @@ offset, and how it runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -39,7 +39,7 @@ from .maps import (
 )
 from .report import INCONCLUSIVE, CheckReport, Violation, conclude, merge_reports
 from .sets import Box, ConvexSet, Hull, SetsError, sample
-from .space import ProductPoint, Vector
+from .space import ProductPoint, SpaceError, Vector
 
 
 class ConfigError(ValueError):
@@ -155,7 +155,9 @@ class Check:
     """One named check.
 
     params maps each parameter a config may give to (convert, default);
-    a default of None leaves the value to the stop rule.  fn(ctx, name, p)
+    the loader converts given values, a callable default reads the
+    experiment, and a default of None leaves the value to the stop
+    rule.  fn(ctx, name, p)
     runs the check with the resolved parameters p and p["seed"], the
     experiment's seed plus seed_offset.  fn calls the library by global
     name, so that a wrapper installed on a module attribute sees the call.
@@ -169,13 +171,9 @@ class Check:
 
     def run(self, ctx: CheckContext, given: dict[str, Any]) -> CheckReport:
         p: dict[str, Any] = {"seed": ctx.cfg.seed + self.seed_offset}
-        for key, (convert, default) in self.params.items():
-            if key in given:
-                p[key] = convert(given[key])
-            elif callable(default):
-                p[key] = convert(default(ctx.cfg))
-            else:
-                p[key] = default
+        for key, (_, default) in self.params.items():
+            p[key] = given[key] if key in given else (
+                default(ctx.cfg) if callable(default) else default)
         return self.fn(ctx, self.name, p)
 
 
@@ -285,6 +283,10 @@ def _parse_checks(obj: Any) -> list[CheckSpec]:
         for k in params:
             if k not in CHECKS[name].params:
                 raise ConfigError(f"check {name!r} takes no parameter {k!r}")
+            try:
+                params[k] = CHECKS[name].params[k][0](params[k])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"check {name!r}: bad parameter {k!r}: {exc}") from exc
         out.append(CheckSpec(name, params))
     return out
 
@@ -351,11 +353,14 @@ def parse_config(raw: dict, seed_override: int | None = None,
         pair = map_cfg["sets"]
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError("map.sets must be a two-element list")
-        T = CyclicMapSpec(T.label, T.space, parse_set(pair[0]), parse_set(pair[1]),
-                          T.evaluator, T.declared_class, T.declared_dist, T.phi)
+        T = replace(T, A=parse_set(pair[0]), B=parse_set(pair[1]))
+        try:
+            for v in (v for S in (T.A, T.B) if isinstance(S, Hull) for v in S.vertices):
+                T.space.validate(v)
+        except SpaceError as exc:
+            raise ConfigError(f"bad hull vertex in map.sets: {exc}") from exc
     if "dist" in map_cfg:
-        T = CyclicMapSpec(T.label, T.space, T.A, T.B, T.evaluator,
-                          T.declared_class, float(map_cfg["dist"]), T.phi)
+        T = replace(T, declared_dist=float(map_cfg["dist"]))
 
     phi = T.phi
     if "phi" in map_cfg:

@@ -2,13 +2,13 @@
 
 Three set variants: coordinate boxes, finitely generated hulls, and
 declared sets (membership predicate plus sampler, for sets that are not
-finitely generated).  Distances come from a declared analytic value, a
-Frank-Wolfe solve of the squared-l2 problem over the two weight
-simplices, or a multi-start projected subgradient descent for l1/linf.
+finitely generated).  Distances come from a declared analytic value,
+an exact non-negative least-squares (NNLS) solve for l2, or a multi-start
+projected subgradient descent for l1/linf, flagged approximate.
 
-Hull membership is a convex-combination feasibility solve.  Containment
-in a hull is norm independent, so the feasibility problem is always
-solved in l2 coordinates regardless of the space's declared norm.
+Hull membership is the same NNLS solve.  Containment in a hull is norm
+independent, so it is always decided in l2 coordinates regardless of the
+space's declared norm.
 """
 from __future__ import annotations
 
@@ -23,9 +23,6 @@ from .space import TOL_NUM, NormedSpaceSpec, Vector, basis, norm
 
 # witness must achieve the reported distance this tightly
 TOL_DIST = 1e-8
-
-FW_BUDGET = 100_000
-FW_GAP_TOL = 1e-10
 
 
 class SetsError(ValueError):
@@ -104,10 +101,12 @@ class DistResult:
 # dense interop helpers
 
 def _support_union(vectors: Sequence[Vector], space: NormedSpaceSpec) -> tuple[int, ...]:
+    """Sorted coordinate index over the space and the vectors, each checked to lie in it."""
     idx: set[int] = set()
     if space.mode == "dense":
         idx.update(range(space.dimension))
     for v in vectors:
+        space.validate(v)
         idx.update(v.support())
     return tuple(sorted(idx))
 
@@ -124,79 +123,97 @@ def _from_array(arr: np.ndarray, index: tuple[int, ...]) -> Vector:
     return Vector.from_map({j: float(x) for j, x in zip(index, arr)})
 
 
-def _box_arrays(S: Box, space: NormedSpaceSpec, index: tuple[int, ...]):
+def _box_arrays(S: Box, space: NormedSpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     if space.mode != "dense":
         raise SetsError("box sets need a dense space")
     if len(S.lower) != space.dimension:
         raise SetsError("box dimension does not match the space")
-    lo = _to_array(Vector.dense(S.lower), index)
-    hi = _to_array(Vector.dense(S.upper), index)
-    # indices beyond the box's own coordinates are pinned at zero
-    for k, j in enumerate(index):
-        if j >= len(S.lower):
-            lo[k] = hi[k] = 0.0
-    return lo, hi
+    return np.array(S.lower, dtype=float), np.array(S.upper, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# non-negative least squares
+
+def _nnls(C: np.ndarray, group: np.ndarray):
+    """Iterates of min ||C z|| over z >= 0 whose entries in each group sum
+    to one, by the active-set method of Lawson and Hanson (Solving
+    Least Squares Problems, 1974, ch. 23).
+
+    Starts from the first entry of each group.  Each step frees the fixed
+    entry whose dual value -C^T C z most exceeds its group's multiplier
+    (the mean over the group's free entries), then moves toward the
+    least-squares point over the free entries, fixing at zero each one
+    that would turn negative; the projection P keeps the group sums.
+    Yields each iterate, all feasible; the last is the solution.  Stops
+    when no entry gains or the residual stops falling.
+    """
+    free = np.zeros(len(group), dtype=bool)
+    free[np.unique(group, return_index=True)[1]] = True
+    z = free.astype(float)
+    resid = float(np.linalg.norm(C @ z))
+    yield z
+    for _ in range(3 * len(z)):
+        dual = -C.T @ (C @ z)
+        gain = dual - (np.bincount(group, dual * free) / np.bincount(group, free))[group]
+        gain[free] = -np.inf
+        j = int(np.argmax(gain))
+        if gain[j] <= 0.0:
+            return
+        free[j] = True
+        while True:
+            F = np.flatnonzero(free)
+            g = group[F]
+            P = np.eye(len(F)) - (g[:, None] == g[None, :]) / np.bincount(g)[g]
+            s = z.copy()
+            s[F] -= P @ np.linalg.lstsq(C[:, F] @ P, C @ z, rcond=None)[0]
+            neg = free & (s < 0.0)
+            if not neg.any():
+                break
+            ratio = np.full(len(z), np.inf)
+            ratio[neg] = z[neg] / (z[neg] - s[neg])
+            k = int(np.argmin(ratio))
+            z = np.maximum(z + ratio[k] * (s - z), 0.0)
+            z[k], free[k] = 0.0, False
+        z = s
+        now = float(np.linalg.norm(C @ z))
+        if now >= resid:
+            return
+        resid = now
+        yield z
 
 
 # ---------------------------------------------------------------------------
 # containment
 
-def _hull_feasibility_gap(vertices: np.ndarray, x: np.ndarray, tol: float,
-                          budget: int = 10_000) -> float:
-    """Distance from x to the hull of the rows of `vertices` (l2).
+def _in_hull(V: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """Whether x is within l2 distance tol of the hull of the rows of V.
 
-    Accelerated projected gradient on the simplex weights.  Plain
-    Frank-Wolfe stalls at 1/k rates when the nearest point sits inside a
-    face, which is exactly the boundary-membership case; momentum plus
-    simplex projection identifies the face and then converges fast.
-    Stops early once membership at tol is decided either way.
+    With D = V - x, measures the gap r = D^T w of each weight iterate w
+    directly.  Accepts once |r| <= tol; rejects once every row d of D has
+    d.r > tol |r|, a hyperplane separating x from the hull by more than tol.
     """
-    k = vertices.shape[0]
-    G = vertices @ vertices.T
-    Vx = vertices @ x
-    xx = float(np.dot(x, x))
-    L = max(float(np.linalg.eigvalsh(G)[-1]), 1e-12)
-
-    def half_sq(w: np.ndarray) -> float:
-        # 0.5 * ||w @ vertices - x||^2 via the Gram matrix
-        return max(0.5 * (float(w @ G @ w) - 2.0 * float(w @ Vx) + xx), 0.0)
-
-    w = np.full(k, 1.0 / k)
-    y, t = w.copy(), 1.0
-    f = half_sq(w)
-    accept = 0.5 * tol * tol
-    for _ in range(budget):
-        if f <= accept:
-            break
-        g = G @ y - Vx
-        # Frank-Wolfe gap at y gives a valid lower bound on the optimum
-        lower = half_sq(y) - (float(np.dot(g, y)) - float(g.min()))
-        if lower > accept:
-            return math.sqrt(2.0 * lower)
-        w_new = _project_simplex(y - g / L)
-        f_new = half_sq(w_new)
-        if f_new > f:
-            # momentum overshoot: restart from the best iterate
-            y, t = w.copy(), 1.0
-            continue
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = w_new + ((t - 1.0) / t_new) * (w_new - w)
-        w, t, f = w_new, t_new, f_new
-    return math.sqrt(2.0 * f)
+    D = V - x
+    for w in _nnls(D.T, np.zeros(len(D), dtype=int)):
+        r = w @ D
+        gap = float(np.linalg.norm(r))
+        if gap <= tol:
+            return True
+        if float(np.min(D @ r)) > tol * gap:
+            return False
+    return False
 
 
 def contains(S: ConvexSet, space: NormedSpaceSpec, v: Vector, tol: float = TOL_NUM) -> bool:
     """Membership of v in S within slack tol."""
     space.validate(v)
     if isinstance(S, Box):
-        index = _support_union([v], space)
-        lo, hi = _box_arrays(S, space, index)
-        arr = _to_array(v, index)
+        lo, hi = _box_arrays(S, space)
+        arr = _to_array(v, _support_union([v], space))
         return bool(np.all(arr >= lo - tol) and np.all(arr <= hi + tol))
     if isinstance(S, Hull):
         index = _support_union(list(S.vertices) + [v], space)
         V = np.array([_to_array(w, index) for w in S.vertices])
-        return _hull_feasibility_gap(V, _to_array(v, index), tol) <= tol
+        return _in_hull(V, _to_array(v, index), tol)
     return bool(S.member(v, tol))
 
 
@@ -241,13 +258,6 @@ def sample(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list[
 # ---------------------------------------------------------------------------
 # distance between two sets
 
-def _lmo(kind: str, data, grad: np.ndarray) -> np.ndarray:
-    if kind == "hull":
-        return data[int(np.argmin(data @ grad))]
-    lo, hi = data
-    return np.where(grad > 0.0, lo, hi)
-
-
 def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, method: str):
     """The coordinate index over both sets' support, and each set as
     (kind, data): a hull's vertex array or a box's (lower, upper) arrays."""
@@ -258,47 +268,33 @@ def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, method: st
         if isinstance(S, Hull):
             return "hull", np.array([_to_array(v, index) for v in S.vertices])
         if isinstance(S, Box):
-            return "box", _box_arrays(S, space, index)
+            return "box", _box_arrays(S, space)
         raise SetsError(f"{method} needs box or hull sets")
 
     return index, prepare(A), prepare(B)
 
 
-def _fw_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: int,
-                 budget: int, gap_tol: float):
-    index, (ka, da), (kb, db) = _prepare_pair(A, B, space, "frank_wolfe")
-    rng = random.Random(f"fw:{seed}")
+def _cone(kind: str, data) -> tuple[np.ndarray, np.ndarray]:
+    """A prepared set as (C, group): the points C z over z >= 0 whose
+    entries in each group sum to one.  A hull has one group, its vertex
+    weights; a box has one per coordinate i, the weights of lower_i e_i
+    and upper_i e_i."""
+    if kind == "hull":
+        return data.T, np.zeros(len(data), dtype=int)
+    lo, hi = data
+    return np.hstack([np.diag(lo), np.diag(hi)]), np.tile(np.arange(len(lo)), 2)
 
-    def start(kind, data):
-        if kind == "hull":
-            return data[rng.randrange(len(data))].copy()
-        lo, hi = data
-        return np.array([lo[i] if rng.random() < 0.5 else hi[i] for i in range(len(lo))])
 
-    a, b = start(ka, da), start(kb, db)
-    converged = False
-    for _ in range(budget):
-        w = a - b
-        ga, gb = 2.0 * w, -2.0 * w
-        sa = _lmo(ka, da, ga)
-        sb = _lmo(kb, db, gb)
-        gap = float(np.dot(ga, a - sa) + np.dot(gb, b - sb))
-        if gap <= gap_tol:
-            converged = True
-            break
-        u = (sa - a) - (sb - b)
-        uu = float(np.dot(u, u))
-        if uu == 0.0:
-            converged = True
-            break
-        step = min(1.0, max(0.0, -float(np.dot(w, u)) / uu))
-        if step == 0.0:
-            break
-        a = a + step * (sa - a)
-        b = b + step * (sb - b)
+def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
+    """l2 distance as one NNLS over both sets' weights, minimising
+    |C_A z_A - C_B z_B|.  The witnesses are feasible and the value is
+    their distance."""
+    index, pa, pb = _prepare_pair(A, B, space, "nnls")
+    (Ca, ga), (Cb, gb) = _cone(*pa), _cone(*pb)
+    *_, z = _nnls(np.hstack([Ca, -Cb]), np.concatenate([ga, gb + ga.max() + 1]))
+    a, b = Ca @ z[:len(ga)], Cb @ z[len(ga):]
     value = float(np.linalg.norm(a - b))
-    wit = ProximalWitness(_from_array(a, index), _from_array(b, index), value)
-    return value, wit, converged
+    return value, ProximalWitness(_from_array(a, index), _from_array(b, index), value)
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -376,21 +372,19 @@ def dist(
     method: str | None = None,
     declared: DeclaredDistance | None = None,
     seed: int = 0,
-    budget: int = FW_BUDGET,
-    gap_tol: float = FW_GAP_TOL,
 ) -> DistResult:
     """Distance between A and B with an achieving (or near-achieving) witness.
 
-    method: "declared" (trusted analytic value), "frank_wolfe" (l2 over
-    box/hull pairs, duality-gap stop), or "subgradient" (l1/linf, multi
-    start, always flagged approximate).  Default: declared when given,
-    else frank_wolfe for l2, else subgradient.
+    method: "declared" (trusted analytic value), "nnls" (l2 over box/hull
+    pairs, exact), or "subgradient" (l1/linf over box/hull pairs, multi
+    start from seed, always flagged approximate).  Default: declared when
+    given, else nnls for l2, else subgradient.
     """
     if method is None:
         if declared is not None:
             method = "declared"
         elif space.norm == "l2":
-            method = "frank_wolfe"
+            method = "nnls"
         else:
             method = "subgradient"
     if method == "declared":
@@ -404,54 +398,15 @@ def dist(
             )
         return DistResult(declared.value, ProximalWitness(a, b, achieved),
                           "declared", False, True)
-    if method == "frank_wolfe":
+    if method == "nnls":
         if space.norm != "l2":
-            raise SetsError("frank_wolfe applies to the l2 norm only")
-        value, wit, converged = _fw_distance(A, B, space, seed, budget, gap_tol)
-        return DistResult(value, wit, "frank_wolfe", not converged, converged)
+            raise SetsError("nnls applies to the l2 norm only")
+        value, wit = _nnls_distance(A, B, space)
+        return DistResult(value, wit, "nnls", False, True)
     if method == "subgradient":
         value, wit = _subgrad_distance(A, B, space, seed)
         return DistResult(value, wit, "subgradient", True, False)
     raise SetsError(f"unknown dist method {method!r}")
-
-
-def proximal_pairs(
-    A: ConvexSet,
-    B: ConvexSet,
-    space: NormedSpaceSpec,
-    k: int,
-    method: str | None = None,
-    declared: DeclaredDistance | None = None,
-    seed: int = 0,
-) -> list[ProximalWitness]:
-    """Up to k distinct near-optimal witness pairs, deduplicated at 1e-6."""
-    if declared is not None and (method is None or method == "declared"):
-        out = []
-        for a, b in declared.witnesses[:k]:
-            out.append(ProximalWitness(a, b, norm(space, a - b)))
-        return out
-    found: list[tuple[float, ProximalWitness]] = []
-    for i in range(max(k, 1) * 3):
-        r = dist(A, B, space, method=method, declared=None, seed=seed + i)
-        found.append((r.value, r.witness))
-    found.sort(key=lambda t: t[0])
-    best = found[0][0]
-    out = []
-    for val, wit in found:
-        if val > best + max(TOL_DIST * 10, 1e-6):
-            continue
-        dup = False
-        for w in out:
-            gap = max(norm(space, wit.a_star - w.a_star),
-                      norm(space, wit.b_star - w.b_star))
-            if gap <= 1e-6:
-                dup = True
-                break
-        if not dup:
-            out.append(wit)
-        if len(out) == k:
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------

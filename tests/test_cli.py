@@ -157,6 +157,30 @@ def test_candidate_outside_the_sets_fails_without_a_limit(x, tmp_path):
     assert rep["status"] == "failed"
     assert rep["violations"][0]["inputs"] == ["start 0", "start x0 is not in the A set"]
     assert summary["certifications"][0]["certificates"] == [None]
+    # no limit at all leaves uniqueness undecided
+    assert summary["certifications"][0]["uniqueness"]["unique_within_tol"] is None
+
+
+def test_interval_with_hull_sets_matches_the_box_version(tmp_path):
+    # the same sets written as hulls; explicit starts, since sampling
+    # draws differently from boxes and hulls
+    cfg = json.loads((CONFIGS / "interval.json").read_text())
+    cfg["starts"] = {"explicit": [[[1.5], [-1.5]], [[1.0], [-2.0]], [[2.0], [-1.0]]]}
+    hull = json.loads(json.dumps(cfg))
+    hull["map"]["sets"] = [{"variant": "hull", "vertices": [[1.0], [2.0]]},
+                           {"variant": "hull", "vertices": [[-2.0], [-1.0]]}]
+    summaries = []
+    for name, doc in (("box", cfg), ("hull", hull)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        del summary["config"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+    traces = sorted(p.name for p in (tmp_path / "box").glob("trace_*.csv"))
+    assert len(traces) == 3
+    for trace in traces:
+        assert (tmp_path / "box" / trace).read_bytes() == (tmp_path / "hull" / trace).read_bytes()
 
 
 def test_truncated_limits_are_rejected_hard(tmp_path):
@@ -247,6 +271,22 @@ def test_check_param_typo_is_a_config_error(tmp_path, capsys):
     cfg = dict(BASE, checks=[{"name": "monotone_t", "samples": 5}])
     assert bad_config_case(tmp_path, cfg) == 2
     assert "monotone_t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", [{"name": "kannan", "samples": "abc"},
+                                   {"name": "interleaved", "eps": 5}])
+def test_check_param_of_the_wrong_type_is_a_config_error(check, tmp_path, capsys):
+    cfg = dict(BASE, checks=[check])
+    assert bad_config_case(tmp_path, cfg) == 2
+    assert check["name"] in capsys.readouterr().err
+
+
+def test_hull_vertex_outside_the_space_is_a_config_error(tmp_path, capsys):
+    cfg = dict(BASE, map={"builtin": "interval_contraction", "sets": [
+        {"variant": "hull", "vertices": [[1.0], [2.0, 5.0]]},
+        {"variant": "box", "lower": [-2.0], "upper": [-1.0]}]})
+    assert bad_config_case(tmp_path, cfg) == 2
+    assert "map.sets" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,17 @@ Distance oracles: 1-d problems have closed forms, 2-d polytope cases are
 checked against a dense grid over the convex-weight simplex.
 """
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from proxcycle import (
+    DimensionMismatch,
     NormedSpaceSpec,
     SetsError,
     Vector,
@@ -18,7 +24,6 @@ from proxcycle import (
     l1_example_sets,
     norm,
     paired_block_hull,
-    proximal_pairs,
     sample,
 )
 from proxcycle.sets import Box, DeclaredDistance, Hull, ProximalWitness
@@ -59,7 +64,28 @@ def test_sampled_points_are_members():
                 Vector.dense([0.0, 1.0])))
     for S, sp in ((A_BOX, R1), (tri, R2)):
         for v in sample(S, sp, 50, seed=4):
-            assert contains(S, sp, v, tol=1e-7)
+            assert contains(S, sp, v)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 20])
+def test_members_of_offset_hulls_are_accepted(d):
+    # vertices about 2 from the origin, where rounding in a Gram-matrix
+    # objective used to exceed the default tolerance
+    rng = np.random.default_rng(d)
+    for trial in range(4):
+        V = 2.0 + 0.5 * rng.standard_normal((d + 2, d))
+        hull = Hull(tuple(Vector.dense(v) for v in V))
+        sp = NormedSpaceSpec("l2", "dense", d)
+        for v in sample(hull, sp, 25, seed=trial):
+            assert contains(hull, sp, v)
+
+
+def test_hull_vertex_outside_the_space_is_refused():
+    hull = Hull((Vector.dense([0.0, 0.0, 5.0]), Vector.dense([1.0, 0.0, 5.0])))
+    with pytest.raises(DimensionMismatch):
+        contains(hull, R2, Vector.dense([0.5, 0.0]))
+    with pytest.raises(DimensionMismatch):
+        dist(hull, Box((3.0, 0.0), (4.0, 1.0)), R2)
 
 
 def test_sampling_is_deterministic():
@@ -89,10 +115,8 @@ def test_triangle_segment_distance_hand_value():
     assert dist(tri, seg, R2).value == pytest.approx(2.0, abs=1e-8)
 
 
-def test_frank_wolfe_matches_grid_oracle():
+def test_nnls_matches_grid_oracle():
     # irregular quadrilateral vs triangle; oracle scans convex weights
-    import numpy as np
-
     P = Hull((Vector.dense([0.0, 0.0]), Vector.dense([2.0, 0.5]),
               Vector.dense([1.5, 2.0]), Vector.dense([0.2, 1.2])))
     Q = Hull((Vector.dense([4.0, 0.0]), Vector.dense([5.0, 2.0]),
@@ -111,7 +135,7 @@ def test_frank_wolfe_matches_grid_oracle():
     best = float(np.sqrt((diff ** 2).sum(axis=2)).min())
 
     res = dist(P, Q, R2)
-    assert res.method == "frank_wolfe"
+    assert res.method == "nnls"
     assert res.converged
     # the grid only explores feasible points, so it upper-bounds the optimum
     assert res.value <= best + 1e-9
@@ -121,6 +145,46 @@ def test_frank_wolfe_matches_grid_oracle():
     assert contains(Q, R2, res.witness.b_star, tol=1e-6)
     assert norm(R2, res.witness.a_star - res.witness.b_star) == pytest.approx(
         res.value, abs=1e-8)
+
+
+def test_l2_box_pair_matches_closed_form():
+    # the boxes overlap in the first coordinate, so the nearest points
+    # are not vertices; the per-coordinate gaps are 0, 1.5, 0.4, 0.1, 1.2
+    A = Box((0.5, 1.0, -3.0, -1.0, -0.4), (1.5, 1.5, -1.8, 0.9, 0.4))
+    B = Box((0.3, -2.3, -1.4, 1.0, -2.3), (2.0, -0.5, -1.2, 2.9, -1.6))
+    res = dist(A, B, NormedSpaceSpec("l2", "dense", 5))
+    assert res.method == "nnls" and res.converged and not res.approximate
+    assert res.value == pytest.approx(np.sqrt(1.5 ** 2 + 0.4 ** 2 + 0.1 ** 2 + 1.2 ** 2),
+                                      abs=1e-9)
+
+
+def test_l2_hull_pair_with_a_facet_optimum():
+    # A's facet on x = 1 contains (1, 0.2, 0.3); B's nearest vertex is
+    # (-1, 0.2, 0.3), so the only optimum lies inside the facet
+    R3 = NormedSpaceSpec("l2", "dense", 3)
+    A = Hull((Vector.dense([1.0, -1.0, -1.0]), Vector.dense([1.0, 2.0, -1.0]),
+              Vector.dense([1.0, -1.0, 2.0]), Vector.dense([3.0, 0.0, 0.0])))
+    B = Hull((Vector.dense([-1.0, 0.2, 0.3]), Vector.dense([-3.0, 0.5, -0.5])))
+    res = dist(A, B, R3)
+    assert res.value == pytest.approx(2.0, abs=1e-12)
+    for wit, want in ((res.witness.a_star, (1.0, 0.2, 0.3)),
+                      (res.witness.b_star, (-1.0, 0.2, 0.3))):
+        assert [wit.value_at(i) for i in range(3)] == pytest.approx(want, abs=1e-12)
+
+
+def test_solvers_do_not_import_scipy():
+    # importing scipy.optimize nearly triples the process's resident memory
+    code = ("import sys\n"
+            "from proxcycle import Box, Hull, NormedSpaceSpec, Vector, contains, dist\n"
+            "sp = NormedSpaceSpec('l2', 'dense', 1)\n"
+            "hull = Hull((Vector.dense([1.0]), Vector.dense([2.0])))\n"
+            "assert contains(hull, sp, Vector.dense([1.5]))\n"
+            "assert dist(hull, Box((-2.0,), (-1.0,)), sp).value == 2.0\n"
+            "assert 'scipy' not in sys.modules\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_axis_separated_boxes_random_instances():
@@ -154,12 +218,6 @@ def test_declared_distance_wins_and_checks_witnesses():
     bad = (Vector.dense([1.5]), Vector.dense([-1.0]))  # achieves 2.5, not 2
     with pytest.raises(SetsError):
         dist(A_BOX, B_BOX, R1, declared=DeclaredDistance(2.0, (bad,)))
-
-
-def test_proximal_pairs_unique_for_intervals():
-    pairs = proximal_pairs(A_BOX, B_BOX, R1, 4)
-    assert len(pairs) == 1
-    assert pairs[0].achieved == pytest.approx(2.0, abs=1e-7)
 
 
 # ------------------------------------------------------ the l1 block hulls
