@@ -4,15 +4,18 @@ A candidate (x, y) in A x B is a coupled best proximity point when both
 residuals ||x - T(x, y)|| and ||y - T(y, x)|| equal dist(A, B); when the
 sets meet (dist = 0) that degenerates to a coupled fixed point.
 
-solve_and_certify drives the iteration from a batch of starts.  A start
-that already certifies is kept as its own limit rather than iterated:
-the iteration is a search procedure, and a found point is found.  This
-matters for maps whose solution set is larger than the attractor of the
-iteration, where limits alone would hide the non-uniqueness.
+solve_and_certify certifies the limits of the iteration from a batch of
+starts, taken from the runs already made from them or iterated there.
+A start that already certifies is kept as its own limit rather than its
+run's limit: the iteration is a search procedure, and a found point is
+found.  This matters for maps whose solution set is larger than the
+attractor of the iteration, where limits alone would hide the
+non-uniqueness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .iterate import StopRule, Trajectory, run
 from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, coupled_image, eval_map
@@ -27,6 +30,7 @@ from .report import (
 )
 from .sets import ConvexSet, DeclaredDistance, contains, dist as set_dist
 from .space import (
+    TOL_NUM,
     ModulusUnavailable,
     NormedSpaceSpec,
     ProductPoint,
@@ -136,28 +140,38 @@ def solve_and_certify(
     starts: list[tuple[Vector, Vector]],
     rule: StopRule = StopRule(),
     tol: float = CERT_TOL,
+    trajectories: Sequence[Trajectory] | None = None,
+    run_tol: float = TOL_NUM,
 ) -> tuple[list[SolveRecord], UniquenessReport]:
-    """Iterate from each start, certify, and compare the limits.
+    """Certify the limit reached from each start, and compare the limits.
 
-    Starts that already certify are their own limits (no iteration).
-    Starts outside A x B and runs ending in a domain error contribute no
-    limit.  Uniqueness holds when all limits found agree within 10 * t_tol,
-    and is undecided (None) when there are none.
+    The limit from start i is the final even point of trajectories[i],
+    the run already made from that start; without trajectories each
+    start is iterated here under rule, at membership tolerance run_tol.
+    Starts that already certify are their own limits.  Starts outside
+    A x B and runs ending in a domain error contribute no limit.
+    Uniqueness holds when all limits found agree within 10 * t_tol, and
+    is undecided (None) when there are none.
     """
     if not starts:
         raise CertifyError("need at least one start")
+    if trajectories is not None and len(trajectories) != len(starts):
+        raise CertifyError("need one trajectory per start")
     records: list[SolveRecord] = []
-    for x0, y0 in starts:
+    for i, (x0, y0) in enumerate(starts):
         p0 = ProductPoint(x0, y0)
         c0 = certify(T, p0, tol=tol)
         if c0.accepted:
             records.append(SolveRecord(p0, p0, c0, None, "start already certifies"))
             continue
-        try:
-            traj = run(T, x0, y0, rule)
-        except DomainError as exc:  # the start itself is outside A x B
-            records.append(SolveRecord(p0, None, None, None, str(exc)))
-            continue
+        if trajectories is not None:
+            traj = trajectories[i]
+        else:
+            try:
+                traj = run(T, x0, y0, rule, run_tol)
+            except DomainError as exc:  # the start itself is outside A x B
+                records.append(SolveRecord(p0, None, None, None, str(exc)))
+                continue
         if traj.stop_reason == "domain_error":
             records.append(SolveRecord(
                 p0, None, None, traj,

@@ -38,7 +38,7 @@ from .maps import (
     check_phi_contraction,
 )
 from .report import INCONCLUSIVE, CheckReport, Violation, conclude, merge_reports
-from .sets import Box, ConvexSet, Hull, SetsError, sample
+from .sets import Box, ConvexSet, Hull, SetsError, check_set, sample
 from .space import ProductPoint, SpaceError, Vector
 
 
@@ -179,11 +179,14 @@ class Check:
 
 def _certify(ctx: CheckContext, name: str, pool_attr: str, tol: float) -> CheckReport:
     """Solve and certify from cfg.candidates or cfg.starts, and record the
-    certificates for the summary and for second_iterate."""
+    certificates for the summary and for second_iterate.  The starts'
+    limits come from the runs the runner made; candidates are iterated
+    here, at the experiment's tol."""
     pool = getattr(ctx.cfg, pool_attr)
     if not pool:
         raise ConfigError(f"check {name!r} needs {pool_attr}")
-    records, uniq = solve_and_certify(ctx.cfg.T, pool, ctx.cfg.rule, tol)
+    runs = ctx.trajectories if pool_attr == "starts" else None
+    records, uniq = solve_and_certify(ctx.cfg.T, pool, ctx.cfg.rule, tol, runs, ctx.cfg.tol)
     violations = []
     for i, rec in enumerate(records):
         cert = rec.certificate
@@ -355,10 +358,10 @@ def parse_config(raw: dict, seed_override: int | None = None,
             raise ConfigError("map.sets must be a two-element list")
         T = replace(T, A=parse_set(pair[0]), B=parse_set(pair[1]))
         try:
-            for v in (v for S in (T.A, T.B) if isinstance(S, Hull) for v in S.vertices):
-                T.space.validate(v)
-        except SpaceError as exc:
-            raise ConfigError(f"bad hull vertex in map.sets: {exc}") from exc
+            for S in (T.A, T.B):
+                check_set(S, T.space)
+        except (SetsError, SpaceError) as exc:
+            raise ConfigError(f"bad set in map.sets: {exc}") from exc
     if "dist" in map_cfg:
         T = replace(T, declared_dist=float(map_cfg["dist"]))
 

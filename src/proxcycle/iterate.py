@@ -14,11 +14,14 @@ failing after a converged stop is a genuine failure.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, coupled_image, flip_side
 from .report import FAILED, INCONCLUSIVE, PASSED, CheckReport, Violation, conclude
-from .sets import contains
+from .sets import _support_union, _to_array, contains
 from .space import TOL_NUM, NormedSpaceSpec, ProductPoint, Vector, norm, pair_distance
 
 STOP_BUDGET = "budget"
@@ -214,10 +217,34 @@ def diagnose_even_gaps(traj: Trajectory, tol: float | None = None) -> CheckRepor
     return CheckReport("even_gaps", checked, tuple(violations), _budget_status(traj), detail)
 
 
+def _component_norms(space: NormedSpaceSpec, diff: np.ndarray) -> np.ndarray:
+    """The space's norm along the last axis, as numpy sums it: within a few
+    ulps of norm(), not always equal to it."""
+    if space.norm == "l2":
+        return np.sqrt(np.einsum("...i,...i->...", diff, diff))
+    a = np.abs(diff)
+    if space.norm == "l1":
+        return a.sum(axis=-1)
+    # initial=0.0: with no coordinates at all (zero points in sequence
+    # mode) every norm is 0
+    m = a.max(axis=-1, initial=0.0)
+    if space.norm == "linf":
+        return m
+    scale = np.where(m > 0.0, m, 1.0)[..., None]
+    return m * ((a / scale) ** space.p).sum(axis=-1) ** (1.0 / space.p)
+
+
 def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
                          d: float | None = None, tol: float = TOL_NUM) -> CheckReport:
     """Interleaved closeness: for each eps some tail index N bounds every
-    cross distance ||u_2m - u_(2n+1)|| with m > n >= N by dist + eps."""
+    cross distance ||u_2m - u_(2n+1)|| with m > n >= N by dist + eps.
+
+    Each cross distance is computed once, in numpy, and folded into
+    colmax[n], the largest over m > n; N is one past the last n whose
+    column reaches dist + eps + tol.  A column within rounding of that
+    threshold is decided again with pair_distance, so every verdict is
+    the one pair_distance gives.
+    """
     d = traj.dist_used if d is None else d
     if d is None:
         return CheckReport("interleaved", 0, status=INCONCLUSIVE,
@@ -226,16 +253,44 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
     odds = traj.points[1::2]
     if len(evens) < 2 or len(odds) < 1:
         return CheckReport("interleaved", 0, status=INCONCLUSIVE, detail="too short")
+    space = traj.space
+    index = _support_union([v for p in traj.points for v in (p.first, p.second)], space)
+
+    def as_array(points):
+        return np.array([[_to_array(p.first, index), _to_array(p.second, index)]
+                         for p in points])
+
+    even_arr, odd_arr = as_array(evens), as_array(odds)
+    colmax = np.full(min(len(odds), len(evens) - 1), -np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, len(evens)):
+            k = min(m, len(odds))
+            row = _component_norms(space, odd_arr[:k] - even_arr[m]).max(axis=1)
+            np.maximum(colmax[:k], row, out=colmax[:k])
+    # numpy's sums and pair_distance's differ by at most a few ulps per
+    # coordinate; outside this relative band their verdicts agree
+    rel = max(1e-12, 4 * len(index) * np.finfo(float).eps)
+    pairs = sum(min(m, len(odds)) for m in range(1, len(evens)))
+
+    def reaches(n: int, thr: float) -> bool:
+        return any(pair_distance(space, evens[m], odds[n]) >= thr
+                   for m in range(n + 1, len(evens)))
+
     checked = 0
     violations = []
     tails = []
     for eps in eps_list:
+        checked += pairs
+        thr = d + eps + tol
+        band = rel * max(1.0, abs(thr)) if math.isfinite(thr) else 0.0
+        # walk the columns not surely below thr, last first; an overflowed
+        # (inf) or nan column is never sure, so pair_distance decides it
+        sure = np.isfinite(colmax) & (colmax >= thr + band)
         worst_n = -1
-        for m in range(1, len(evens)):
-            for n in range(min(m, len(odds))):
-                checked += 1
-                if pair_distance(traj.space, evens[m], odds[n]) >= d + eps + tol:
-                    worst_n = max(worst_n, n)
+        for n in np.flatnonzero(~(colmax < thr - band))[::-1]:
+            if sure[n] or reaches(int(n), thr):
+                worst_n = int(n)
+                break
         N = worst_n + 1
         # a valid tail needs at least one admissible pair m > n >= N
         if N + 1 < len(evens) and N < len(odds):
@@ -283,7 +338,7 @@ def diagnose_cauchy(traj: Trajectory, k: int = 10, tol: float | None = None) -> 
 def format_vector(space: NormedSpaceSpec, v: Vector) -> str:
     """Stable text form: dense coordinates joined by ';', sparse as i:value."""
     if space.mode == "dense":
-        return ";".join(repr(v.value_at(i)) for i in range(space.dimension))
+        return ";".join(map(repr, v.dense_values(space.dimension)))
     return ";".join(f"{i}:{val!r}" for i, val in v.coords)
 
 

@@ -123,11 +123,21 @@ def _from_array(arr: np.ndarray, index: tuple[int, ...]) -> Vector:
     return Vector.from_map({j: float(x) for j, x in zip(index, arr)})
 
 
+def check_set(S: ConvexSet, space: NormedSpaceSpec) -> None:
+    """Raise unless S can live in space: a box needs a dense space of its
+    dimension, and every hull vertex must lie in the space."""
+    if isinstance(S, Box):
+        if space.mode != "dense":
+            raise SetsError("box sets need a dense space")
+        if len(S.lower) != space.dimension:
+            raise SetsError("box dimension does not match the space")
+    elif isinstance(S, Hull):
+        for v in S.vertices:
+            space.validate(v)
+
+
 def _box_arrays(S: Box, space: NormedSpaceSpec) -> tuple[np.ndarray, np.ndarray]:
-    if space.mode != "dense":
-        raise SetsError("box sets need a dense space")
-    if len(S.lower) != space.dimension:
-        raise SetsError("box dimension does not match the space")
+    check_set(S, space)
     return np.array(S.lower, dtype=float), np.array(S.upper, dtype=float)
 
 
@@ -207,9 +217,9 @@ def contains(S: ConvexSet, space: NormedSpaceSpec, v: Vector, tol: float = TOL_N
     """Membership of v in S within slack tol."""
     space.validate(v)
     if isinstance(S, Box):
-        lo, hi = _box_arrays(S, space)
-        arr = _to_array(v, _support_union([v], space))
-        return bool(np.all(arr >= lo - tol) and np.all(arr <= hi + tol))
+        check_set(S, space)
+        return all(lo - tol <= x <= hi + tol
+                   for lo, x, hi in zip(S.lower, v.dense_values(space.dimension), S.upper))
     if isinstance(S, Hull):
         index = _support_union(list(S.vertices) + [v], space)
         V = np.array([_to_array(w, index) for w in S.vertices])

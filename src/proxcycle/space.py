@@ -68,6 +68,14 @@ class Vector:
                 return v
         return 0.0
 
+    def dense_values(self, dimension: int) -> list[float]:
+        """Coordinates 0 .. dimension - 1, missing ones as 0.0; every index
+        must be below dimension."""
+        out = [0.0] * dimension
+        for i, v in self.coords:
+            out[i] = v
+        return out
+
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.coords)
 
@@ -81,10 +89,11 @@ class Vector:
         return Vector(_clean(m.items()))
 
     def __sub__(self, other: "Vector") -> "Vector":
+        # both operands are clean, so only the zeros need dropping
         m = dict(self.coords)
         for i, v in other.coords:
             m[i] = m.get(i, 0.0) - v
-        return Vector(_clean(m.items()))
+        return Vector(tuple(sorted([item for item in m.items() if item[1] != 0.0])))
 
     def scale(self, c: float) -> "Vector":
         return Vector(_clean((i, c * v) for i, v in self.coords))

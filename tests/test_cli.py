@@ -5,6 +5,7 @@ codes, the summary document shape, and the trace files are contract
 surface; the subprocess tests additionally pin byte-level determinism
 across interpreter hash seeds.
 """
+import importlib
 import json
 import os
 import subprocess
@@ -161,6 +162,42 @@ def test_candidate_outside_the_sets_fails_without_a_limit(x, tmp_path):
     assert summary["certifications"][0]["uniqueness"]["unique_within_tol"] is None
 
 
+def test_candidate_is_iterated_at_the_config_tol(tmp_path):
+    # 2.000000005 lies in A = [1, 2] at a tol of 1e-8, so it is iterated
+    cfg = dict(BASE, tol=1e-8, candidates=[[[2.000000005], [-1.0]]],
+               checks=["certify_candidates"])
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"][0]["status"] == "passed"
+    cert = summary["certifications"][0]["certificates"][0]
+    assert cert["verdict"] == "coupled_bpp"
+    assert summary["certifications"][0]["uniqueness"]["limits"] == [cert["candidate"]]
+
+
+def test_certify_limits_reuses_the_runs(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args[1:3])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("proxcycle.certify", "proxcycle.runner"):
+        mod = importlib.import_module(name)
+        monkeypatch.setattr(mod, "run", counted(mod.run))
+    code, _, summary = run_config("interval.json", tmp_path)
+    assert code == 0
+    assert len(summary["runs"]) == 5
+    # one run per start, none of which already certifies
+    assert len(calls) == 5
+    assert len({repr(c) for c in calls}) == 5
+    assert all(c is not None for c in summary["certifications"][1]["uniqueness"]["limits"])
+
+
 def test_interval_with_hull_sets_matches_the_box_version(tmp_path):
     # the same sets written as hulls; explicit starts, since sampling
     # draws differently from boxes and hulls
@@ -287,6 +324,15 @@ def test_hull_vertex_outside_the_space_is_a_config_error(tmp_path, capsys):
         {"variant": "box", "lower": [-2.0], "upper": [-1.0]}]})
     assert bad_config_case(tmp_path, cfg) == 2
     assert "map.sets" in capsys.readouterr().err
+
+
+def test_box_of_the_wrong_dimension_is_a_config_error(tmp_path, capsys):
+    cfg = dict(BASE, map={"builtin": "interval_contraction", "sets": [
+        {"variant": "box", "lower": [1.0, 0.0], "upper": [2.0, 1.0]},
+        {"variant": "box", "lower": [-2.0], "upper": [-1.0]}]})
+    assert bad_config_case(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert "map.sets" in err and "box dimension" in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ dyadic closed forms that survive float arithmetic exactly.  Those are
 frozen below and double as the oracle for the CSV export.
 """
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from proxcycle import (
     CyclicMapSpec,
     DomainError,
     NormedSpaceSpec,
+    ProductPoint,
     StopRule,
+    Trajectory,
     Vector,
     basis,
     builtin,
@@ -30,9 +33,12 @@ from proxcycle import (
     diagnose_interleaved,
     diagnose_monotone_t,
     diagnose_t_limit,
+    pair_distance,
     run,
+    sample,
     trajectory_to_csv,
 )
+from proxcycle.report import CheckReport, Violation
 
 INTERVAL = builtin("interval_contraction")
 FLIP = builtin("flip")
@@ -211,6 +217,124 @@ def test_interleaved_tails_on_interval():
     assert "eps=0.5" in rep.detail and "eps=0.01" in rep.detail
     custom = diagnose_interleaved(traj, eps_list=(1.0, 0.25))
     assert custom.status == "passed"
+
+
+def interleaved_reference(traj, eps_list, d, tol):
+    """diagnose_interleaved's report, from pair_distance on every pair."""
+    evens, odds = traj.points[0::2], traj.points[1::2]
+    cross = [(n, pair_distance(traj.space, evens[m], odds[n]))
+             for m in range(1, len(evens)) for n in range(min(m, len(odds)))]
+    checked, tails, violations = 0, [], []
+    for eps in eps_list:
+        worst_n = -1
+        for n, dist in cross:
+            checked += 1
+            if dist >= d + eps + tol:
+                worst_n = max(worst_n, n)
+        N = worst_n + 1
+        if N + 1 < len(evens) and N < len(odds):
+            tails.append((eps, N))
+        else:
+            violations.append(Violation(
+                (f"eps={eps}",), float(N), float(len(odds)), 1.0,
+                note="no tail index leaves the cross distances under dist + eps"))
+    status = "passed" if not violations else (
+        "inconclusive" if traj.stop_reason == STOP_BUDGET else "failed")
+    detail = "tails " + ", ".join(f"eps={e}: N={n}" for e, n in tails)
+    return CheckReport("interleaved", checked, tuple(violations), status, detail)
+
+
+def eps_reaching(target, d, tol):
+    """An eps with d + eps + tol == target exactly, or None."""
+    eps = target - d - tol
+    for _ in range(16):
+        got = d + eps + tol
+        if got == target:
+            return eps
+        eps = math.nextafter(eps, math.inf if got < target else -math.inf)
+    return None
+
+
+def settling_trajectory(space, seed, n_points, offset, stop_reason):
+    """Points that wander around (offset, -offset) with shrinking noise."""
+    rng = random.Random(seed)
+    indices = range(space.dimension) if space.mode == "dense" else range(7)
+
+    def vec(sign, scale):
+        vals = {i: sign * offset + scale * rng.uniform(-1.0, 1.0) for i in indices
+                if space.mode == "dense" or rng.random() < 0.6}
+        return Vector.from_map(vals)
+
+    points = tuple(ProductPoint(vec(1 if n % 2 == 0 else -1, 0.8 ** n),
+                                vec(-1 if n % 2 == 0 else 1, 0.8 ** n))
+                   for n in range(n_points))
+    return Trajectory(space, points, (), (), (), (), (), stop_reason, StopRule(), None)
+
+
+SPACES = [NormedSpaceSpec(norm, "dense", dim, 3.0 if norm == "lp" else None)
+          for norm in ("l1", "l2", "lp", "linf") for dim in (1, 3, 12)] + \
+         [NormedSpaceSpec(norm, "sequence", None, 3.0 if norm == "lp" else None)
+          for norm in ("l1", "l2", "lp", "linf")]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.norm}-{s.mode}-{s.dimension}")
+@pytest.mark.parametrize("seed", range(3))
+def test_interleaved_matches_the_pairwise_reference(space, seed):
+    offset = (0.0, 2.5, 1000.0)[seed]
+    stop = STOP_BUDGET if seed == 1 else STOP_CONVERGED_T
+    traj = settling_trajectory(space, seed, 41 + seed, offset, stop)
+    evens, odds = traj.points[0::2], traj.points[1::2]
+    d, tol = pair_distance(space, evens[-1], odds[-1]), 1e-9
+    eps_list = [0.5, 0.1, 0.01, 0.0, 1e-6]
+    # thresholds that equal a cross distance exactly, one ulp above and
+    # below it, where the verdict rests on the last bit
+    rng = random.Random(seed)
+    for _ in range(12):
+        m = rng.randrange(1, len(evens))
+        n = rng.randrange(min(m, len(odds)))
+        target = pair_distance(space, evens[m], odds[n])
+        for t in (target, math.nextafter(target, math.inf), math.nextafter(target, -math.inf)):
+            eps = eps_reaching(t, d, tol)
+            if eps is not None:
+                eps_list.append(eps)
+    assert len(eps_list) > 20
+    got = diagnose_interleaved(traj, eps_list, d=d, tol=tol).to_json(len(eps_list))
+    assert got == interleaved_reference(traj, eps_list, d, tol).to_json(len(eps_list))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "lp"])
+def test_interleaved_matches_the_pairwise_reference_past_squares_overflow(norm):
+    # squares of these coordinates overflow; the distances do not
+    space = NormedSpaceSpec(norm, "dense", 3, 3.0 if norm == "lp" else None)
+    traj = settling_trajectory(space, 0, 21, 1e200, STOP_CONVERGED_T)
+    evens, odds = traj.points[0::2], traj.points[1::2]
+    target = pair_distance(space, evens[3], odds[1])
+    eps_list = [1e201, 0.5, eps_reaching(target, 0.0, 1e-9)]
+    got = diagnose_interleaved(traj, eps_list, d=0.0).to_json()
+    assert got == interleaved_reference(traj, eps_list, 0.0, 1e-9).to_json()
+    assert "eps=1e+201: N=0" in got["detail"]
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "lp", "linf"])
+def test_interleaved_matches_the_pairwise_reference_on_zero_vectors(norm):
+    # in sequence mode the zero vector has no coordinates at all
+    space = NormedSpaceSpec(norm, "sequence", None, 3.0 if norm == "lp" else None)
+    zero = ProductPoint(Vector.zero(), Vector.zero())
+    traj = Trajectory(space, (zero,) * 7, (), (), (), (), (), STOP_BUDGET, StopRule(), None)
+    eps_list = [0.5, 0.0, -1e-9]
+    got = diagnose_interleaved(traj, eps_list, d=0.0).to_json()
+    assert got == interleaved_reference(traj, eps_list, 0.0, 1e-9).to_json()
+
+
+@pytest.mark.parametrize("name", ["interval_contraction", "overlap_contraction", "l1_kannan", "flip"])
+def test_interleaved_matches_the_pairwise_reference_on_builtins(name):
+    T = builtin(name)
+    x0, y0 = sample(T.A, T.space, 1, seed=3)[0], sample(T.B, T.space, 1, seed=4)[0]
+    traj = run(T, x0, y0, StopRule(max_iters=120, t_tol=None, gap_tol=None))
+    d = T.declared_dist
+    eps_list = (0.5, 0.1, 0.01, 0.0, 1e-6)
+    got = diagnose_interleaved(traj, eps_list, d=d).to_json()
+    assert got == interleaved_reference(traj, eps_list, d, 1e-9).to_json()
 
 
 def test_cauchy_tail_spread():
