@@ -13,6 +13,7 @@ offset, and how it runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable
@@ -44,6 +45,21 @@ from .space import ProductPoint, SpaceError, Vector
 
 class ConfigError(ValueError):
     pass
+
+
+def _nonnegative(value: Any) -> float:
+    """A tolerance or eps: a finite float >= 0 (JSON NaN and Infinity load)."""
+    x = float(value)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"must be finite and >= 0, got {x!r}")
+    return x
+
+
+def _tolerance(value: Any, key: str) -> float:
+    try:
+        return _nonnegative(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def parse_vector(obj: Any) -> Vector:
@@ -232,36 +248,38 @@ def _each_run(diagnose: Callable[[Trajectory, dict[str, Any]], CheckReport]):
 
 
 CHECKS: dict[str, Check] = {c.name: c for c in (
-    Check("cyclic_invariance", False, {"samples": (int, 200), "tol": (float, CFG_TOL)}, 11,
+    Check("cyclic_invariance", False,
+          {"samples": (int, 200), "tol": (_nonnegative, CFG_TOL)}, 11,
           lambda ctx, _, p: check_cyclic_invariance(ctx.cfg.T, p["samples"], p["seed"],
                                                     p["tol"])),
     Check("phi_contraction", False,
-          {"samples": (int, 1000), "tol": (float, CFG_TOL),
+          {"samples": (int, 1000), "tol": (_nonnegative, CFG_TOL),
            "quantification": (str, "all_cross_pairs"), "starts": (int, 5),
            "steps": (int, 20)}, 23,
           lambda ctx, _, p: check_phi_contraction(
               ctx.cfg.T, ctx.cfg.require_phi(), p["samples"], p["seed"],
               p["quantification"], p["starts"], p["steps"], p["tol"])),
-    Check("kannan", False, {"samples": (int, 1000), "tol": (float, CFG_TOL)}, 37,
+    Check("kannan", False, {"samples": (int, 1000), "tol": (_nonnegative, CFG_TOL)}, 37,
           lambda ctx, _, p: check_kannan(ctx.cfg.T, p["samples"], p["seed"], p["tol"])),
-    Check("kannan_strict", False, {"samples": (int, 500), "tol": (float, CFG_TOL)}, 53,
+    Check("kannan_strict", False, {"samples": (int, 500), "tol": (_nonnegative, CFG_TOL)}, 53,
           lambda ctx, _, p: check_kannan_strict_hypothesis(ctx.cfg.T, p["samples"],
                                                            p["seed"], p["tol"])),
-    Check("certify_candidates", False, {"tol": (float, CFG_CERT_TOL)}, 0,
+    Check("certify_candidates", False, {"tol": (_nonnegative, CFG_CERT_TOL)}, 0,
           lambda ctx, name, p: _certify(ctx, name, "candidates", p["tol"])),
-    Check("second_iterate", False, {"tol": (float, CFG_CERT_TOL)}, 0, _second_iterate),
-    Check("certify_limits", True, {"tol": (float, CFG_CERT_TOL)}, 0,
+    Check("second_iterate", False, {"tol": (_nonnegative, CFG_CERT_TOL)}, 0, _second_iterate),
+    Check("certify_limits", True, {"tol": (_nonnegative, CFG_CERT_TOL)}, 0,
           lambda ctx, name, p: _certify(ctx, name, "starts", p["tol"])),
-    Check("monotone_t", True, {"tol": (float, CFG_TOL)}, 0,
+    Check("monotone_t", True, {"tol": (_nonnegative, CFG_TOL)}, 0,
           _each_run(lambda t, p: diagnose_monotone_t(t, p["tol"]))),
-    Check("t_limit", True, {"tol": (float, None)}, 0,
+    Check("t_limit", True, {"tol": (_nonnegative, None)}, 0,
           _each_run(lambda t, p: diagnose_t_limit(t, tol=p["tol"]))),
-    Check("even_gaps", True, {"tol": (float, None)}, 0,
+    Check("even_gaps", True, {"tol": (_nonnegative, None)}, 0,
           _each_run(lambda t, p: diagnose_even_gaps(t, tol=p["tol"]))),
     Check("interleaved", True,
-          {"eps": (lambda v: tuple(map(float, v)), (0.5, 0.1, 0.01)), "tol": (float, CFG_TOL)}, 0,
+          {"eps": (lambda v: tuple(map(_nonnegative, v)), (0.5, 0.1, 0.01)),
+           "tol": (_nonnegative, CFG_TOL)}, 0,
           _each_run(lambda t, p: diagnose_interleaved(t, p["eps"], tol=p["tol"]))),
-    Check("cauchy", True, {"k": (int, 10), "tol": (float, None)}, 0,
+    Check("cauchy", True, {"k": (int, 10), "tol": (_nonnegative, None)}, 0,
           _each_run(lambda t, p: diagnose_cauchy(t, p["k"], tol=p["tol"]))),
 )}
 
@@ -303,12 +321,12 @@ def _parse_rule(obj: Any) -> StopRule:
     for k in obj:
         if k not in known:
             raise ConfigError(f"rule takes no key {k!r}")
+    tols = {}
+    for k in ("t_tol", "gap_tol"):
+        v = obj.get(k, 1e-8)
+        tols[k] = None if v is None else _tolerance(v, f"rule.{k}")
     try:
-        return StopRule(
-            max_iters=int(obj.get("max_iters", 1000)),
-            t_tol=None if obj.get("t_tol", 1e-8) is None else float(obj.get("t_tol", 1e-8)),
-            gap_tol=None if obj.get("gap_tol", 1e-8) is None else float(obj.get("gap_tol", 1e-8)),
-        )
+        return StopRule(max_iters=int(obj.get("max_iters", 1000)), **tols)
     except ValueError as exc:
         raise ConfigError(f"bad stop rule: {exc}") from exc
 
@@ -375,7 +393,8 @@ def parse_config(raw: dict, seed_override: int | None = None,
     rule = _parse_rule(raw.get("rule"))
     if max_iters_override is not None:
         rule = StopRule(max_iters_override, rule.t_tol, rule.gap_tol)
-    tol = float(raw.get("tol", 1e-9)) if tol_override is None else tol_override
+    tol = (_tolerance(raw.get("tol", 1e-9), "tol") if tol_override is None
+           else _tolerance(tol_override, "--tol"))
     output = str(raw.get("output", "out")) if out_override is None else out_override
 
     try:
@@ -396,7 +415,7 @@ def parse_config(raw: dict, seed_override: int | None = None,
         checks=_parse_checks(raw.get("checks")),
         seed=seed,
         tol=tol,
-        cert_tol=float(raw.get("cert_tol", 1e-8)),
+        cert_tol=_tolerance(raw.get("cert_tol", 1e-8), "cert_tol"),
         output=output,
         raw=raw,
     )

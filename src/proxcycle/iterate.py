@@ -13,16 +13,26 @@ failing after a converged stop is a genuine failure.
 """
 from __future__ import annotations
 
-import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from operator import le, sub
 
 import numpy as np
 
-from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, coupled_image, flip_side
+from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, eval_map, flip_side
 from .report import FAILED, INCONCLUSIVE, PASSED, CheckReport, Violation, conclude
-from .sets import _support_union, _to_array, contains
-from .space import TOL_NUM, NormedSpaceSpec, ProductPoint, Vector, norm, pair_distance
+from .sets import Box, ConvexSet, _support_union, contains
+from .space import (
+    TOL_NUM,
+    NormedSpaceSpec,
+    ProductPoint,
+    Vector,
+    _norm_values,
+    norm,
+    pair_distance,
+)
 
 STOP_BUDGET = "budget"
 STOP_CONVERGED_T = "converged_t"
@@ -47,14 +57,66 @@ class StopRule:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         for label, tol in (("t_tol", self.t_tol), ("gap_tol", self.gap_tol)):
-            if tol is not None and tol <= 0.0:
-                raise ValueError(f"{label} must be positive when given")
+            if tol is not None and not 0.0 < tol < math.inf:
+                raise ValueError(f"{label} must be positive and finite when given")
 
 
-@dataclass(frozen=True)
+class _Points(Sequence):
+    """Read-only view of a trajectory's points.  Point n is built from
+    values[n] on first access and kept, so a point read twice is one
+    object; a slice is a tuple."""
+
+    def __init__(self, traj: "Trajectory"):
+        self._traj = traj
+        self._built: list[ProductPoint | None] = [None] * len(traj.values)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(self[i] for i in range(*n.indices(len(self))))
+        n = range(len(self))[n]
+        p = self._built[n]
+        if p is None:
+            p = self._built[n] = _point(self._traj.values[n].tolist(), self._traj.index)
+        return p
+
+
+def _point(rows: list[list[float]], index: Sequence[int]) -> ProductPoint:
+    x, y = (Vector(tuple((j, v) for j, v in zip(index, row) if v != 0.0)) for row in rows)
+    return ProductPoint(x, y)
+
+
+def _pack(space: NormedSpaceSpec,
+          pairs: Sequence[tuple[Vector, Vector]]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The (n, 2, k) array of the pairs over the sorted index of the space
+    and their supports, each vector checked to lie in the space."""
+    vectors = [v for pair in pairs for v in pair]
+    index = _support_union(vectors, space)
+    pos = {j: k for k, j in enumerate(index)}
+    values = np.zeros((len(vectors), len(index)))
+    for r, v in enumerate(vectors):
+        for j, x in v.coords:
+            values[r, pos[j]] = x
+    return values.reshape(len(pairs), 2, len(index)), index
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """A run of the coupled iteration.
+
+    values[n] holds the point (x_n, y_n) as two coordinate rows over index,
+    the sorted coordinates the points may use: range(dimension) in dense
+    mode, the union of their supports in sequence mode.  points is a lazy
+    read-only view of the same points as ProductPoints.  even_gap_x[j] is
+    ||x_(2j+2) - x_(2j)||, odd_gap_x[j] is ||x_(2j+3) - x_(2j+1)||, and
+    likewise for y.
+    """
+
     space: NormedSpaceSpec
-    points: tuple[ProductPoint, ...]
+    values: np.ndarray
+    index: tuple[int, ...]
     t_series: tuple[float, ...]
     even_gap_x: tuple[float, ...]
     even_gap_y: tuple[float, ...]
@@ -65,12 +127,41 @@ class Trajectory:
     dist_used: float | None
     error_index: int | None = None
 
+    def __post_init__(self):
+        self.values.flags.writeable = False
+
+    @classmethod
+    def from_points(cls, space: NormedSpaceSpec, points: Sequence[ProductPoint],
+                    *args, **kwargs) -> "Trajectory":
+        """A trajectory through the given points; the remaining arguments
+        are the fields after index, as for the constructor."""
+        values, index = _pack(space, [(p.first, p.second) for p in points])
+        return cls(space, values, index, *args, **kwargs)
+
+    @property
+    def n_points(self) -> int:
+        return len(self.values)
+
+    @cached_property
+    def points(self) -> Sequence[ProductPoint]:
+        return _Points(self)
+
     def side_of(self, n: int) -> str:
         return SIDE_AB if n % 2 == 0 else SIDE_BA
 
     def final_even_point(self) -> ProductPoint:
-        last = len(self.points) - 1
+        last = self.n_points - 1
         return self.points[last if last % 2 == 0 else last - 1]
+
+
+def _member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float):
+    """Membership in S within tol of a vector v with row r, as contains
+    decides it; a box (dense mode only) is tested on the row."""
+    if isinstance(S, Box):
+        lo = [a - tol for a in S.lower]
+        hi = [b + tol for b in S.upper]
+        return lambda v, r: all(map(le, lo, r)) and all(map(le, r, hi))
+    return lambda v, r: contains(S, space, v, tol)
 
 
 def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
@@ -80,13 +171,38 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     Raises DomainError if the start itself is outside A x B.  An iterate
     leaving its required set mid-run ends the trajectory with
     stop_reason "domain_error" instead (the bad point is not recorded).
+
+    The evaluator gets and returns Vectors.  In dense mode each image is
+    turned into a coordinate row once, and the distances and box tests
+    work on the rows; they equal norm and contains on the Vectors bit for
+    bit.  In sequence mode the index is known only at the end, so the
+    distances are taken on the Vectors and the array is built last.
     """
-    if not contains(T.A, T.space, x0, tol):
+    space = T.space
+    if not contains(T.A, space, x0, tol):
         raise DomainError("start x0 is not in the A set")
-    if not contains(T.B, T.space, y0, tol):
+    if not contains(T.B, space, y0, tol):
         raise DomainError("start y0 is not in the B set")
 
-    points = [ProductPoint(x0, y0)]
+    if space.mode == "dense":
+        def row(v: Vector):
+            space.validate(v)
+            return v.dense_values(space.dimension)
+
+        def gap(a, b) -> float:
+            return _norm_values(space, [z for z in map(sub, a, b) if z != 0.0])
+
+    else:
+        def row(v: Vector):
+            return v
+
+        def gap(a, b) -> float:
+            return norm(space, a - b)
+
+    in_A, in_B = _member_test(T.A, space, tol), _member_test(T.B, space, tol)
+
+    x, y = x0, y0
+    rows = [(row(x0), row(y0))]
     t_series: list[float] = []
     gaps: dict[str, list[float]] = {"even_x": [], "even_y": [], "odd_x": [], "odd_y": []}
     stop_reason = STOP_BUDGET
@@ -94,21 +210,23 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     d = T.declared_dist
 
     for n in range(1, rule.max_iters + 1):
-        side = SIDE_AB if (n - 1) % 2 == 0 else SIDE_BA
-        new = coupled_image(T, points[-1], side, check_domain=False)
-        SX, SY = T.domain_sets(flip_side(side))
-        if not (contains(SX, T.space, new.first, tol)
-                and contains(SY, T.space, new.second, tol)):
+        # step n applies side AB for odd n and lands in B x A, and the reverse
+        side, in_x, in_y = (SIDE_AB, in_B, in_A) if n % 2 == 1 else (SIDE_BA, in_A, in_B)
+        x, y = (eval_map(T, x, y, side, check_domain=False),
+                eval_map(T, y, x, flip_side(side), check_domain=False))
+        rx = row(x)
+        if not (in_x(x, rx) and in_y(y, ry := row(y))):
             stop_reason = STOP_DOMAIN_ERROR
             error_index = n
             break
-        points.append(new)
-        t_series.append(pair_distance(T.space, points[-2], points[-1]))
+        px, py = rows[-1]
+        rows.append((rx, ry))
+        t_series.append(max(gap(px, rx), gap(py, ry)))
         if n >= 2:
-            prev = points[n - 2]
+            qx, qy = rows[n - 2]
             key = "even" if n % 2 == 0 else "odd"
-            gaps[key + "_x"].append(norm(T.space, new.first - prev.first))
-            gaps[key + "_y"].append(norm(T.space, new.second - prev.second))
+            gaps[key + "_x"].append(gap(rx, qx))
+            gaps[key + "_y"].append(gap(ry, qy))
 
         if rule.t_tol is not None and d is not None and abs(t_series[-1] - d) < rule.t_tol:
             stop_reason = STOP_CONVERGED_T
@@ -120,9 +238,14 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
                 stop_reason = STOP_CONVERGED_GAP
                 break
 
+    if space.mode == "dense":
+        values, index = np.array(rows, dtype=float), tuple(range(space.dimension))
+    else:
+        values, index = _pack(space, rows)
     return Trajectory(
-        space=T.space,
-        points=tuple(points),
+        space=space,
+        values=values,
+        index=index,
         t_series=tuple(t_series),
         even_gap_x=tuple(gaps["even_x"]),
         even_gap_y=tuple(gaps["even_y"]),
@@ -196,7 +319,7 @@ def _product_gaps(gx: tuple[float, ...], gy: tuple[float, ...]) -> list[float]:
 
 def diagnose_even_gaps(traj: Trajectory, tol: float | None = None) -> CheckReport:
     """Final even-index and odd-index gaps must both fall below tol."""
-    if len(traj.points) < 4:
+    if traj.n_points < 4:
         return CheckReport("even_gaps", 0, status=INCONCLUSIVE,
                            detail="need at least four points")
     if tol is None:
@@ -249,32 +372,25 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
     if d is None:
         return CheckReport("interleaved", 0, status=INCONCLUSIVE,
                            detail="no pair distance available")
-    evens = traj.points[0::2]
-    odds = traj.points[1::2]
-    if len(evens) < 2 or len(odds) < 1:
+    even_arr, odd_arr = traj.values[0::2], traj.values[1::2]
+    if len(even_arr) < 2 or len(odd_arr) < 1:
         return CheckReport("interleaved", 0, status=INCONCLUSIVE, detail="too short")
-    space = traj.space
-    index = _support_union([v for p in traj.points for v in (p.first, p.second)], space)
-
-    def as_array(points):
-        return np.array([[_to_array(p.first, index), _to_array(p.second, index)]
-                         for p in points])
-
-    even_arr, odd_arr = as_array(evens), as_array(odds)
-    colmax = np.full(min(len(odds), len(evens) - 1), -np.inf)
+    space, points = traj.space, traj.points
+    n_even, n_odd = len(even_arr), len(odd_arr)
+    colmax = np.full(min(n_odd, n_even - 1), -np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, len(evens)):
-            k = min(m, len(odds))
+        for m in range(1, n_even):
+            k = min(m, n_odd)
             row = _component_norms(space, odd_arr[:k] - even_arr[m]).max(axis=1)
             np.maximum(colmax[:k], row, out=colmax[:k])
     # numpy's sums and pair_distance's differ by at most a few ulps per
     # coordinate; outside this relative band their verdicts agree
-    rel = max(1e-12, 4 * len(index) * np.finfo(float).eps)
-    pairs = sum(min(m, len(odds)) for m in range(1, len(evens)))
+    rel = max(1e-12, 4 * len(traj.index) * np.finfo(float).eps)
+    pairs = sum(min(m, n_odd) for m in range(1, n_even))
 
     def reaches(n: int, thr: float) -> bool:
-        return any(pair_distance(space, evens[m], odds[n]) >= thr
-                   for m in range(n + 1, len(evens)))
+        return any(pair_distance(space, points[2 * m], points[2 * n + 1]) >= thr
+                   for m in range(n + 1, n_even))
 
     checked = 0
     violations = []
@@ -293,11 +409,11 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
                 break
         N = worst_n + 1
         # a valid tail needs at least one admissible pair m > n >= N
-        if N + 1 < len(evens) and N < len(odds):
+        if N + 1 < n_even and N < n_odd:
             tails.append((eps, N))
         else:
             violations.append(Violation(
-                (f"eps={eps}",), float(N), float(len(odds)), 1.0,
+                (f"eps={eps}",), float(N), float(n_odd), 1.0,
                 note="no tail index leaves the cross distances under dist + eps",
             ))
     detail = "tails " + ", ".join(f"eps={e}: N={n}" for e, n in tails)
@@ -308,15 +424,16 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
 
 def diagnose_cauchy(traj: Trajectory, k: int = 10, tol: float | None = None) -> CheckReport:
     """Max pairwise product distance among the last k even (and odd) points."""
-    if len(traj.points) < 6:
+    if traj.n_points < 6:
         return CheckReport("cauchy", 0, status=INCONCLUSIVE,
                            detail="need at least six points")
     if tol is None:
         tol = traj.rule.gap_tol if traj.rule.gap_tol is not None else 1e-8
     checked = 0
     worst = {"even": 0.0, "odd": 0.0}
-    for label, seq in (("even", traj.points[0::2]), ("odd", traj.points[1::2])):
-        tail = seq[-min(k, len(seq)):]
+    for label, first in (("even", 0), ("odd", 1)):
+        seq = range(first, traj.n_points, 2)
+        tail = [traj.points[n] for n in seq[-min(k, len(seq)):]]
         for i in range(len(tail)):
             for j in range(i + 1, len(tail)):
                 checked += 1
@@ -335,26 +452,29 @@ def diagnose_cauchy(traj: Trajectory, k: int = 10, tol: float | None = None) -> 
 # ---------------------------------------------------------------------------
 # trace export
 
-def format_vector(space: NormedSpaceSpec, v: Vector) -> str:
-    """Stable text form: dense coordinates joined by ';', sparse as i:value."""
-    if space.mode == "dense":
-        return ";".join(map(repr, v.dense_values(space.dimension)))
-    return ";".join(f"{i}:{val!r}" for i, val in v.coords)
-
-
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:
-    """Write the trace: one row per point, gaps attached to their later index."""
+    """Write the trace: one row per point, gaps attached to their later index.
+
+    Coordinates print as repr(float): dense rows in full, joined by ';',
+    sequence rows as i:value over their nonzero entries.  No field can
+    hold a comma, quote or line break, so the lines are those csv.writer
+    would write, ending in \\r\\n.
+    """
+    if traj.space.mode == "dense":
+        def fmt(row: list[float]) -> str:
+            return ";".join(map(repr, row))
+    else:
+        def fmt(row: list[float]) -> str:
+            return ";".join(f"{j}:{v!r}" for j, v in zip(traj.index, row) if v != 0.0)
+
+    even = _product_gaps(traj.even_gap_x, traj.even_gap_y)
+    odd = _product_gaps(traj.odd_gap_x, traj.odd_gap_y)
+    t_col = [repr(t) for t in traj.t_series]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "x", "y", "t", "even_gap", "odd_gap"])
-        even = _product_gaps(traj.even_gap_x, traj.even_gap_y)
-        odd = _product_gaps(traj.odd_gap_x, traj.odd_gap_y)
-        for n, p in enumerate(traj.points):
-            t = repr(traj.t_series[n]) if n < len(traj.t_series) else ""
-            eg = og = ""
-            if n >= 2 and n % 2 == 0:
-                eg = repr(even[n // 2 - 1])
-            if n >= 3 and n % 2 == 1:
-                og = repr(odd[(n - 3) // 2])
-            w.writerow([n, format_vector(traj.space, p.first),
-                        format_vector(traj.space, p.second), t, eg, og])
+        fh.write("n,x,y,t,even_gap,odd_gap\r\n")
+        for n, point in enumerate(traj.values):
+            x, y = point.tolist()
+            t = t_col[n] if n < len(t_col) else ""
+            eg = repr(even[n // 2 - 1]) if n >= 2 and n % 2 == 0 else ""
+            og = repr(odd[(n - 3) // 2]) if n >= 3 and n % 2 == 1 else ""
+            fh.write(f"{n},{fmt(x)},{fmt(y)},{t},{eg},{og}\r\n")

@@ -34,7 +34,7 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: str,
         trajectories.append(traj)
         trajectory_to_csv(traj, os.path.join(outdir, f"trace_{i:03d}.csv"))
         final_t = traj.t_series[-1] if traj.t_series else float("nan")
-        say(f"run {i}: {traj.stop_reason} after {len(traj.points)} points, "
+        say(f"run {i}: {traj.stop_reason} after {traj.n_points} points, "
             f"final t = {final_t!r}")
     return trajectories
 
@@ -75,7 +75,7 @@ def execute(cfg: ExperimentConfig, mode: str,
             {
                 "start_index": i,
                 "stop_reason": t.stop_reason,
-                "n_points": len(t.points),
+                "n_points": t.n_points,
                 "final_t": t.t_series[-1] if t.t_series else None,
                 "error_index": t.error_index,
                 "trace": f"trace_{i:03d}.csv",

@@ -56,7 +56,8 @@ class Vector:
 
     @staticmethod
     def dense(values: Iterable[float]) -> "Vector":
-        return Vector(_clean(enumerate(values)))
+        # enumerate's indices are sorted and non-negative: only drop the zeros
+        return Vector(tuple([(i, v) for i, v in enumerate(map(float, values)) if v != 0.0]))
 
     @staticmethod
     def zero() -> "Vector":
@@ -155,7 +156,13 @@ def norm(space: NormedSpaceSpec, v: Vector) -> float:
     Dense mode rejects vectors whose support exceeds the dimension bound.
     """
     space.validate(v)
-    vals = [v for _, v in v.coords]
+    return _norm_values(space, [x for _, x in v.coords])
+
+
+def _norm_values(space: NormedSpaceSpec, vals: list[float]) -> float:
+    """The norm of a vector whose nonzero coordinates, in index order, are
+    vals.  A caller holding a dense row drops its zeros to get norm's value
+    bit for bit (with a nan among them, max would depend on their places)."""
     if not vals:
         return 0.0
     if space.norm == "l1":

@@ -335,6 +335,52 @@ def test_box_of_the_wrong_dimension_is_a_config_error(tmp_path, capsys):
     assert "map.sets" in err and "box dimension" in err
 
 
+NAN, INF = float("nan"), float("inf")
+INTERVAL = json.loads((CONFIGS / "interval.json").read_text())
+
+
+def interval_with(check, **params):
+    """interval.json with params set on its entry for check."""
+    return dict(INTERVAL, checks=[
+        dict(c, **params) if isinstance(c, dict) and c["name"] == check else c
+        for c in INTERVAL["checks"]])
+
+
+REFUSED = "must be finite and >= 0, got"
+REFUSED_TOLERANCES = [
+    ("tol-nan", dict(INTERVAL, tol=NAN), (), f"tol: {REFUSED} nan"),
+    ("tol-negative", dict(INTERVAL, tol=-1e-9), (), f"tol: {REFUSED} -1e-09"),
+    ("cert_tol-inf", dict(INTERVAL, cert_tol=INF), (), f"cert_tol: {REFUSED} inf"),
+    ("--tol-nan", INTERVAL, ("--tol", "nan"), f"--tol: {REFUSED} nan"),
+    ("--tol-negative", INTERVAL, ("--tol", "-1"), f"--tol: {REFUSED} -1.0"),
+    ("rule.t_tol-nan", dict(INTERVAL, rule=dict(INTERVAL["rule"], t_tol=NAN)), (),
+     f"rule.t_tol: {REFUSED} nan"),
+    ("rule.gap_tol-inf", dict(INTERVAL, rule=dict(INTERVAL["rule"], gap_tol=INF)), (),
+     f"rule.gap_tol: {REFUSED} inf"),
+    ("eps-nan", interval_with("interleaved", eps=[NAN]), (),
+     f"check 'interleaved': bad parameter 'eps': {REFUSED} nan"),
+    ("eps-inf", interval_with("interleaved", eps=[0.5, INF]), (),
+     f"check 'interleaved': bad parameter 'eps': {REFUSED} inf"),
+    ("eps-negative", interval_with("interleaved", eps=[0.5, -0.1]), (),
+     f"check 'interleaved': bad parameter 'eps': {REFUSED} -0.1"),
+    ("cauchy-tol-negative", interval_with("cauchy", tol=-1.0), (),
+     f"check 'cauchy': bad parameter 'tol': {REFUSED} -1.0"),
+    ("even_gaps-tol-nan", interval_with("even_gaps", tol=NAN), (),
+     f"check 'even_gaps': bad parameter 'tol': {REFUSED} nan"),
+]
+
+
+@pytest.mark.parametrize("cfg,extra,message", [c[1:] for c in REFUSED_TOLERANCES],
+                         ids=[c[0] for c in REFUSED_TOLERANCES])
+def test_non_finite_or_negative_tolerance_is_a_config_error(cfg, extra, message, tmp_path,
+                                                            capsys):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), *extra]) == 2
+    assert f"configuration error: {message}\n" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -19,6 +19,7 @@ from proxcycle import (
     STOP_DOMAIN_ERROR,
     Box,
     CyclicMapSpec,
+    DeclaredSet,
     DomainError,
     NormedSpaceSpec,
     ProductPoint,
@@ -33,11 +34,14 @@ from proxcycle import (
     diagnose_interleaved,
     diagnose_monotone_t,
     diagnose_t_limit,
+    flip_side,
+    norm,
     pair_distance,
     run,
     sample,
     trajectory_to_csv,
 )
+from proxcycle import iterate
 from proxcycle.report import CheckReport, Violation
 
 INTERVAL = builtin("interval_contraction")
@@ -130,6 +134,11 @@ def test_stop_rule_validation():
         StopRule(t_tol=0.0)
     with pytest.raises(ValueError):
         StopRule(gap_tol=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            StopRule(t_tol=bad)
+        with pytest.raises(ValueError):
+            StopRule(gap_tol=bad)
 
 
 def test_kannan_constant_map_collapses_to_exact_cycle():
@@ -268,7 +277,8 @@ def settling_trajectory(space, seed, n_points, offset, stop_reason):
     points = tuple(ProductPoint(vec(1 if n % 2 == 0 else -1, 0.8 ** n),
                                 vec(-1 if n % 2 == 0 else 1, 0.8 ** n))
                    for n in range(n_points))
-    return Trajectory(space, points, (), (), (), (), (), stop_reason, StopRule(), None)
+    return Trajectory.from_points(space, points, (), (), (), (), (), stop_reason, StopRule(),
+                                  None)
 
 
 SPACES = [NormedSpaceSpec(norm, "dense", dim, 3.0 if norm == "lp" else None)
@@ -320,7 +330,8 @@ def test_interleaved_matches_the_pairwise_reference_on_zero_vectors(norm):
     # in sequence mode the zero vector has no coordinates at all
     space = NormedSpaceSpec(norm, "sequence", None, 3.0 if norm == "lp" else None)
     zero = ProductPoint(Vector.zero(), Vector.zero())
-    traj = Trajectory(space, (zero,) * 7, (), (), (), (), (), STOP_BUDGET, StopRule(), None)
+    traj = Trajectory.from_points(space, (zero,) * 7, (), (), (), (), (), STOP_BUDGET,
+                                  StopRule(), None)
     eps_list = [0.5, 0.0, -1e-9]
     got = diagnose_interleaved(traj, eps_list, d=0.0).to_json()
     assert got == interleaved_reference(traj, eps_list, 0.0, 1e-9).to_json()
@@ -378,6 +389,119 @@ def test_monotone_battery_over_builtin_contractions():
         assert diagnose_monotone_t(traj).status == "passed"
         assert diagnose_t_limit(traj).status == "passed"
         assert abs(traj.points[-1].first.value_at(0)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# run against a Vector reference
+
+# sequence-mode images in A and in B use these coordinates
+SEQ_INDICES = {"A": (1, 2, 4, 6), "B": (0, 2, 3, 5)}
+
+
+def wobble_map(space, offset):
+    """A map that keeps the pair near (offset, -offset) in every coordinate
+    it uses and mixes coordinates nonlinearly.  Dense mode: A and B are
+    unit boxes around offset and -offset, and each image stays inside.
+    Sequence mode: A and B hold every vector, and images in A and in B use
+    different coordinates, so consecutive supports differ."""
+    if space.mode == "dense":
+        indices = {"A": range(space.dimension), "B": range(space.dimension)}
+        d = space.dimension
+        A = Box((offset - 1.0,) * d, (offset + 1.0,) * d)
+        B = Box((-offset - 1.0,) * d, (-offset + 1.0,) * d)
+    else:
+        indices = SEQ_INDICES
+        A = B = DeclaredSet("anything", lambda v, tol: True, lambda rng: Vector.zero())
+
+    def ev(x, y, side):
+        # the image lies in B on side AB and in A on side BA
+        c = -offset if side == "AB" else offset
+        xs, ys = dict(x.coords), dict(y.coords)
+        return Vector.from_map({
+            i: c + 0.55 * math.sin(xs.get(i, 0.0) + c + 0.3 * i)
+            + 0.3 * math.cos(i) * (ys.get(i, 0.0) - c)
+            for i in indices["B" if side == "AB" else "A"]})
+
+    return CyclicMapSpec("wobble", space, A, B, ev)
+
+
+def wobble_start(space, offset, seed):
+    rng = random.Random(seed)
+    if space.mode == "dense":
+        return tuple(Vector.dense([s * offset + rng.uniform(-1.0, 1.0)
+                                   for _ in range(space.dimension)]) for s in (1, -1))
+    return tuple(Vector.from_map({i: s * offset + rng.uniform(-1.0, 1.0)
+                                  for i in SEQ_INDICES[label]})
+                 for s, label in ((1, "A"), (-1, "B")))
+
+
+def reference_points(T, x, y, n_points):
+    """The coupled iteration on Vectors, with the evaluator alone."""
+    out = [ProductPoint(x, y)]
+    for n in range(1, n_points):
+        side = "AB" if n % 2 == 1 else "BA"
+        x, y = T.evaluator(x, y, side), T.evaluator(y, x, flip_side(side))
+        out.append(ProductPoint(x, y))
+    return out
+
+
+WOBBLE = StopRule(max_iters=24, t_tol=None, gap_tol=None)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.norm}-{s.mode}-{s.dimension}")
+@pytest.mark.parametrize("offset", [0.0, 2.5, 1000.0])
+def test_run_matches_the_vector_reference(space, offset):
+    T = wobble_map(space, offset)
+    x0, y0 = wobble_start(space, offset, seed=1)
+    traj = run(T, x0, y0, WOBBLE)
+    assert traj.stop_reason == STOP_BUDGET and traj.n_points == 25
+    points = traj.points
+    assert list(points) == reference_points(T, x0, y0, 25)
+    # bit for bit: == on floats that are never nan
+    assert list(traj.t_series) == [pair_distance(space, points[k], points[k + 1])
+                                   for k in range(24)]
+    for first, gx, gy in ((2, traj.even_gap_x, traj.even_gap_y),
+                          (3, traj.odd_gap_x, traj.odd_gap_y)):
+        ns = range(first, 25, 2)
+        assert list(gx) == [norm(space, points[n].first - points[n - 2].first) for n in ns]
+        assert list(gy) == [norm(space, points[n].second - points[n - 2].second) for n in ns]
+
+
+def test_points_is_a_lazy_read_only_view(monkeypatch):
+    space = NormedSpaceSpec("l2", "dense", 3)
+    T = wobble_map(space, 2.5)
+    x0, y0 = wobble_start(space, 2.5, seed=1)
+    traj = run(T, x0, y0, WOBBLE)
+    built = []
+    real = iterate._point
+    monkeypatch.setattr(iterate, "_point", lambda *a: built.append(a) or real(*a))
+    assert len(traj.points) == traj.n_points == 25 == len(traj.values)
+    assert built == []
+    assert traj.points[3] is traj.points[3] is traj.points[-22]
+    assert len(built) == 1
+    ref = reference_points(T, x0, y0, 25)
+    assert traj.points[0::2] == tuple(ref[0::2])
+    assert len(built) == 1 + 13  # point 3 and the 13 even points
+    assert traj.final_even_point() is traj.points[24]
+    assert traj.index == (0, 1, 2) and traj.values.shape == (25, 2, 3)
+    with pytest.raises(TypeError):
+        traj.points[0] = ref[0]
+    with pytest.raises(ValueError):
+        traj.values[0, 0, 0] = 0.0
+    with pytest.raises(IndexError):
+        traj.points[25]
+
+
+def test_from_points_round_trips_sequence_supports():
+    space = NormedSpaceSpec("l1", "sequence", None)
+    points = (ProductPoint(Vector.from_map({4: 1.5}), Vector.zero()),
+              ProductPoint(Vector.from_map({1: -2.0, 4: 0.25}), Vector.from_map({9: 3.0})))
+    traj = Trajectory.from_points(space, points, (), (), (), (), (), STOP_BUDGET, StopRule(),
+                                  None)
+    assert traj.index == (1, 4, 9)
+    assert traj.values.tolist() == [[[0.0, 1.5, 0.0], [0.0, 0.0, 0.0]],
+                                    [[-2.0, 0.25, 0.0], [0.0, 0.0, 3.0]]]
+    assert tuple(traj.points) == points
 
 
 # ---------------------------------------------------------------------------
