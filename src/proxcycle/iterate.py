@@ -469,12 +469,11 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
 
     even = _product_gaps(traj.even_gap_x, traj.even_gap_y)
     odd = _product_gaps(traj.odd_gap_x, traj.odd_gap_y)
-    t_col = [repr(t) for t in traj.t_series]
     with open(path, "w", newline="") as fh:
         fh.write("n,x,y,t,even_gap,odd_gap\r\n")
         for n, point in enumerate(traj.values):
             x, y = point.tolist()
-            t = t_col[n] if n < len(t_col) else ""
+            t = repr(traj.t_series[n]) if n < len(traj.t_series) else ""
             eg = repr(even[n // 2 - 1]) if n >= 2 and n % 2 == 0 else ""
             og = repr(odd[(n - 3) // 2]) if n >= 3 and n % 2 == 1 else ""
             fh.write(f"{n},{fmt(x)},{fmt(y)},{t},{eg},{og}\r\n")
