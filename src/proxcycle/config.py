@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -55,9 +56,23 @@ def _nonnegative(value: Any) -> float:
     return x
 
 
-def _tolerance(value: Any, key: str) -> float:
+def _integer(value: Any, least: float = -math.inf) -> int:
+    """An integer >= least; true, false, NaN, Infinity and fractions are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"must be >= {least}, got {value!r}")
+    return int(value)
+
+
+_count = partial(_integer, least=1)  # a sample, start, step or iteration count
+
+
+def _given(convert: Callable[[Any], Any], value: Any, key: str) -> Any:
+    """convert(value), or a ConfigError naming key."""
     try:
-        return _nonnegative(value)
+        return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -249,19 +264,19 @@ def _each_run(diagnose: Callable[[Trajectory, dict[str, Any]], CheckReport]):
 
 CHECKS: dict[str, Check] = {c.name: c for c in (
     Check("cyclic_invariance", False,
-          {"samples": (int, 200), "tol": (_nonnegative, CFG_TOL)}, 11,
+          {"samples": (_count, 200), "tol": (_nonnegative, CFG_TOL)}, 11,
           lambda ctx, _, p: check_cyclic_invariance(ctx.cfg.T, p["samples"], p["seed"],
                                                     p["tol"])),
     Check("phi_contraction", False,
-          {"samples": (int, 1000), "tol": (_nonnegative, CFG_TOL),
-           "quantification": (str, "all_cross_pairs"), "starts": (int, 5),
-           "steps": (int, 20)}, 23,
+          {"samples": (_count, 1000), "tol": (_nonnegative, CFG_TOL),
+           "quantification": (str, "all_cross_pairs"), "starts": (_count, 5),
+           "steps": (_count, 20)}, 23,
           lambda ctx, _, p: check_phi_contraction(
               ctx.cfg.T, ctx.cfg.require_phi(), p["samples"], p["seed"],
               p["quantification"], p["starts"], p["steps"], p["tol"])),
-    Check("kannan", False, {"samples": (int, 1000), "tol": (_nonnegative, CFG_TOL)}, 37,
+    Check("kannan", False, {"samples": (_count, 1000), "tol": (_nonnegative, CFG_TOL)}, 37,
           lambda ctx, _, p: check_kannan(ctx.cfg.T, p["samples"], p["seed"], p["tol"])),
-    Check("kannan_strict", False, {"samples": (int, 500), "tol": (_nonnegative, CFG_TOL)}, 53,
+    Check("kannan_strict", False, {"samples": (_count, 500), "tol": (_nonnegative, CFG_TOL)}, 53,
           lambda ctx, _, p: check_kannan_strict_hypothesis(ctx.cfg.T, p["samples"],
                                                            p["seed"], p["tol"])),
     Check("certify_candidates", False, {"tol": (_nonnegative, CFG_CERT_TOL)}, 0,
@@ -279,7 +294,7 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
           {"eps": (lambda v: tuple(map(_nonnegative, v)), (0.5, 0.1, 0.01)),
            "tol": (_nonnegative, CFG_TOL)}, 0,
           _each_run(lambda t, p: diagnose_interleaved(t, p["eps"], tol=p["tol"]))),
-    Check("cauchy", True, {"k": (int, 10), "tol": (_nonnegative, None)}, 0,
+    Check("cauchy", True, {"k": (partial(_integer, least=2), 10), "tol": (_nonnegative, None)}, 0,
           _each_run(lambda t, p: diagnose_cauchy(t, p["k"], tol=p["tol"]))),
 )}
 
@@ -324,9 +339,10 @@ def _parse_rule(obj: Any) -> StopRule:
     tols = {}
     for k in ("t_tol", "gap_tol"):
         v = obj.get(k, 1e-8)
-        tols[k] = None if v is None else _tolerance(v, f"rule.{k}")
+        tols[k] = None if v is None else _given(_nonnegative, v, f"rule.{k}")
+    max_iters = _given(_count, obj.get("max_iters", 1000), "rule.max_iters")
     try:
-        return StopRule(max_iters=int(obj.get("max_iters", 1000)), **tols)
+        return StopRule(max_iters=max_iters, **tols)
     except ValueError as exc:
         raise ConfigError(f"bad stop rule: {exc}") from exc
 
@@ -337,10 +353,8 @@ def _resolve_starts(obj: Any, T: CyclicMapSpec, default_seed: int) -> list[tuple
     if isinstance(obj, dict) and "explicit" in obj:
         return [parse_pair(p) for p in obj["explicit"]]
     if isinstance(obj, dict) and "count" in obj:
-        n = int(obj["count"])
-        if n < 1:
-            raise ConfigError("starts.count must be >= 1")
-        seed = int(obj.get("seed", default_seed))
+        n = _given(_count, obj["count"], "starts.count")
+        seed = _given(_integer, obj.get("seed", default_seed), "starts.seed")
         xs = sample(T.A, T.space, n, seed=seed)
         ys = sample(T.B, T.space, n, seed=seed + 1000003)
         return list(zip(xs, ys))
@@ -389,12 +403,12 @@ def parse_config(raw: dict, seed_override: int | None = None,
     elif "lambda" in map_cfg:
         phi = PhiSpec.linear(float(map_cfg["lambda"]))
 
-    seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
+    seed = _given(_integer, raw.get("seed", 0), "seed") if seed_override is None else seed_override
     rule = _parse_rule(raw.get("rule"))
     if max_iters_override is not None:
-        rule = StopRule(max_iters_override, rule.t_tol, rule.gap_tol)
-    tol = (_tolerance(raw.get("tol", 1e-9), "tol") if tol_override is None
-           else _tolerance(tol_override, "--tol"))
+        rule = StopRule(_given(_count, max_iters_override, "--max-iters"), rule.t_tol, rule.gap_tol)
+    tol = (_given(_nonnegative, raw.get("tol", 1e-9), "tol") if tol_override is None
+           else _given(_nonnegative, tol_override, "--tol"))
     output = str(raw.get("output", "out")) if out_override is None else out_override
 
     try:
@@ -415,7 +429,7 @@ def parse_config(raw: dict, seed_override: int | None = None,
         checks=_parse_checks(raw.get("checks")),
         seed=seed,
         tol=tol,
-        cert_tol=_tolerance(raw.get("cert_tol", 1e-8), "cert_tol"),
+        cert_tol=_given(_nonnegative, raw.get("cert_tol", 1e-8), "cert_tol"),
         output=output,
         raw=raw,
     )

@@ -17,21 +17,19 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import le, sub
 
 import numpy as np
 
 from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, eval_map, flip_side
 from .report import FAILED, INCONCLUSIVE, PASSED, CheckReport, Violation, conclude
-from .sets import Box, ConvexSet, _support_union, contains
+from .sets import _support_union, contains, member_test
 from .space import (
     TOL_NUM,
     NormedSpaceSpec,
     ProductPoint,
     Vector,
-    _norm_values,
-    norm,
     pair_distance,
+    row_kernel,
 )
 
 STOP_BUDGET = "budget"
@@ -154,16 +152,6 @@ class Trajectory:
         return self.points[last if last % 2 == 0 else last - 1]
 
 
-def _member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float):
-    """Membership in S within tol of a vector v with row r, as contains
-    decides it; a box (dense mode only) is tested on the row."""
-    if isinstance(S, Box):
-        lo = [a - tol for a in S.lower]
-        hi = [b + tol for b in S.upper]
-        return lambda v, r: all(map(le, lo, r)) and all(map(le, r, hi))
-    return lambda v, r: contains(S, space, v, tol)
-
-
 def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
         tol: float = TOL_NUM) -> Trajectory:
     """Iterate T from (x0, y0) in A x B until a stop rule fires.
@@ -172,11 +160,11 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     leaving its required set mid-run ends the trajectory with
     stop_reason "domain_error" instead (the bad point is not recorded).
 
-    The evaluator gets and returns Vectors.  In dense mode each image is
-    turned into a coordinate row once, and the distances and box tests
-    work on the rows; they equal norm and contains on the Vectors bit for
-    bit.  In sequence mode the index is known only at the end, so the
-    distances are taken on the Vectors and the array is built last.
+    The evaluator gets and returns Vectors.  Each image is turned into a
+    row once (space.row_kernel), and the distances and box tests work on
+    the rows; they equal norm and contains on the Vectors bit for bit.  In
+    sequence mode a row is the Vector itself, and the array is built last,
+    once the index is known.
     """
     space = T.space
     if not contains(T.A, space, x0, tol):
@@ -184,22 +172,8 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     if not contains(T.B, space, y0, tol):
         raise DomainError("start y0 is not in the B set")
 
-    if space.mode == "dense":
-        def row(v: Vector):
-            space.validate(v)
-            return v.dense_values(space.dimension)
-
-        def gap(a, b) -> float:
-            return _norm_values(space, [z for z in map(sub, a, b) if z != 0.0])
-
-    else:
-        def row(v: Vector):
-            return v
-
-        def gap(a, b) -> float:
-            return norm(space, a - b)
-
-    in_A, in_B = _member_test(T.A, space, tol), _member_test(T.B, space, tol)
+    row, gap = row_kernel(space)
+    in_A, in_B = member_test(T.A, space, tol), member_test(T.B, space, tol)
 
     x, y = x0, y0
     rows = [(row(x0), row(y0))]

@@ -8,18 +8,19 @@ whose violations carry printable witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 from .report import CheckReport, Violation, conclude, render_pair, render_vector
-from .sets import Box, ConvexSet, contains, l1_example_sets, sample
+from .sets import Box, ConvexSet, contains, l1_example_sets, member_test, sample
 from .space import (
     TOL_NUM,
     NormedSpaceSpec,
     ProductPoint,
     Vector,
     basis,
-    norm,
     pair_distance,
+    row_kernel,
 )
 
 SIDE_AB = "AB"
@@ -155,53 +156,97 @@ def displacement(T: CyclicMapSpec, p: ProductPoint, side: str) -> float:
     return pair_distance(T.space, p, coupled_image(T, p, side))
 
 
-def _sample_side(T: CyclicMapSpec, side: str, n: int, seed: int) -> list[ProductPoint]:
-    SX, SY = T.domain_sets(side)
-    xs = sample(SX, T.space, n, seed=seed)
-    ys = sample(SY, T.space, n, seed=seed + 7919)
-    return [ProductPoint(x, y) for x, y in zip(xs, ys)]
-
-
 # ---------------------------------------------------------------------------
 # checkers
+
+class _Point:
+    """(x, y) on one side with the rows of x and y; its coupled image (a
+    _Point) and displacement are filled in on first use."""
+
+    __slots__ = ("x", "y", "side", "rx", "ry", "image", "disp")
+
+    def __init__(self, x: Vector, y: Vector, side: str, rx, ry):
+        self.x, self.y, self.side, self.rx, self.ry = x, y, side, rx, ry
+        self.image = self.disp = None
+
+    def render(self) -> str:
+        return render_pair(ProductPoint(self.x, self.y))
+
+
+class _Probe:
+    """One checker call's points, each piece of work done once: each (set,
+    seed) sample stream is drawn once and serves shorter requests as its
+    prefix, and each (side, seed) draw keeps its points and their images."""
+
+    def __init__(self, T: CyclicMapSpec):
+        self.T = T
+        self.row, self.gap = row_kernel(T.space)
+        self._streams: dict[tuple[int, int], tuple[list, list]] = {}
+        self._sides: dict[tuple[str, int], list[_Point]] = {}
+
+    def _stream(self, S: ConvexSet, n: int, seed: int) -> tuple[list, list]:
+        got = self._streams.get((id(S), seed))
+        if got is None or len(got[0]) < n:
+            vs = sample(S, self.T.space, n, seed=seed)
+            got = self._streams[id(S), seed] = (vs, list(map(self.row, vs)))
+        return got
+
+    def points(self, side: str, n: int, seed: int) -> list[_Point]:
+        """n points (x, y) of side, x drawn at seed and y at seed + 7919."""
+        got = self._sides.setdefault((side, seed), [])
+        if (k := len(got)) < n:
+            SX, SY = self.T.domain_sets(side)
+            (xs, rxs), (ys, rys) = self._stream(SX, n, seed), self._stream(SY, n, seed + 7919)
+            got += map(_Point, xs[k:n], ys[k:n], repeat(side), rxs[k:n], rys[k:n])
+        return got[:n]
+
+    def image(self, p: _Point) -> _Point:
+        if p.image is None:
+            other = flip_side(p.side)
+            x = eval_map(self.T, p.x, p.y, p.side, check_domain=False)
+            y = eval_map(self.T, p.y, p.x, other, check_domain=False)
+            p.image = _Point(x, y, other, self.row(x), self.row(y))
+        return p.image
+
+    def displacement(self, p: _Point) -> float:
+        if p.disp is None:
+            q = self.image(p)
+            p.disp = max(self.gap(p.rx, q.rx), self.gap(p.ry, q.ry))
+        return p.disp
+
 
 def check_cyclic_invariance(T: CyclicMapSpec, n_samples: int = 200, seed: int = 0,
                             tol: float = TOL_NUM) -> CheckReport:
     """T must send A x B into B and B x A into A (sampled)."""
+    probe = _Probe(T)
     violations: list[Violation] = []
     checked = 0
     for side, target_label in ((SIDE_AB, "B"), (SIDE_BA, "A")):
-        target = T.B if side == SIDE_AB else T.A
-        for p in _sample_side(T, side, n_samples, seed):
-            img = eval_map(T, p.first, p.second, side, check_domain=False)
+        inside = member_test(T.B if side == SIDE_AB else T.A, T.space, tol)
+        for p in probe.points(side, n_samples, seed):
+            img = eval_map(T, p.x, p.y, side, check_domain=False)
             checked += 1
-            if not contains(target, T.space, img, tol):
+            if not inside(img, probe.row(img)):
                 violations.append(Violation(
-                    (render_pair(p), render_vector(img)),
+                    (p.render(), render_vector(img)),
                     1.0, 0.0, 1.0,
                     note=f"{side}-side image left the {target_label} set",
                 ))
     return conclude("cyclic_invariance", checked, violations)
 
 
-def _phi_pair_violations(T: CyclicMapSpec, phi: PhiSpec, p: ProductPoint, side: str,
-                         q: ProductPoint, d: float, tol: float) -> list[Violation]:
+def _phi_pair_violations(probe: _Probe, phi: PhiSpec, p: _Point, q: _Point, phi_d: float,
+                         tol: float) -> list[Violation]:
     # q lies on the flipped side; both component images obey the same bound
-    other = flip_side(side)
-    delta = pair_distance(T.space, p, q)
-    rhs = delta - phi(delta) + phi(d)
+    delta = max(probe.gap(p.rx, q.rx), probe.gap(p.ry, q.ry))
+    rhs = delta - phi(delta) + phi_d
+    img_p, img_q = probe.image(p), probe.image(q)
     out = []
-    pairs = (
-        (eval_map(T, p.first, p.second, side, check_domain=False),
-         eval_map(T, q.first, q.second, other, check_domain=False), "first"),
-        (eval_map(T, p.second, p.first, other, check_domain=False),
-         eval_map(T, q.second, q.first, side, check_domain=False), "second"),
-    )
-    for img_p, img_q, component in pairs:
-        lhs = norm(T.space, img_p - img_q)
+    for a, b, component in ((img_p.rx, img_q.rx, "first"), (img_p.ry, img_q.ry, "second")):
+        lhs = probe.gap(a, b)
         if lhs > rhs + tol:
             out.append(Violation(
-                (render_pair(p), render_pair(q)),
+                (p.render(), q.render()),
                 lhs, rhs, lhs - rhs,
                 note=f"{component}-component image pair broke the phi bound",
             ))
@@ -226,24 +271,23 @@ def check_phi_contraction(T: CyclicMapSpec, phi: PhiSpec, n_samples: int = 1000,
     "consecutive_iterates" restricts to consecutive points of sampled
     trajectories, which is the weaker reading.
     """
-    d = _require_dist(T)
+    phi_d = phi(_require_dist(T))
+    probe = _Probe(T)
     violations: list[Violation] = []
     checked = 0
     if quantification == "all_cross_pairs":
-        ps = _sample_side(T, SIDE_AB, n_samples, seed)
-        qs = _sample_side(T, SIDE_BA, n_samples, seed + 104729)
+        ps = probe.points(SIDE_AB, n_samples, seed)
+        qs = probe.points(SIDE_BA, n_samples, seed + 104729)
         for p, q in zip(ps, qs):
-            violations.extend(_phi_pair_violations(T, phi, p, SIDE_AB, q, d, tol))
+            violations.extend(_phi_pair_violations(probe, phi, p, q, phi_d, tol))
             checked += 2
     elif quantification == "consecutive_iterates":
-        starts = _sample_side(T, SIDE_AB, n_starts, seed)
-        for p in starts:
-            side = SIDE_AB
+        for p in probe.points(SIDE_AB, n_starts, seed):
             for _ in range(n_steps):
-                q = coupled_image(T, p, side)
-                violations.extend(_phi_pair_violations(T, phi, p, side, q, d, tol))
+                q = probe.image(p)
+                violations.extend(_phi_pair_violations(probe, phi, p, q, phi_d, tol))
                 checked += 2
-                p, side = q, flip_side(side)
+                p = q
     else:
         raise MapsError(f"unknown quantification {quantification!r}")
     return conclude("phi_contraction", checked, violations,
@@ -255,8 +299,10 @@ def check_kannan(T: CyclicMapSpec, n_samples: int = 1000, seed: int = 0,
     """Kannan-type nonexpansiveness on sampled same-side and cross-side pairs.
 
     Image distance of two inputs must not exceed half the sum of their
-    coupled displacements.
+    coupled displacements.  One point of each same-side pair is a cross-side
+    pair's point, whose coupled image is reused.
     """
+    probe = _Probe(T)
     violations: list[Violation] = []
     checked = 0
     half = n_samples // 2
@@ -266,17 +312,15 @@ def check_kannan(T: CyclicMapSpec, n_samples: int = 1000, seed: int = 0,
         (SIDE_BA, SIDE_BA, half // 2),
     ]
     for side1, side2, count in combos:
-        ps = _sample_side(T, side1, count, seed)
-        qs = _sample_side(T, side2, count, seed + 15485863)
+        ps = probe.points(side1, count, seed)
+        qs = probe.points(side2, count, seed + 15485863)
         for p, q in zip(ps, qs):
-            lhs = norm(T.space,
-                       eval_map(T, p.first, p.second, side1, check_domain=False)
-                       - eval_map(T, q.first, q.second, side2, check_domain=False))
-            rhs = 0.5 * (displacement(T, p, side1) + displacement(T, q, side2))
+            lhs = probe.gap(probe.image(p).rx, probe.image(q).rx)
+            rhs = 0.5 * (probe.displacement(p) + probe.displacement(q))
             checked += 1
             if lhs > rhs + tol:
                 violations.append(Violation(
-                    (render_pair(p), render_pair(q)), lhs, rhs, lhs - rhs,
+                    (p.render(), q.render()), lhs, rhs, lhs - rhs,
                     note=f"sides {side1}/{side2}",
                 ))
     return conclude("kannan", checked, violations)
@@ -290,19 +334,19 @@ def check_kannan_strict_hypothesis(T: CyclicMapSpec, n_samples: int = 500,
     the displacement of its coupled image must be strictly smaller.
     """
     d = _require_dist(T)
+    probe = _Probe(T)
     violations: list[Violation] = []
     checked = 0
     for side in (SIDE_AB, SIDE_BA):
-        for p in _sample_side(T, side, n_samples // 2, seed):
-            d0 = displacement(T, p, side)
+        for p in probe.points(side, n_samples // 2, seed):
+            d0 = probe.displacement(p)
             if d0 <= d + tol:
                 continue
-            q = coupled_image(T, p, side)
-            d1 = displacement(T, q, flip_side(side))
+            d1 = probe.displacement(probe.image(p))
             checked += 1
             if d1 >= d0 - tol:
                 violations.append(Violation(
-                    (render_pair(p),), d1, d0, d1 - d0,
+                    (p.render(),), d1, d0, d1 - d0,
                     note="coupled image displacement failed to decrease strictly",
                 ))
     return conclude("kannan_strict_hypothesis", checked, violations)

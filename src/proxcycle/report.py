@@ -69,8 +69,9 @@ class CheckReport:
 
 
 def conclude(name: str, checked: int, violations: list[Violation], detail: str = "") -> CheckReport:
-    """Report for a sampled checker: passed exactly when no violations."""
-    status = PASSED if not violations else FAILED
+    """Report for a sampled checker: failed with violations, inconclusive
+    when nothing was checked, passed otherwise."""
+    status = FAILED if violations else INCONCLUSIVE if checked == 0 else PASSED
     return CheckReport(name, checked, tuple(violations), status, detail)
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import le
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -217,14 +218,21 @@ def contains(S: ConvexSet, space: NormedSpaceSpec, v: Vector, tol: float = TOL_N
     """Membership of v in S within slack tol."""
     space.validate(v)
     if isinstance(S, Box):
-        check_set(S, space)
-        return all(lo - tol <= x <= hi + tol
-                   for lo, x, hi in zip(S.lower, v.dense_values(space.dimension), S.upper))
+        return member_test(S, space, tol)(v, v.dense_values(space.dimension))
     if isinstance(S, Hull):
         index = _support_union(list(S.vertices) + [v], space)
         V = np.array([_to_array(w, index) for w in S.vertices])
         return _in_hull(V, _to_array(v, index), tol)
     return bool(S.member(v, tol))
+
+
+def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[Vector, Any], bool]:
+    """Membership in S within tol of v with row r, as contains decides it."""
+    if not isinstance(S, Box):
+        return lambda v, r: contains(S, space, v, tol)
+    check_set(S, space)
+    lo, hi = [a - tol for a in S.lower], [b + tol for b in S.upper]
+    return lambda v, r: all(map(le, lo, r)) and all(map(le, r, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +253,16 @@ def _simplex_weights(rng: random.Random, k: int) -> list[float]:
 
 
 def sample(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list[Vector]:
-    """Draw n elements of S, deterministic per seed."""
+    """Draw n elements of S, deterministic per seed; a draw of k < n is its prefix."""
     rng = random.Random(f"sample:{seed}")
-    out: list[Vector] = []
-    for _ in range(n):
-        if isinstance(S, Box):
-            vals = [lo + rng.random() * (hi - lo) for lo, hi in zip(S.lower, S.upper)]
-            out.append(Vector.dense(vals))
-        elif isinstance(S, Hull):
-            w = _simplex_weights(rng, len(S.vertices))
-            acc = Vector.zero()
-            for wi, vert in zip(w, S.vertices):
-                acc = acc + vert.scale(wi)
-            out.append(acc)
-        else:
-            out.append(S.sampler(rng))
+    if isinstance(S, Box):
+        spans = [(lo, hi - lo) for lo, hi in zip(S.lower, S.upper)]
+        out = [Vector.dense([lo + rng.random() * w for lo, w in spans]) for _ in range(n)]
+    elif isinstance(S, Hull):
+        out = [sum(map(Vector.scale, S.vertices, _simplex_weights(rng, len(S.vertices))),
+                   Vector.zero()) for _ in range(n)]
+    else:
+        out = [S.sampler(rng) for _ in range(n)]
     for v in out:
         space.validate(v)
     return out
@@ -448,12 +451,11 @@ def _paired_block_sampler(offset: int, max_block: int = 6) -> Callable[[random.R
         k = rng.randint(1, 4)
         blocks = rng.sample(range(1, max_block + 1), k)
         weights = _simplex_weights(rng, k)
-        m: dict[int, float] = {}
-        for n, w in zip(blocks, weights):
-            first = 2 * (n - 1) + offset
-            m[first] = m.get(first, 0.0) + w
-            m[first + 1] = m.get(first + 1, 0.0) + w
-        return Vector.from_map(m)
+        coords = []  # the blocks are distinct, so in block order the indices ascend
+        for n, w in sorted(zip(blocks, weights)):
+            if w != 0.0:
+                coords += ((2 * n - 2 + offset, w), (2 * n - 1 + offset, w))
+        return Vector(tuple(coords))
 
     return sampler
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import itemgetter, methodcaller, sub
+from typing import Any, Callable, Iterable, Mapping
 
 # Global inequality slack.  Every check that compares two real quantities
 # accepts an override; this is only the default.
@@ -44,7 +45,7 @@ def _clean(items: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vector:
     """Sparse vector: sorted (index, value) pairs, no explicit zeros."""
 
@@ -56,8 +57,9 @@ class Vector:
 
     @staticmethod
     def dense(values: Iterable[float]) -> "Vector":
-        # enumerate's indices are sorted and non-negative: only drop the zeros
-        return Vector(tuple([(i, v) for i, v in enumerate(map(float, values)) if v != 0.0]))
+        # enumerate's indices are sorted and non-negative: only drop the zero
+        # (falsy) values; nan is truthy, as nan != 0.0
+        return Vector(tuple(filter(itemgetter(1), enumerate(map(float, values)))))
 
     @staticmethod
     def zero() -> "Vector":
@@ -70,11 +72,15 @@ class Vector:
         return 0.0
 
     def dense_values(self, dimension: int) -> list[float]:
-        """Coordinates 0 .. dimension - 1, missing ones as 0.0; every index
-        must be below dimension."""
+        """Coordinates 0 .. dimension - 1, missing ones as 0.0; an index at
+        or past dimension raises DimensionMismatch."""
         out = [0.0] * dimension
-        for i, v in self.coords:
-            out[i] = v
+        try:
+            for i, v in self.coords:
+                out[i] = v
+        except IndexError:
+            raise DimensionMismatch(
+                f"index {self.max_index()} out of range for dimension {dimension}") from None
         return out
 
     def support(self) -> tuple[int, ...]:
@@ -166,19 +172,38 @@ def _norm_values(space: NormedSpaceSpec, vals: list[float]) -> float:
     if not vals:
         return 0.0
     if space.norm == "l1":
-        return float(sum(abs(x) for x in vals))
+        return float(sum(map(abs, vals)))
     if space.norm == "l2":
         return math.hypot(*vals)
     if space.norm == "linf":
-        return float(max(abs(x) for x in vals))
+        return float(max(map(abs, vals)))
     # scale by the largest entry so x**p cannot under- or overflow
-    m = max(abs(x) for x in vals)
+    m = max(map(abs, vals))
     if m == 0.0:
         return 0.0
     return float(m * sum((abs(x) / m) ** space.p for x in vals) ** (1.0 / space.p))
 
 
-@dataclass(frozen=True)
+def row_kernel(space: NormedSpaceSpec) -> tuple[Callable[[Vector], Any], Callable[..., float]]:
+    """(row, gap) with gap(row(u), row(v)) == norm(space, u - v), without u - v.  A
+    dense row is v.dense_values(dimension), and math.dist reduces it as hypot
+    does, zero terms adding nothing; a sequence row is v itself."""
+    if space.mode == "dense":
+        row = methodcaller("dense_values", space.dimension)
+        if space.norm == "l2":
+            return row, math.dist
+        return row, lambda a, b: _norm_values(space, [z for z in map(sub, a, b) if z != 0.0])
+
+    def gap(a: Vector, b: Vector) -> float:
+        m = dict(a.coords)
+        for i, v in b.coords:
+            m[i] = m.get(i, 0.0) - v
+        return _norm_values(space, [v for _, v in sorted(m.items()) if v != 0.0])
+
+    return lambda v: v, gap
+
+
+@dataclass(frozen=True, slots=True)
 class ProductPoint:
     """Ordered pair (first, second) of vectors in the same underlying space."""
 

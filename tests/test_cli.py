@@ -381,6 +381,64 @@ def test_non_finite_or_negative_tolerance_is_a_config_error(cfg, extra, message,
     assert f"configuration error: {message}\n" in capsys.readouterr().err
 
 
+REFUSED_INTEGERS = [
+    ("cauchy-k-negative", interval_with("cauchy", k=-3), (),
+     "check 'cauchy': bad parameter 'k': must be >= 2, got -3"),
+    ("cauchy-k-one", interval_with("cauchy", k=1), (),
+     "check 'cauchy': bad parameter 'k': must be >= 2, got 1"),
+    ("samples-zero", interval_with("phi_contraction", samples=0), (),
+     "check 'phi_contraction': bad parameter 'samples': must be >= 1, got 0"),
+    ("samples-bool", interval_with("phi_contraction", samples=True), (),
+     "check 'phi_contraction': bad parameter 'samples': must be an integer, got True"),
+    ("steps-fractional", interval_with("phi_contraction", steps=2.5), (),
+     "check 'phi_contraction': bad parameter 'steps': must be an integer, got 2.5"),
+    ("starts-param-nan", interval_with("phi_contraction", starts=NAN), (),
+     "check 'phi_contraction': bad parameter 'starts': must be an integer, got nan"),
+    ("rule.max_iters-fractional", dict(INTERVAL, rule=dict(INTERVAL["rule"], max_iters=2.7)),
+     (), "rule.max_iters: must be an integer, got 2.7"),
+    ("rule.max_iters-inf", dict(INTERVAL, rule=dict(INTERVAL["rule"], max_iters=INF)), (),
+     "rule.max_iters: must be an integer, got inf"),
+    ("--max-iters-zero", INTERVAL, ("--max-iters", "0"), "--max-iters: must be >= 1, got 0"),
+    ("starts.count-fractional", dict(INTERVAL, starts={"count": 2.5}), (),
+     "starts.count: must be an integer, got 2.5"),
+    ("starts.seed-bool", dict(INTERVAL, starts={"count": 2, "seed": False}), (),
+     "starts.seed: must be an integer, got False"),
+    ("seed-fractional", dict(INTERVAL, seed=7.5), (), "seed: must be an integer, got 7.5"),
+    ("seed-nan", dict(INTERVAL, seed=NAN), (), "seed: must be an integer, got nan"),
+]
+
+
+@pytest.mark.parametrize("cfg,extra,message", [c[1:] for c in REFUSED_INTEGERS],
+                         ids=[c[0] for c in REFUSED_INTEGERS])
+def test_non_integral_or_too_small_count_is_a_config_error(cfg, extra, message, tmp_path,
+                                                           capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), *extra]) == 2
+    assert f"configuration error: {message}\n" in capsys.readouterr().err
+
+
+def test_integral_floats_load_as_integers(tmp_path):
+    cfg = dict(INTERVAL, seed=7.0, checks=[{"name": "cyclic_invariance", "samples": 50.0}])
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["seed"] == 7 and summary["checks"][0]["checked"] == 100
+
+
+def test_a_check_that_checks_nothing_is_inconclusive(tmp_path, capsys):
+    # no sampled displacement of the interval map exceeds a declared 100
+    cfg = {"map": {"builtin": "interval_contraction", "dist": 100},
+           "checks": [{"name": "kannan_strict", "samples": 200}]}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "[INCONCLUSIVE] kannan_strict_hypothesis: checked=0" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "summary.json").read_text())["checks"][0]
+    assert (report["status"], report["passed"], report["checked"]) == ("inconclusive", False, 0)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -4,6 +4,8 @@ The interval family is small enough for an exhaustive grid oracle over
 cross quadruples, so the sampled checker is validated against a complete
 enumeration at desk scale.
 """
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from proxcycle import (
     SIDE_BA,
     CyclicMapSpec,
     DomainError,
+    TOL_NUM,
     MapsError,
     NormedSpaceSpec,
     PhiSpec,
@@ -27,7 +30,11 @@ from proxcycle import (
     displacement,
     eval_map,
     flip_side,
+    norm,
+    pair_distance,
+    sample,
 )
+from proxcycle.report import render_pair
 from proxcycle.sets import Box
 
 INTERVAL = builtin("interval_contraction")
@@ -259,3 +266,115 @@ def test_l1_constant_map_images():
     x, y = basis(1) + basis(2), basis(2) + basis(3)
     assert eval_map(T, x, y, SIDE_AB) == basis(2) + basis(3)
     assert eval_map(T, y, x, SIDE_BA) == basis(1) + basis(2)
+
+
+# ------------------------------------------- one evaluation per coupled image
+
+def reference_side(T, side, n, seed):
+    """The sampled points of one side, drawn as the checkers' contract says."""
+    SX, SY = T.domain_sets(side)
+    return [ProductPoint(x, y) for x, y in
+            zip(sample(SX, T.space, n, seed=seed), sample(SY, T.space, n, seed=seed + 7919))]
+
+
+def reference_kannan(T, n, seed, tol=TOL_NUM):
+    """check_kannan's (lhs, rhs, inputs) violations, pair by pair with norm."""
+    half, out = n // 2, []
+    for s1, s2, count in ((SIDE_AB, SIDE_BA, n - half), (SIDE_AB, SIDE_AB, half - half // 2),
+                          (SIDE_BA, SIDE_BA, half // 2)):
+        for p, q in zip(reference_side(T, s1, count, seed),
+                        reference_side(T, s2, count, seed + 15485863)):
+            lhs = norm(T.space, eval_map(T, p.first, p.second, s1, check_domain=False)
+                       - eval_map(T, q.first, q.second, s2, check_domain=False))
+            rhs = 0.5 * (displacement(T, p, s1) + displacement(T, q, s2))
+            if lhs > rhs + tol:
+                out.append((lhs, rhs, (render_pair(p), render_pair(q))))
+    return out
+
+
+def reference_phi(T, phi, pairs, tol=TOL_NUM):
+    """check_phi_contraction's violations over (p, side, q) triples."""
+    out = []
+    for p, side, q in pairs:
+        delta = pair_distance(T.space, p, q)
+        rhs = delta - phi(delta) + phi(T.declared_dist)
+        ip, iq = coupled_image(T, p, side), coupled_image(T, q, flip_side(side))
+        for lhs in (norm(T.space, ip.first - iq.first), norm(T.space, ip.second - iq.second)):
+            if lhs > rhs + tol:
+                out.append((lhs, rhs, (render_pair(p), render_pair(q))))
+    return out
+
+
+def violations_of(report):
+    return [(v.lhs, v.rhs, v.inputs) for v in report.violations]
+
+
+@pytest.mark.parametrize("name", ["l1_kannan", "non_cyclic", "overlap_contraction", "flip"])
+def test_kannan_matches_the_pairwise_definition(name):
+    T = builtin(name)
+    rep = check_kannan(T, 301, seed=4)
+    assert rep.checked == 301
+    assert violations_of(rep) == reference_kannan(T, 301, 4)
+
+
+@pytest.mark.parametrize("name", ["interval_contraction", "flip", "overlap_contraction"])
+def test_phi_contraction_matches_the_pairwise_definition(name):
+    T, seed = builtin(name), 6
+    rep = check_phi_contraction(T, HALF, 120, seed=seed)
+    pairs = zip(reference_side(T, SIDE_AB, 120, seed),
+                reference_side(T, SIDE_BA, 120, seed + 104729))
+    assert violations_of(rep) == reference_phi(T, HALF, [(p, SIDE_AB, q) for p, q in pairs])
+    chain, side = [], SIDE_AB
+    for p in reference_side(T, SIDE_AB, 3, seed):
+        for _ in range(7):
+            q = coupled_image(T, p, side)
+            chain.append((p, side, q))
+            p, side = q, flip_side(side)
+        side = SIDE_AB
+    rep = check_phi_contraction(T, HALF, seed=seed, quantification="consecutive_iterates",
+                                n_starts=3, n_steps=7)
+    assert rep.checked == 42
+    assert violations_of(rep) == reference_phi(T, HALF, chain)
+
+
+def counting(T):
+    """T with an evaluator that records each call's side."""
+    calls = []
+
+    def ev(x, y, side):
+        calls.append(side)
+        return T.evaluator(x, y, side)
+
+    return replace(T, evaluator=ev), calls
+
+
+def test_kannan_evaluates_each_coupled_image_once():
+    # the same-side points are prefixes of the cross-side draws, so only
+    # half of them are new: 500 * 4 + 250 * 2 + 250 * 2 calls, not 6 a pair
+    T, calls = counting(builtin("l1_kannan"))
+    assert check_kannan(T, 1000, seed=0).checked == 1000
+    assert len(calls) <= 3000
+
+
+def test_kannan_strict_makes_four_calls_per_counted_point():
+    T, calls = counting(replace(INTERVAL, declared_dist=0.0))
+    rep = check_kannan_strict_hypothesis(T, 300, seed=2)
+    assert rep.checked == 300 and len(calls) == 4 * 300
+    T, calls = counting(builtin("l1_kannan"))
+    rep = check_kannan_strict_hypothesis(T, 400, seed=3)
+    # two calls for each sampled point's image, two more for a counted one
+    assert 0 < rep.checked and len(calls) == 2 * 400 + 2 * rep.checked
+
+
+def test_phi_contraction_makes_four_calls_per_pair():
+    T, calls = counting(INTERVAL)
+    assert check_phi_contraction(T, HALF, 200, seed=1).checked == 400
+    assert len(calls) == 4 * 200
+
+
+def test_a_checker_that_checks_nothing_is_inconclusive():
+    # no sampled displacement exceeds a declared distance of 100
+    T = replace(INTERVAL, declared_dist=100.0)
+    rep = check_kannan_strict_hypothesis(T, 200, seed=0)
+    assert (rep.checked, rep.status, rep.violations) == (0, "inconclusive", ())
+    assert check_kannan(INTERVAL, 0).status == "inconclusive"

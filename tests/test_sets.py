@@ -96,6 +96,22 @@ def test_sampling_is_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("S,space", [
+    (Box((1.0, -2.0, 0.0), (2.0, -1.0, 0.0)), NormedSpaceSpec("l2", "dense", 3)),
+    (Hull((Vector.dense([1.0, 0.0]), Vector.dense([0.0, 2.0]), Vector.dense([-1.0, -1.0]))),
+     R2),
+    (paired_block_hull(1, "odd"), L1_SEQ),
+], ids=["box", "hull", "declared"])
+def test_a_shorter_draw_is_a_prefix_of_a_longer_one(S, space):
+    # the sampled checkers draw each (set, seed) stream once and serve
+    # shorter requests from its prefix
+    for seed in (0, 7, 7919):
+        full = sample(S, space, 40, seed=seed)
+        assert len(full) == 40 and all(contains(S, space, v) for v in full)
+        for k in (0, 1, 13, 39):
+            assert sample(S, space, k, seed=seed) == full[:k]
+
+
 # ------------------------------------------------------------- distances
 
 def test_interval_distance_closed_form():

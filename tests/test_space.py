@@ -4,6 +4,7 @@ The frozen values are hand computations; the hypothesis blocks cover the
 norm axioms on sparse vectors with mixed supports.
 """
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from proxcycle import (
     pair_distance,
     product_norm,
 )
+from proxcycle.space import row_kernel
 
 L1 = NormedSpaceSpec("l1", "sequence", None)
 L2 = NormedSpaceSpec("l2", "sequence", None)
@@ -204,3 +206,47 @@ def test_midpoint_defect_precondition_errors():
     with pytest.raises(ModulusUnavailable):
         midpoint_defect_check(NormedSpaceSpec("l1", "dense", 2), x, y, z,
                               r=1.0, R=2.0)
+
+
+# ------------------------------------------------------------ row kernel
+
+SPECIALS = [0.0, -0.0, 1e308, -1e308, 5e-324, -1e-310, 2.2250738585072014e-308, math.nan]
+
+
+def kernel_vectors(rng, d, offset, n=40):
+    """Vectors with d coordinates (over indices 0 .. 15 when d is None):
+    offset plus noise at mixed scales, with zero rows, 1e308 entries whose
+    differences overflow, subnormals and NaN mixed in."""
+    out = [Vector.zero()]
+    for _ in range(n):
+        idx = range(d) if d is not None else sorted(rng.sample(range(16), rng.randint(1, 6)))
+        vals = [offset + rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 3) for _ in idx]
+        for k in range(len(vals)):
+            if rng.random() < 0.15:
+                vals[k] = rng.choice(SPECIALS)
+            elif rng.random() < 0.15:
+                vals[k] = 0.0
+        out.append(Vector.from_map(dict(zip(idx, vals))))
+    return out
+
+
+@pytest.mark.parametrize("norm_name,p", [("l1", None), ("l2", None), ("lp", 3.0), ("linf", None)])
+@pytest.mark.parametrize("d", [1, 3, 12, None])
+@pytest.mark.parametrize("offset", [0.0, 2.5, 1000.0])
+def test_row_kernel_gap_is_the_difference_norm(norm_name, p, d, offset):
+    space = NormedSpaceSpec(norm_name, "dense" if d else "sequence", d, p)
+    row, gap = row_kernel(space)
+    rng = random.Random(f"{norm_name}:{d}:{offset}")
+    vs = kernel_vectors(rng, d, offset)
+    rows = [row(v) for v in vs]
+    for u, ru in zip(vs, rows):
+        for v, rv in zip(vs, rows):
+            want, got = norm(space, u - v), gap(ru, rv)
+            assert got == want or (math.isnan(got) and math.isnan(want)), (u, v)
+
+
+def test_dense_row_refuses_an_index_past_the_dimension():
+    row, _ = row_kernel(L2_2)
+    assert row(Vector.dense([0.0, 3.0])) == [0.0, 3.0]
+    with pytest.raises(DimensionMismatch):
+        row(basis(2))
