@@ -4,8 +4,8 @@ proxcycle run <config>      iterate from the configured starts and run checks
 proxcycle verify <config>   static checks only (no trajectories)
 proxcycle certify <config> --x <vec> --y <vec>   certify one candidate pair
 
-Exit codes: 0 all checks passed (or inconclusive by budget), 1 violations
-found or candidate rejected, 2 configuration error.
+Exit codes: 0 no check failed (each passed or was inconclusive), 1
+violations found or candidate rejected, 2 configuration error.
 """
 from __future__ import annotations
 
