@@ -2,7 +2,7 @@
 
 Pins the sha256 of summary.json and of every trace_*.csv that `run`
 writes for each shipped config, at the config's own seed and at
---seed 0, and of the trace of a dense box-pair contraction at d = 8
+--seed 0, 1 and 101, and of the trace of a dense box-pair contraction at d = 8
 (every shipped config is 1-D or in sequence mode).  A change that
 alters any byte of these files must update the digests on purpose.
 """
@@ -34,6 +34,14 @@ SHIPPED = {
         "summary.json": "198513c832ede279bf2d9d8e8caf3f13553c6b07249da0e4cc84e5f031494a68",
         "trace_000.csv": "c29ad6082f1920dd2db549ee9de64a3e4c4234d8931c504b569f96c25b9f4008",
     },
+    ('flip_negative.json', 1): {
+        "summary.json": "47381104822aa29d7f534dc99cc94dfe87d737e90f551a2758b9fbc6f0202145",
+        "trace_000.csv": "c29ad6082f1920dd2db549ee9de64a3e4c4234d8931c504b569f96c25b9f4008",
+    },
+    ('flip_negative.json', 101): {
+        "summary.json": "bbb24d2ab5be0efe5a7ef347edb41085e1210b1552fff24e254486b93ec3ad19",
+        "trace_000.csv": "c29ad6082f1920dd2db549ee9de64a3e4c4234d8931c504b569f96c25b9f4008",
+    },
     ('interval.json', None): {
         "summary.json": "e62382963009d7ce44f1ad062f905540ec50022687c3dad403fbb1c6deb2f523",
         "trace_000.csv": "4083c797d7eaf0ea29f74946e01e4dc4d6cb500d9fe3d5de8eccc38af064f508",
@@ -50,6 +58,22 @@ SHIPPED = {
         "trace_003.csv": "7fc4d450a5fabda138ac352b4b1b1c31af1a6203b9b94356899e877515261f02",
         "trace_004.csv": "6dbdb31b7749c7d6f53b37bde3af6a78939c358c068533f158e31f1dc64850d6",
     },
+    ('interval.json', 1): {
+        "summary.json": "7c0a890a0e3232c40cb49b49672d4b77e1761602f1c41efb83fa40656b4cb6c9",
+        "trace_000.csv": "56375944b17fe84adddaaab2aa26353c0286ec4afc3547e8c0d50b240925d991",
+        "trace_001.csv": "092acb36b7ad42948781ef85f721f6a25a6b16304b8a7d95b5c949e9e3dae4a2",
+        "trace_002.csv": "2285a711fcd7167fe5c8a4308dc54c1586f5fc997f5f714b0fb02fe2445bc942",
+        "trace_003.csv": "f71dc5df414d4d3f64c57882ec65c966a76514918691a83c25fef1fcff2a0328",
+        "trace_004.csv": "f121c15ac43aac4c084cd84060ee047c91ba2f6ed8012d9c035942657332f2ff",
+    },
+    ('interval.json', 101): {
+        "summary.json": "4cb56008d65dcf0e7ef93cd9ff049e14e438f2e710369eb527d3c404d05140fb",
+        "trace_000.csv": "7912d7702dd30988b4e1b31c5e7054fb2cb71c6f16f5080daf08a72de60d8670",
+        "trace_001.csv": "8829a61493a8a94dcc0b09ad4f66400e4b2331ded5996cb518c729f8dc371ce6",
+        "trace_002.csv": "59228918994ac4ae5bc2a84b8fac4d1a3985c6d13b5567ff88c4b6d2af989c3d",
+        "trace_003.csv": "b332bc686aa69832ec1bc94f5e7c4bece7f8a520052e0513696db074c99598c8",
+        "trace_004.csv": "c31e2ee3929890eebf3dbaa91c2457d8fcceb54b25b99f98f3f5298326b1dda4",
+    },
     ('l1_kannan.json', None): {
         "summary.json": "2f15a8286ab0bf1663987b7e9ff99fce2c7bf37adff81f9c69fb9dc8c9a38529",
         "trace_000.csv": "cb526a4c1eae26702b4d0317e8145f1c1e94e7dd17a07a96b8b95cb60668e418",
@@ -64,11 +88,31 @@ SHIPPED = {
         "trace_002.csv": "c7e7e10820b626242eba9e165f470b9a3e1f54c666fa7dcfbfe1346ccbc94d8a",
         "trace_003.csv": "3c25a44b9b1727aecbb43a394de0753a84728094e843af548a0151ae6761da99",
     },
+    ('l1_kannan.json', 1): {
+        "summary.json": "876509de602eb480aec23cce86b6ce1b9301288dd2556ff2083553bab986cee2",
+        "trace_000.csv": "15624a85ca92915306ebab58db3c6720e847afcb7d91fc06c8f00c10258a1e46",
+        "trace_001.csv": "0c90bb0d2d95362de7facbdd90fd1b1b4817017feeb9b77f0b6b56b21a9c5914",
+        "trace_002.csv": "92d49e1678c3d12241f01d80f81e90f4cb3fe7686d172fef6cdb26a464cdd632",
+        "trace_003.csv": "62775f4642e995a0c573de96f08e27d06e39464738ec9078c36306bc4c7d4e57",
+    },
+    ('l1_kannan.json', 101): {
+        "summary.json": "5c224918690ff4479537a2f58ca2241ee2f07b05bc45a220f9578759f87d8fd9",
+        "trace_000.csv": "5eed315e7c5422774ff9a9e61dffa55fde5819dc339208d997e569908e54d988",
+        "trace_001.csv": "ec0a4236368424e0e02ba6b6d9d353865c94ac3d4222bde9ccab915145f87b09",
+        "trace_002.csv": "993a5c9b955640932824bb522d7c44323bacfb87f924b91a78a603eaddc68969",
+        "trace_003.csv": "608a74e94ddc58341af24745d8b07a7bdf2d4e49475e98057531c9cb26d32ebe",
+    },
     ('non_cyclic_negative.json', None): {
         "summary.json": "5e613a3e9388458af17187706f2ab2c4e50f08efd76480ab94cb1b821217dd6b",
     },
     ('non_cyclic_negative.json', 0): {
         "summary.json": "bb00801bfe1efe388b622b2cacee97dc7d5509ba9f1a966e2d51c530c070ffb9",
+    },
+    ('non_cyclic_negative.json', 1): {
+        "summary.json": "a400cf6426fb992896e77b542e4f8583183a5a9cf04fcc384bcf1622d07959a5",
+    },
+    ('non_cyclic_negative.json', 101): {
+        "summary.json": "c22a73491140a10d6a39ec5ec7b3c0531e26debc40d012e1f15e3c613e91d672",
     },
     ('overlap.json', None): {
         "summary.json": "002c9d5ae115d016242b4d0d70046190ff220b9bef0a1d6374ee3783bb6bfacd",
@@ -85,6 +129,22 @@ SHIPPED = {
         "trace_002.csv": "b80d437fab993cd5491e4115877693abbcd91689732046831282c24492597158",
         "trace_003.csv": "ecb7091cf0986976a23c3847609dc0e83fff3617a5b2db1c5c8eaea59f40c82e",
         "trace_004.csv": "eb8528d57fbc796e43c29621ede0640bcac2e3cd6644d688872b59753e10a974",
+    },
+    ('overlap.json', 1): {
+        "summary.json": "88880425f1d76dea3eb03677ac95bafb1c6b35e688656129a5749f882db726fe",
+        "trace_000.csv": "569f11678e2d9ed1391269af4cb063dfe21b25456c0208613bbcb7702beb371b",
+        "trace_001.csv": "e83b4eb8920c1c65e023ea57be5df8585f9b69ae46cdc8f576fc3f091ffdb0a3",
+        "trace_002.csv": "e69367b3983139265d64bf8d44ec01006e7495b8fe0ae792f28d5c95265effbc",
+        "trace_003.csv": "b075b44a7e212b2b9bd321be2cd953cd2ae25a63b6ff92c1f1620469ef43c17d",
+        "trace_004.csv": "2a5354da7e7684e0def11828aa5ea9bb14fe93a0abbf558730e9a020e9dc87ad",
+    },
+    ('overlap.json', 101): {
+        "summary.json": "c163d628be2a4bda7a6fbdb6eba2d36726c7fbb76773b708f25015786dcd7357",
+        "trace_000.csv": "90a692e5c5c5ba3f59261902ae2024a4682134f217551af83ca83eb8558bbd02",
+        "trace_001.csv": "f88c0835a287eed4206bf6ed8820a9088a6dd51c20aa17332e4d906870dcb2a4",
+        "trace_002.csv": "0265e39c97779bf69f55879b54d192693275b11dbc3757558916abd878b2c548",
+        "trace_003.csv": "c165a0e3d019b122e1ca5ed9bd3d1f42cdfb796eb16cda4e9dea8cf25061a610",
+        "trace_004.csv": "415374de8b9770f1019e552d53e89e0cea84a87ad34c4822e6f82e3df268ed50",
     },
 }
 
