@@ -395,13 +395,13 @@ def parse_config(raw: dict, seed_override: int | None = None,
         except (SetsError, SpaceError) as exc:
             raise ConfigError(f"bad set in map.sets: {exc}") from exc
     if "dist" in map_cfg:
-        T = replace(T, declared_dist=float(map_cfg["dist"]))
+        T = replace(T, declared_dist=_given(_nonnegative, map_cfg["dist"], "map.dist"))
 
     phi = T.phi
     if "phi" in map_cfg:
         phi = parse_phi(map_cfg["phi"])
     elif "lambda" in map_cfg:
-        phi = PhiSpec.linear(float(map_cfg["lambda"]))
+        phi = parse_phi({"lambda": map_cfg["lambda"]})
 
     seed = _given(_integer, raw.get("seed", 0), "seed") if seed_override is None else seed_override
     rule = _parse_rule(raw.get("rule"))

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, eval_map, flip_side
+from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, eval_map, flip_side, row_form
 from .report import FAILED, INCONCLUSIVE, PASSED, CheckReport, Violation, conclude
 from .sets import _support_union, contains, member_test
 from .space import (
@@ -160,11 +160,11 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     leaving its required set mid-run ends the trajectory with
     stop_reason "domain_error" instead (the bad point is not recorded).
 
-    The evaluator gets and returns Vectors.  Each image is turned into a
-    row once (space.row_kernel), and the distances and box tests work on
-    the rows; they equal norm and contains on the Vectors bit for bit.  In
-    sequence mode a row is the Vector itself, and the array is built last,
-    once the index is known.
+    Distances and box tests work on rows (space.row_kernel) and equal norm
+    and contains on the Vectors bit for bit.  T is evaluated on the rows if
+    row_form(T) gives a row function; otherwise the evaluator gets Vectors
+    and each image becomes a row once.  In sequence mode a row is the
+    Vector itself, and the array is built last, once the index is known.
     """
     space = T.space
     if not contains(T.A, space, x0, tol):
@@ -173,6 +173,7 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
         raise DomainError("start y0 is not in the B set")
 
     row, gap = row_kernel(space)
+    rows_of = row_form(T)
     in_A, in_B = member_test(T.A, space, tol), member_test(T.B, space, tol)
 
     x, y = x0, y0
@@ -186,14 +187,19 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     for n in range(1, rule.max_iters + 1):
         # step n applies side AB for odd n and lands in B x A, and the reverse
         side, in_x, in_y = (SIDE_AB, in_B, in_A) if n % 2 == 1 else (SIDE_BA, in_A, in_B)
-        x, y = (eval_map(T, x, y, side, check_domain=False),
-                eval_map(T, y, x, flip_side(side), check_domain=False))
-        rx = row(x)
-        if not (in_x(x, rx) and in_y(y, ry := row(y))):
+        px, py = rows[-1]
+        if rows_of is None:
+            x, y = (eval_map(T, x, y, side, check_domain=False),
+                    eval_map(T, y, x, flip_side(side), check_domain=False))
+            rx = row(x)
+            inside = in_x(x, rx) and in_y(y, ry := row(y))
+        else:
+            rx, ry = rows_of(px, py, side), rows_of(py, px, flip_side(side))
+            inside = in_x(None, rx) and in_y(None, ry)
+        if not inside:
             stop_reason = STOP_DOMAIN_ERROR
             error_index = n
             break
-        px, py = rows[-1]
         rows.append((rx, ry))
         t_series.append(max(gap(px, rx), gap(py, ry)))
         if n >= 2:
@@ -398,6 +404,8 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
 
 def diagnose_cauchy(traj: Trajectory, k: int = 10, tol: float | None = None) -> CheckReport:
     """Max pairwise product distance among the last k even (and odd) points."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k!r}")
     if traj.n_points < 6:
         return CheckReport("cauchy", 0, status=INCONCLUSIVE,
                            detail="need at least six points")

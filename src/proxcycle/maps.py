@@ -12,7 +12,8 @@ from itertools import repeat
 from typing import Callable
 
 from .report import CheckReport, Violation, conclude, render_pair, render_vector
-from .sets import Box, ConvexSet, contains, l1_example_sets, member_test, sample
+from .sets import (Box, ConvexSet, box_rows, check_set, contains, l1_example_sets, member_test,
+                   sample)
 from .space import (
     TOL_NUM,
     NormedSpaceSpec,
@@ -111,6 +112,21 @@ class PhiSpec:
 # ---------------------------------------------------------------------------
 # map specification
 
+@dataclass(frozen=True, slots=True)
+class RowEvaluator:
+    """A dense-mode evaluator given on coordinate rows: rows(rx, ry, side)
+    returns the row of T(x, y) from the rows of x and y, without -0.0, so
+    that it equals Vector.dense(row).dense_values(dimension).  Called with
+    Vectors it is an ordinary evaluator."""
+
+    rows: Callable[[list, list, str], list]
+    dimension: int
+
+    def __call__(self, x: Vector, y: Vector, side: str) -> Vector:
+        d = self.dimension
+        return Vector.dense(self.rows(x.dense_values(d), y.dense_values(d), side))
+
+
 @dataclass(frozen=True)
 class CyclicMapSpec:
     label: str
@@ -142,6 +158,13 @@ def eval_map(T: CyclicMapSpec, x: Vector, y: Vector, side: str,
     return T.evaluator(x, y, side)
 
 
+def row_form(T: CyclicMapSpec) -> Callable[[list, list, str], list] | None:
+    """The row function of T's evaluator if it is a RowEvaluator of T's space,
+    else None: run and the checkers evaluate T on rows exactly when it is given."""
+    ev = T.evaluator
+    return ev.rows if isinstance(ev, RowEvaluator) and ev.dimension == T.space.dimension else None
+
+
 def coupled_image(T: CyclicMapSpec, p: ProductPoint, side: str,
                   check_domain: bool = False) -> ProductPoint:
     """(T(x, y), T(y, x)) for p = (x, y) on the given side."""
@@ -160,17 +183,22 @@ def displacement(T: CyclicMapSpec, p: ProductPoint, side: str) -> float:
 # checkers
 
 class _Point:
-    """(x, y) on one side with the rows of x and y; its coupled image (a
-    _Point) and displacement are filled in on first use."""
+    """(x, y) on one side as rows rx, ry and Vectors x, y; on rows a box draw
+    or an image has no Vectors (None).  The text, coupled image (a _Point)
+    and displacement are filled in on first use."""
 
-    __slots__ = ("x", "y", "side", "rx", "ry", "image", "disp")
+    __slots__ = ("rx", "ry", "side", "x", "y", "text", "image", "disp")
 
-    def __init__(self, x: Vector, y: Vector, side: str, rx, ry):
-        self.x, self.y, self.side, self.rx, self.ry = x, y, side, rx, ry
-        self.image = self.disp = None
+    def __init__(self, rx, ry, side: str, x: Vector | None = None, y: Vector | None = None):
+        self.rx, self.ry, self.side, self.x, self.y = rx, ry, side, x, y
+        self.text = self.image = self.disp = None
 
     def render(self) -> str:
-        return render_pair(ProductPoint(self.x, self.y))
+        if self.text is None:
+            x = Vector.dense(self.rx) if self.x is None else self.x
+            y = Vector.dense(self.ry) if self.y is None else self.y
+            self.text = render_pair(ProductPoint(x, y))
+        return self.text
 
 
 class _Probe:
@@ -181,14 +209,23 @@ class _Probe:
     def __init__(self, T: CyclicMapSpec):
         self.T = T
         self.row, self.gap = row_kernel(T.space)
+        self.rows = row_form(T)
         self._streams: dict[tuple[int, int], tuple[list, list]] = {}
         self._sides: dict[tuple[str, int], list[_Point]] = {}
 
     def _stream(self, S: ConvexSet, n: int, seed: int) -> tuple[list, list]:
+        """(Vectors, rows) of n points drawn from S at seed; on rows a box
+        gives no Vectors (None)."""
         got = self._streams.get((id(S), seed))
-        if got is None or len(got[0]) < n:
-            vs = sample(S, self.T.space, n, seed=seed)
-            got = self._streams[id(S), seed] = (vs, list(map(self.row, vs)))
+        if got is None or len(got[1]) < n:
+            if isinstance(S, Box):
+                check_set(S, self.T.space)
+                rs = box_rows(S, n, seed)
+                got = [None] * n if self.rows else list(map(Vector.dense, rs)), rs
+            else:
+                vs = sample(S, self.T.space, n, seed=seed)
+                got = vs, list(map(self.row, vs))
+            self._streams[id(S), seed] = got
         return got
 
     def points(self, side: str, n: int, seed: int) -> list[_Point]:
@@ -197,15 +234,25 @@ class _Probe:
         if (k := len(got)) < n:
             SX, SY = self.T.domain_sets(side)
             (xs, rxs), (ys, rys) = self._stream(SX, n, seed), self._stream(SY, n, seed + 7919)
-            got += map(_Point, xs[k:n], ys[k:n], repeat(side), rxs[k:n], rys[k:n])
+            got += map(_Point, rxs[k:n], rys[k:n], repeat(side), xs[k:n], ys[k:n])
         return got[:n]
+
+    def first(self, p: _Point) -> tuple[Vector | None, list]:
+        """T(x, y) on p's side as (Vector, row); the Vector is None on rows."""
+        if self.rows is not None:
+            return None, self.rows(p.rx, p.ry, p.side)
+        v = eval_map(self.T, p.x, p.y, p.side, check_domain=False)
+        return v, self.row(v)
 
     def image(self, p: _Point) -> _Point:
         if p.image is None:
             other = flip_side(p.side)
-            x = eval_map(self.T, p.x, p.y, p.side, check_domain=False)
-            y = eval_map(self.T, p.y, p.x, other, check_domain=False)
-            p.image = _Point(x, y, other, self.row(x), self.row(y))
+            if self.rows is not None:
+                p.image = _Point(self.rows(p.rx, p.ry, p.side), self.rows(p.ry, p.rx, other), other)
+            else:
+                x = eval_map(self.T, p.x, p.y, p.side, check_domain=False)
+                y = eval_map(self.T, p.y, p.x, other, check_domain=False)
+                p.image = _Point(self.row(x), self.row(y), other, x, y)
         return p.image
 
     def displacement(self, p: _Point) -> float:
@@ -224,11 +271,11 @@ def check_cyclic_invariance(T: CyclicMapSpec, n_samples: int = 200, seed: int = 
     for side, target_label in ((SIDE_AB, "B"), (SIDE_BA, "A")):
         inside = member_test(T.B if side == SIDE_AB else T.A, T.space, tol)
         for p in probe.points(side, n_samples, seed):
-            img = eval_map(T, p.x, p.y, side, check_domain=False)
+            img, r = probe.first(p)
             checked += 1
-            if not inside(img, probe.row(img)):
+            if not inside(img, r):
                 violations.append(Violation(
-                    (p.render(), render_vector(img)),
+                    (p.render(), render_vector(Vector.dense(r) if img is None else img)),
                     1.0, 0.0, 1.0,
                     note=f"{side}-side image left the {target_label} set",
                 ))
@@ -361,10 +408,8 @@ def interval_contraction() -> CyclicMapSpec:
     A = Box((1.0,), (2.0,))
     B = Box((-2.0,), (-1.0,))
 
-    def ev(x: Vector, y: Vector, side: str) -> Vector:
-        u, v = x.value_at(0), y.value_at(0)
-        shift = 0.5 if side == SIDE_BA else -0.5
-        return Vector.dense([(v - u) / 4.0 + shift])
+    ev = RowEvaluator(lambda rx, ry, side:
+                      [(ry[0] - rx[0]) / 4.0 + (0.5 if side == SIDE_BA else -0.5)], 1)
 
     return CyclicMapSpec("interval_contraction", space, A, B, ev,
                          declared_class="phi_contraction", declared_dist=2.0,
@@ -376,8 +421,7 @@ def overlap_contraction() -> CyclicMapSpec:
     space = NormedSpaceSpec(norm="l2", mode="dense", dimension=1)
     box = Box((0.0,), (1.0,))
 
-    def ev(x: Vector, y: Vector, side: str) -> Vector:
-        return Vector.dense([(x.value_at(0) + y.value_at(0)) / 4.0])
+    ev = RowEvaluator(lambda rx, ry, side: [(rx[0] + ry[0]) / 4.0 + 0.0], 1)  # -0.0 to 0.0
 
     return CyclicMapSpec("overlap_contraction", space, box, box, ev,
                          declared_class="phi_contraction", declared_dist=0.0,
@@ -407,8 +451,7 @@ def flip_map() -> CyclicMapSpec:
     A = Box((1.0,), (2.0,))
     B = Box((-2.0,), (-1.0,))
 
-    def ev(x: Vector, y: Vector, side: str) -> Vector:
-        return Vector.dense([-x.value_at(0)])
+    ev = RowEvaluator(lambda rx, ry, side: [0.0 - rx[0]], 1)  # -u, but 0.0 for u = 0.0
 
     return CyclicMapSpec("flip", space, A, B, ev,
                          declared_class="none", declared_dist=2.0)
@@ -420,8 +463,7 @@ def non_cyclic_control() -> CyclicMapSpec:
     A = Box((1.0,), (2.0,))
     B = Box((-2.0,), (-1.0,))
 
-    def ev(x: Vector, y: Vector, side: str) -> Vector:
-        return x
+    ev = RowEvaluator(lambda rx, ry, side: [rx[0] + 0.0], 1)  # u, with -0.0 as 0.0
 
     return CyclicMapSpec("non_cyclic", space, A, B, ev,
                          declared_class="none", declared_dist=2.0)

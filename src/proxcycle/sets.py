@@ -227,9 +227,10 @@ def contains(S: ConvexSet, space: NormedSpaceSpec, v: Vector, tol: float = TOL_N
 
 
 def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[Vector, Any], bool]:
-    """Membership in S within tol of v with row r, as contains decides it."""
+    """Membership in S within tol of v with row r, as contains decides it;
+    a dense v may be None, and is built from r if S needs it."""
     if not isinstance(S, Box):
-        return lambda v, r: contains(S, space, v, tol)
+        return lambda v, r: contains(S, space, Vector.dense(r) if v is None else v, tol)
     check_set(S, space)
     lo, hi = [a - tol for a in S.lower], [b + tol for b in S.upper]
     return lambda v, r: all(map(le, lo, r)) and all(map(le, r, hi))
@@ -252,12 +253,18 @@ def _simplex_weights(rng: random.Random, k: int) -> list[float]:
     return out
 
 
+def box_rows(S: Box, n: int, seed: int = 0) -> list[list[float]]:
+    """The coordinate rows of sample's draw of n points of the box S."""
+    rng = random.Random(f"sample:{seed}")
+    spans = [(lo, hi - lo) for lo, hi in zip(S.lower, S.upper)]
+    return [[lo + rng.random() * w for lo, w in spans] for _ in range(n)]
+
+
 def sample(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list[Vector]:
     """Draw n elements of S, deterministic per seed; a draw of k < n is its prefix."""
     rng = random.Random(f"sample:{seed}")
     if isinstance(S, Box):
-        spans = [(lo, hi - lo) for lo, hi in zip(S.lower, S.upper)]
-        out = [Vector.dense([lo + rng.random() * w for lo, w in spans]) for _ in range(n)]
+        out = list(map(Vector.dense, box_rows(S, n, seed)))
     elif isinstance(S, Hull):
         out = [sum(map(Vector.scale, S.vertices, _simplex_weights(rng, len(S.vertices))),
                    Vector.zero()) for _ in range(n)]

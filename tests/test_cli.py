@@ -418,6 +418,44 @@ def test_non_integral_or_too_small_count_is_a_config_error(cfg, extra, message, 
     assert f"configuration error: {message}\n" in capsys.readouterr().err
 
 
+def with_map(name, **entries):
+    """The shipped config name with entries set on its map."""
+    cfg = json.loads((CONFIGS / name).read_text())
+    return dict(cfg, map=dict(cfg["map"], **entries))
+
+
+REFUSED_MAP_VALUES = [
+    ("dist-negative", with_map("interval.json", dist=-1), f"map.dist: {REFUSED} -1.0"),
+    ("dist-string", with_map("interval.json", dist="abc"),
+     "map.dist: could not convert string to float: 'abc'"),
+    ("dist-nan", with_map("l1_kannan.json", dist=NAN), f"map.dist: {REFUSED} nan"),
+    ("dist-inf", with_map("interval.json", dist=INF), f"map.dist: {REFUSED} inf"),
+    ("lambda-too-large", with_map("interval.json", **{"lambda": 1.5}),
+     "bad phi spec: linear phi needs lam in [0, 1)"),
+    ("lambda-string", with_map("interval.json", **{"lambda": "x"}),
+     "bad phi spec: could not convert string to float: 'x'"),
+]
+
+
+@pytest.mark.parametrize("cfg,message", [c[1:] for c in REFUSED_MAP_VALUES],
+                         ids=[c[0] for c in REFUSED_MAP_VALUES])
+def test_bad_map_dist_or_lambda_is_a_config_error(cfg, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"configuration error: {message}\n" in capsys.readouterr().err
+
+
+def test_map_lambda_is_refused_as_map_phi_is(tmp_path, capsys):
+    errors = []
+    for entry in ({"lambda": 1.5}, {"phi": {"lambda": 1.5}}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(with_map("interval.json", **entry)))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+
+
 def test_integral_floats_load_as_integers(tmp_path):
     cfg = dict(INTERVAL, seed=7.0, checks=[{"name": "cyclic_invariance", "samples": 50.0}])
     path = tmp_path / "ok.json"

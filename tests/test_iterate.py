@@ -7,6 +7,7 @@ frozen below and double as the oracle for the CSV export.
 """
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from proxcycle import (
     CyclicMapSpec,
     DeclaredSet,
     DomainError,
+    Hull,
     NormedSpaceSpec,
     ProductPoint,
     StopRule,
@@ -42,6 +44,7 @@ from proxcycle import (
     trajectory_to_csv,
 )
 from proxcycle import iterate
+from proxcycle.maps import row_form
 from proxcycle.report import CheckReport, Violation
 
 INTERVAL = builtin("interval_contraction")
@@ -364,6 +367,14 @@ def test_cauchy_tail_spread():
     assert any(v.note == "tail subsequence is not settling" for v in bad.violations)
 
 
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_cauchy_refuses_a_tail_shorter_than_two(k):
+    traj = run(INTERVAL, X0, Y0, StopRule(max_iters=40, t_tol=None, gap_tol=None))
+    assert traj.n_points == 41
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        diagnose_cauchy(traj, k=k)
+
+
 def test_short_trajectories_are_inconclusive():
     one = run(INTERVAL, X0, Y0, StopRule(max_iters=1, t_tol=None, gap_tol=None))
     assert diagnose_monotone_t(one).status == "inconclusive"
@@ -465,6 +476,34 @@ def test_run_matches_the_vector_reference(space, offset):
         ns = range(first, 25, 2)
         assert list(gx) == [norm(space, points[n].first - points[n - 2].first) for n in ns]
         assert list(gy) == [norm(space, points[n].second - points[n - 2].second) for n in ns]
+
+
+ROW_RUNS = {
+    "interval": (INTERVAL, 2.0, -2.0),
+    "interval-hull-sets": (replace(INTERVAL, A=Hull((Vector.dense([1.0]), Vector.dense([2.0]))),
+                                   B=Hull((Vector.dense([-2.0]), Vector.dense([-1.0])))),
+                           1.3, -1.9),
+    "overlap": (builtin("overlap_contraction"), 0.0, 0.0),
+    "flip": (FLIP, 1.5, -1.25),
+    "flip-through-zero": (replace(FLIP, A=Box((-1.0,), (1.0,)), B=Box((-1.0,), (1.0,))), 0.0, 0.5),
+    "non_cyclic": (builtin("non_cyclic"), 1.5, -1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_RUNS))
+def test_run_on_rows_matches_the_vector_path(name):
+    T, x0, y0 = ROW_RUNS[name]
+    vector_only = replace(T, evaluator=lambda x, y, side: T.evaluator(x, y, side))
+    assert row_form(T) is not None and row_form(vector_only) is None
+    start = Vector.dense([x0]), Vector.dense([y0])
+    rule = StopRule(max_iters=30, t_tol=None, gap_tol=None)
+    got, want = run(T, *start, rule), run(vector_only, *start, rule)
+    # bit for bit, zero signs included: flip writes 0.0 for -0.0
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.index == want.index
+    for field in ("t_series", "even_gap_x", "even_gap_y", "odd_gap_x", "odd_gap_y",
+                  "stop_reason", "error_index"):
+        assert getattr(got, field) == getattr(want, field)
 
 
 def test_points_is_a_lazy_read_only_view(monkeypatch):

@@ -4,6 +4,7 @@ The interval family is small enough for an exhaustive grid oracle over
 cross quadruples, so the sampled checker is validated against a complete
 enumeration at desk scale.
 """
+import math
 from dataclasses import replace
 
 import pytest
@@ -34,6 +35,7 @@ from proxcycle import (
     pair_distance,
     sample,
 )
+from proxcycle.maps import RowEvaluator, row_form
 from proxcycle.report import render_pair
 from proxcycle.sets import Box
 
@@ -378,3 +380,68 @@ def test_a_checker_that_checks_nothing_is_inconclusive():
     rep = check_kannan_strict_hypothesis(T, 200, seed=0)
     assert (rep.checked, rep.status, rep.violations) == (0, "inconclusive", ())
     assert check_kannan(INTERVAL, 0).status == "inconclusive"
+
+
+# ------------------------------------------------------------- row form
+
+# each row builtin's evaluator as it was written on Vectors
+VECTOR_FORMS = {
+    "interval_contraction": lambda x, y, side: Vector.dense(
+        [(y.value_at(0) - x.value_at(0)) / 4.0 + (0.5 if side == SIDE_BA else -0.5)]),
+    "overlap_contraction": lambda x, y, side: Vector.dense(
+        [(x.value_at(0) + y.value_at(0)) / 4.0]),
+    "flip": lambda x, y, side: Vector.dense([-x.value_at(0)]),
+    "non_cyclic": lambda x, y, side: x,
+}
+
+
+def signed(row):
+    """The row with each zero's sign, which == alone ignores."""
+    return [(v, math.copysign(1.0, v)) for v in row]
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_FORMS))
+def test_row_form_equals_the_vector_form(name):
+    T = builtin(name)
+    assert isinstance(T.evaluator, RowEvaluator) and row_form(T) is T.evaluator.rows
+    us = [v.value_at(0) for S in (T.A, T.B) for v in sample(S, T.space, 40, seed=5)]
+    us += [c for S in (T.A, T.B) for c in S.lower + S.upper] + [0.0, -0.0, 0.25, -0.25]
+    for u in us:
+        for v in us[::7] + [0.0, -0.0]:
+            for side in (SIDE_AB, SIDE_BA):
+                x, y = Vector.dense([u]), Vector.dense([v])
+                want = VECTOR_FORMS[name](x, y, side)
+                # the zero-sign rule: the row is Vector.dense(row).dense_values(1)
+                assert signed(T.evaluator.rows([u], [v], side)) == signed(want.dense_values(1))
+                assert T.evaluator(x, y, side) == want
+
+
+def test_vector_evaluators_have_no_row_form():
+    assert row_form(builtin("l1_kannan")) is None
+    # a replaced evaluator is Vector-only, even one that wraps a row form
+    assert row_form(replace(INTERVAL, evaluator=INTERVAL.evaluator.__call__)) is None
+    # a row form of another dimension is not used on rows
+    wide = replace(INTERVAL, space=NormedSpaceSpec(norm="l2", mode="dense", dimension=2))
+    assert row_form(wide) is None
+
+
+def test_phi_contraction_on_rows_builds_almost_no_vectors(monkeypatch):
+    built = []
+    init = Vector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Vector, "__init__", counting_init)
+    rep = check_phi_contraction(INTERVAL, HALF, 800, seed=3)
+    assert (rep.status, rep.checked) == ("passed", 1600)
+    assert len(built) < 10
+
+
+def test_flip_violations_render_each_point_once(monkeypatch):
+    rendered = []
+    monkeypatch.setattr("proxcycle.maps.render_pair", lambda p: rendered.append(p) or "p")
+    rep = check_phi_contraction(FLIP, HALF, 400, seed=0)
+    assert rep.status == "failed" and len(rep.violations) > 400
+    assert len(rendered) <= 800
