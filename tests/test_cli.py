@@ -434,6 +434,9 @@ REFUSED_MAP_VALUES = [
      "bad phi spec: linear phi needs lam in [0, 1)"),
     ("lambda-string", with_map("interval.json", **{"lambda": "x"}),
      "bad phi spec: could not convert string to float: 'x'"),
+    # map.lambda is read as map.phi's {"lambda": ...} is
+    ("phi-lambda-too-large", with_map("interval.json", phi={"lambda": 1.5}),
+     "bad phi spec: linear phi needs lam in [0, 1)"),
 ]
 
 
@@ -444,16 +447,6 @@ def test_bad_map_dist_or_lambda_is_a_config_error(cfg, message, tmp_path, capsys
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"configuration error: {message}\n" in capsys.readouterr().err
-
-
-def test_map_lambda_is_refused_as_map_phi_is(tmp_path, capsys):
-    errors = []
-    for entry in ({"lambda": 1.5}, {"phi": {"lambda": 1.5}}):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(with_map("interval.json", **entry)))
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1]
 
 
 def test_integral_floats_load_as_integers(tmp_path):
