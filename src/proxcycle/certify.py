@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .iterate import StopRule, Trajectory, run
+from .iterate import TOL_STOP, StopRule, Trajectory, run
 from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, coupled_image, eval_map
 from .report import (
     FAILED,
@@ -186,7 +186,7 @@ def solve_and_certify(
     for i in range(len(found)):
         for j in range(i + 1, len(found)):
             worst = max(worst, pair_distance(T.space, found[i], found[j]))
-    u_tol = 10.0 * (rule.t_tol if rule.t_tol is not None else 1e-8)
+    u_tol = 10.0 * (rule.t_tol if rule.t_tol is not None else TOL_STOP)
     report = UniquenessReport(
         starts=tuple(r.start for r in records),
         limits=tuple(limits),

@@ -19,8 +19,9 @@ from functools import partial
 from operator import attrgetter
 from typing import Any, Callable
 
-from .certify import Certificate, certify, second_iterate_check, solve_and_certify
+from .certify import CERT_TOL, Certificate, certify, second_iterate_check, solve_and_certify
 from .iterate import (
+    TOL_STOP,
     StopRule,
     Trajectory,
     diagnose_cauchy,
@@ -41,7 +42,7 @@ from .maps import (
 )
 from .report import INCONCLUSIVE, CheckReport, Violation, conclude, merge_reports
 from .sets import Box, ConvexSet, Hull, SetsError, check_set, sample
-from .space import ProductPoint, SpaceError, Vector
+from .space import TOL_NUM, ProductPoint, SpaceError, Vector
 
 
 class ConfigError(ValueError):
@@ -338,7 +339,7 @@ def _parse_rule(obj: Any) -> StopRule:
             raise ConfigError(f"rule takes no key {k!r}")
     tols = {}
     for k in ("t_tol", "gap_tol"):
-        v = obj.get(k, 1e-8)
+        v = obj.get(k, TOL_STOP)
         tols[k] = None if v is None else _given(_nonnegative, v, f"rule.{k}")
     max_iters = _given(_count, obj.get("max_iters", 1000), "rule.max_iters")
     try:
@@ -407,7 +408,7 @@ def parse_config(raw: dict, seed_override: int | None = None,
     rule = _parse_rule(raw.get("rule"))
     if max_iters_override is not None:
         rule = StopRule(_given(_count, max_iters_override, "--max-iters"), rule.t_tol, rule.gap_tol)
-    tol = (_given(_nonnegative, raw.get("tol", 1e-9), "tol") if tol_override is None
+    tol = (_given(_nonnegative, raw.get("tol", TOL_NUM), "tol") if tol_override is None
            else _given(_nonnegative, tol_override, "--tol"))
     output = str(raw.get("output", "out")) if out_override is None else out_override
 
@@ -429,7 +430,7 @@ def parse_config(raw: dict, seed_override: int | None = None,
         checks=_parse_checks(raw.get("checks")),
         seed=seed,
         tol=tol,
-        cert_tol=_given(_nonnegative, raw.get("cert_tol", 1e-8), "cert_tol"),
+        cert_tol=_given(_nonnegative, raw.get("cert_tol", CERT_TOL), "cert_tol"),
         output=output,
         raw=raw,
     )

@@ -20,22 +20,25 @@ from functools import cached_property
 
 import numpy as np
 
-from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, eval_map, flip_side, row_form
+from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, flip_side, native_form
 from .report import FAILED, INCONCLUSIVE, PASSED, CheckReport, Violation, conclude
-from .sets import _support_union, contains, member_test
+from .sets import contains, member_test
 from .space import (
     TOL_NUM,
     NormedSpaceSpec,
     ProductPoint,
     Vector,
+    pack,
     pair_distance,
     row_kernel,
+    unpack,
 )
 
 STOP_BUDGET = "budget"
 STOP_CONVERGED_T = "converged_t"
 STOP_CONVERGED_GAP = "converged_gap"
 STOP_DOMAIN_ERROR = "domain_error"
+TOL_STOP = 1e-8  # StopRule's default t_tol and gap_tol, and the diagnostics' fallback
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ class StopRule:
     """
 
     max_iters: int = 1000
-    t_tol: float | None = 1e-8
-    gap_tol: float | None = 1e-8
+    t_tol: float | None = TOL_STOP
+    gap_tol: float | None = TOL_STOP
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -82,21 +85,13 @@ class _Points(Sequence):
 
 
 def _point(rows: list[list[float]], index: Sequence[int]) -> ProductPoint:
-    x, y = (Vector(tuple((j, v) for j, v in zip(index, row) if v != 0.0)) for row in rows)
-    return ProductPoint(x, y)
+    return ProductPoint(unpack(rows[0], index), unpack(rows[1], index))
 
 
 def _pack(space: NormedSpaceSpec,
           pairs: Sequence[tuple[Vector, Vector]]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The (n, 2, k) array of the pairs over the sorted index of the space
-    and their supports, each vector checked to lie in the space."""
-    vectors = [v for pair in pairs for v in pair]
-    index = _support_union(vectors, space)
-    pos = {j: k for k, j in enumerate(index)}
-    values = np.zeros((len(vectors), len(index)))
-    for r, v in enumerate(vectors):
-        for j, x in v.coords:
-            values[r, pos[j]] = x
+    """space.pack of the pairs, as an (n, 2, k) array."""
+    values, index = pack([v for pair in pairs for v in pair], space)
     return values.reshape(len(pairs), 2, len(index)), index
 
 
@@ -160,10 +155,10 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     leaving its required set mid-run ends the trajectory with
     stop_reason "domain_error" instead (the bad point is not recorded).
 
-    Distances and box tests work on rows (space.row_kernel) and equal norm
-    and contains on the Vectors bit for bit.  T is evaluated on the rows if
-    row_form(T) gives a row function; otherwise the evaluator gets Vectors
-    and each image becomes a row once.  In sequence mode a row is the
+    T is evaluated through maps.native_form, on rows for a RowEvaluator
+    and on Vectors otherwise, each image becoming a row once.  Distances
+    and set tests work on rows (space.row_kernel) and equal norm and
+    contains on the Vectors bit for bit.  In sequence mode a row is the
     Vector itself, and the array is built last, once the index is known.
     """
     space = T.space
@@ -173,11 +168,11 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
         raise DomainError("start y0 is not in the B set")
 
     row, gap = row_kernel(space)
-    rows_of = row_form(T)
+    f, to_row = native_form(T)
     in_A, in_B = member_test(T.A, space, tol), member_test(T.B, space, tol)
 
-    x, y = x0, y0
     rows = [(row(x0), row(y0))]
+    x, y = rows[0] if to_row is None else (x0, y0)
     t_series: list[float] = []
     gaps: dict[str, list[float]] = {"even_x": [], "even_y": [], "odd_x": [], "odd_y": []}
     stop_reason = STOP_BUDGET
@@ -187,19 +182,13 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     for n in range(1, rule.max_iters + 1):
         # step n applies side AB for odd n and lands in B x A, and the reverse
         side, in_x, in_y = (SIDE_AB, in_B, in_A) if n % 2 == 1 else (SIDE_BA, in_A, in_B)
-        px, py = rows[-1]
-        if rows_of is None:
-            x, y = (eval_map(T, x, y, side, check_domain=False),
-                    eval_map(T, y, x, flip_side(side), check_domain=False))
-            rx = row(x)
-            inside = in_x(x, rx) and in_y(y, ry := row(y))
-        else:
-            rx, ry = rows_of(px, py, side), rows_of(py, px, flip_side(side))
-            inside = in_x(None, rx) and in_y(None, ry)
-        if not inside:
+        x, y = f(x, y, side), f(y, x, flip_side(side))
+        rx, ry = (x, y) if to_row is None else (to_row(x), to_row(y))
+        if not (in_x(rx) and in_y(ry)):
             stop_reason = STOP_DOMAIN_ERROR
             error_index = n
             break
+        px, py = rows[-1]
         rows.append((rx, ry))
         t_series.append(max(gap(px, rx), gap(py, ry)))
         if n >= 2:
@@ -274,7 +263,7 @@ def diagnose_t_limit(traj: Trajectory, d: float | None = None,
     if not traj.t_series:
         return CheckReport("t_limit", 0, status=INCONCLUSIVE, detail="empty t series")
     if tol is None:
-        tol = traj.rule.t_tol if traj.rule.t_tol is not None else 1e-8
+        tol = traj.rule.t_tol if traj.rule.t_tol is not None else TOL_STOP
     violations = []
     for k, t in enumerate(traj.t_series):
         if t < d - floor_tol:
@@ -303,7 +292,7 @@ def diagnose_even_gaps(traj: Trajectory, tol: float | None = None) -> CheckRepor
         return CheckReport("even_gaps", 0, status=INCONCLUSIVE,
                            detail="need at least four points")
     if tol is None:
-        tol = traj.rule.gap_tol if traj.rule.gap_tol is not None else 1e-8
+        tol = traj.rule.gap_tol if traj.rule.gap_tol is not None else TOL_STOP
     even = _product_gaps(traj.even_gap_x, traj.even_gap_y)
     odd = _product_gaps(traj.odd_gap_x, traj.odd_gap_y)
     checked = len(even) + len(odd)
@@ -410,7 +399,7 @@ def diagnose_cauchy(traj: Trajectory, k: int = 10, tol: float | None = None) -> 
         return CheckReport("cauchy", 0, status=INCONCLUSIVE,
                            detail="need at least six points")
     if tol is None:
-        tol = traj.rule.gap_tol if traj.rule.gap_tol is not None else 1e-8
+        tol = traj.rule.gap_tol if traj.rule.gap_tol is not None else TOL_STOP
     checked = 0
     worst = {"even": 0.0, "odd": 0.0}
     for label, first in (("even", 0), ("odd", 1)):

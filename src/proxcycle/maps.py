@@ -3,7 +3,10 @@
 A cyclic map sends A x B into B and B x A into A.  The checkers sample
 point pairs and test the contraction-style inequalities that the
 iteration and certification layers rely on; each returns a CheckReport
-whose violations carry printable witnesses.
+whose violations carry printable witnesses.  run and the checkers take T
+through native_form, its one evaluation path: a RowEvaluator runs on
+coordinate rows, any other evaluator on Vectors, each image becoming a
+row once; distances and set tests then see rows only.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .space import (
     basis,
     pair_distance,
     row_kernel,
+    row_vector,
 )
 
 SIDE_AB = "AB"
@@ -52,7 +56,7 @@ class PhiSpec:
     """Strictly increasing gauge phi: [0, inf) -> [0, inf).
 
     variant "linear": phi(t) = (1 - lam) * t for a contraction constant
-    lam in [0, 1).  variant "half": phi(t) = t / 2.  variant "custom":
+    lam in [0, 1); half() is phi(t) = t / 2, linear(0.5).  variant "custom":
     piecewise-linear interpolation of a strictly increasing breakpoint
     table starting at t = 0, extrapolated with the final slope.
     """
@@ -65,8 +69,6 @@ class PhiSpec:
         if self.variant == "linear":
             if self.lam is None or not (0.0 <= self.lam < 1.0):
                 raise MapsError("linear phi needs lam in [0, 1)")
-        elif self.variant == "half":
-            pass
         elif self.variant == "custom":
             if len(self.table) < 2:
                 raise MapsError("custom phi needs at least two breakpoints")
@@ -86,7 +88,7 @@ class PhiSpec:
 
     @staticmethod
     def half() -> "PhiSpec":
-        return PhiSpec("half")
+        return PhiSpec.linear(0.5)
 
     @staticmethod
     def custom(table) -> "PhiSpec":
@@ -97,8 +99,6 @@ class PhiSpec:
             raise MapsError(f"phi argument {t} < 0")
         if self.variant == "linear":
             return (1.0 - self.lam) * t
-        if self.variant == "half":
-            return 0.5 * t
         pts = self.table
         if t >= pts[-1][0]:
             (t0, f0), (t1, f1) = pts[-2], pts[-1]
@@ -160,17 +160,26 @@ def eval_map(T: CyclicMapSpec, x: Vector, y: Vector, side: str,
 
 def row_form(T: CyclicMapSpec) -> Callable[[list, list, str], list] | None:
     """The row function of T's evaluator if it is a RowEvaluator of T's space,
-    else None: run and the checkers evaluate T on rows exactly when it is given."""
+    else None."""
     ev = T.evaluator
     return ev.rows if isinstance(ev, RowEvaluator) and ev.dimension == T.space.dimension else None
 
 
-def coupled_image(T: CyclicMapSpec, p: ProductPoint, side: str,
-                  check_domain: bool = False) -> ProductPoint:
+def native_form(T: CyclicMapSpec) -> tuple[Callable, Callable[[Vector], list] | None]:
+    """(f, to_row): row_form(T) if given, else T's evaluator on Vectors, and the
+    map from an image of f to its row_kernel row, None when the images are
+    rows already (a row function's, or a Vector in sequence mode)."""
+    rows = row_form(T)
+    if rows is not None:
+        return rows, None
+    return T.evaluator, None if T.space.mode == "sequence" else row_kernel(T.space)[0]
+
+
+def coupled_image(T: CyclicMapSpec, p: ProductPoint, side: str) -> ProductPoint:
     """(T(x, y), T(y, x)) for p = (x, y) on the given side."""
     return ProductPoint(
-        eval_map(T, p.first, p.second, side, check_domain=check_domain),
-        eval_map(T, p.second, p.first, flip_side(side), check_domain=check_domain),
+        eval_map(T, p.first, p.second, side, check_domain=False),
+        eval_map(T, p.second, p.first, flip_side(side), check_domain=False),
     )
 
 
@@ -183,48 +192,41 @@ def displacement(T: CyclicMapSpec, p: ProductPoint, side: str) -> float:
 # checkers
 
 class _Point:
-    """(x, y) on one side as rows rx, ry and Vectors x, y; on rows a box draw
-    or an image has no Vectors (None).  The text, coupled image (a _Point)
-    and displacement are filled in on first use."""
+    """(x, y) on one side, as rows rx, ry.  The text, coupled image (a
+    _Point) and displacement are filled in on first use."""
 
-    __slots__ = ("rx", "ry", "side", "x", "y", "text", "image", "disp")
+    __slots__ = ("rx", "ry", "side", "text", "image", "disp")
 
-    def __init__(self, rx, ry, side: str, x: Vector | None = None, y: Vector | None = None):
-        self.rx, self.ry, self.side, self.x, self.y = rx, ry, side, x, y
+    def __init__(self, rx, ry, side: str):
+        self.rx, self.ry, self.side = rx, ry, side
         self.text = self.image = self.disp = None
-
-    def render(self) -> str:
-        if self.text is None:
-            x = Vector.dense(self.rx) if self.x is None else self.x
-            y = Vector.dense(self.ry) if self.y is None else self.y
-            self.text = render_pair(ProductPoint(x, y))
-        return self.text
 
 
 class _Probe:
     """One checker call's points, each piece of work done once: each (set,
     seed) sample stream is drawn once and serves shorter requests as its
-    prefix, and each (side, seed) draw keeps its points and their images."""
+    prefix, and each (side, seed) draw keeps its points and their images.
+    f(rx, ry, side) is T on rows; a Vector evaluator is wrapped once."""
 
     def __init__(self, T: CyclicMapSpec):
         self.T = T
         self.row, self.gap = row_kernel(T.space)
-        self.rows = row_form(T)
-        self._streams: dict[tuple[int, int], tuple[list, list]] = {}
+        self.vector = vector = row_vector(T.space)
+        f, to_row = native_form(T)
+        self.f = f if to_row is None else (
+            lambda rx, ry, side: to_row(f(vector(rx), vector(ry), side)))
+        self._streams: dict[tuple[int, int], list] = {}
         self._sides: dict[tuple[str, int], list[_Point]] = {}
 
-    def _stream(self, S: ConvexSet, n: int, seed: int) -> tuple[list, list]:
-        """(Vectors, rows) of n points drawn from S at seed; on rows a box
-        gives no Vectors (None)."""
+    def _stream(self, S: ConvexSet, n: int, seed: int) -> list:
+        """The rows of n points drawn from S at seed."""
         got = self._streams.get((id(S), seed))
-        if got is None or len(got[1]) < n:
+        if got is None or len(got) < n:
             if isinstance(S, Box):
                 check_set(S, self.T.space)
-                rs = box_rows(S, n, seed)
-                got = [None] * n if self.rows else list(map(Vector.dense, rs)), rs
+                got = box_rows(S, n, seed)
             else:
-                vs = sample(S, self.T.space, n, seed=seed)
-                got = vs, list(map(self.row, vs))
+                got = list(map(self.row, sample(S, self.T.space, n, seed=seed)))
             self._streams[id(S), seed] = got
         return got
 
@@ -233,26 +235,19 @@ class _Probe:
         got = self._sides.setdefault((side, seed), [])
         if (k := len(got)) < n:
             SX, SY = self.T.domain_sets(side)
-            (xs, rxs), (ys, rys) = self._stream(SX, n, seed), self._stream(SY, n, seed + 7919)
-            got += map(_Point, rxs[k:n], rys[k:n], repeat(side), xs[k:n], ys[k:n])
+            rxs, rys = self._stream(SX, n, seed), self._stream(SY, n, seed + 7919)
+            got += map(_Point, rxs[k:n], rys[k:n], repeat(side))
         return got[:n]
 
-    def first(self, p: _Point) -> tuple[Vector | None, list]:
-        """T(x, y) on p's side as (Vector, row); the Vector is None on rows."""
-        if self.rows is not None:
-            return None, self.rows(p.rx, p.ry, p.side)
-        v = eval_map(self.T, p.x, p.y, p.side, check_domain=False)
-        return v, self.row(v)
+    def render(self, p: _Point) -> str:
+        if p.text is None:
+            p.text = render_pair(ProductPoint(self.vector(p.rx), self.vector(p.ry)))
+        return p.text
 
     def image(self, p: _Point) -> _Point:
         if p.image is None:
             other = flip_side(p.side)
-            if self.rows is not None:
-                p.image = _Point(self.rows(p.rx, p.ry, p.side), self.rows(p.ry, p.rx, other), other)
-            else:
-                x = eval_map(self.T, p.x, p.y, p.side, check_domain=False)
-                y = eval_map(self.T, p.y, p.x, other, check_domain=False)
-                p.image = _Point(self.row(x), self.row(y), other, x, y)
+            p.image = _Point(self.f(p.rx, p.ry, p.side), self.f(p.ry, p.rx, other), other)
         return p.image
 
     def displacement(self, p: _Point) -> float:
@@ -271,11 +266,11 @@ def check_cyclic_invariance(T: CyclicMapSpec, n_samples: int = 200, seed: int = 
     for side, target_label in ((SIDE_AB, "B"), (SIDE_BA, "A")):
         inside = member_test(T.B if side == SIDE_AB else T.A, T.space, tol)
         for p in probe.points(side, n_samples, seed):
-            img, r = probe.first(p)
+            r = probe.f(p.rx, p.ry, p.side)
             checked += 1
-            if not inside(img, r):
+            if not inside(r):
                 violations.append(Violation(
-                    (p.render(), render_vector(Vector.dense(r) if img is None else img)),
+                    (probe.render(p), render_vector(probe.vector(r))),
                     1.0, 0.0, 1.0,
                     note=f"{side}-side image left the {target_label} set",
                 ))
@@ -293,7 +288,7 @@ def _phi_pair_violations(probe: _Probe, phi: PhiSpec, p: _Point, q: _Point, phi_
         lhs = probe.gap(a, b)
         if lhs > rhs + tol:
             out.append(Violation(
-                (p.render(), q.render()),
+                (probe.render(p), probe.render(q)),
                 lhs, rhs, lhs - rhs,
                 note=f"{component}-component image pair broke the phi bound",
             ))
@@ -367,7 +362,7 @@ def check_kannan(T: CyclicMapSpec, n_samples: int = 1000, seed: int = 0,
             checked += 1
             if lhs > rhs + tol:
                 violations.append(Violation(
-                    (p.render(), q.render()), lhs, rhs, lhs - rhs,
+                    (probe.render(p), probe.render(q)), lhs, rhs, lhs - rhs,
                     note=f"sides {side1}/{side2}",
                 ))
     return conclude("kannan", checked, violations)
@@ -393,7 +388,7 @@ def check_kannan_strict_hypothesis(T: CyclicMapSpec, n_samples: int = 500,
             checked += 1
             if d1 >= d0 - tol:
                 violations.append(Violation(
-                    (p.render(),), d1, d0, d1 - d0,
+                    (probe.render(p),), d1, d0, d1 - d0,
                     note="coupled image displacement failed to decrease strictly",
                 ))
     return conclude("kannan_strict_hypothesis", checked, violations)

@@ -16,11 +16,11 @@ import math
 import random
 from dataclasses import dataclass
 from operator import le
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
-from .space import TOL_NUM, NormedSpaceSpec, Vector, basis, norm
+from .space import TOL_NUM, NormedSpaceSpec, Vector, basis, norm, pack, row_vector, unpack
 
 # witness must achieve the reported distance this tightly
 TOL_DIST = 1e-8
@@ -98,32 +98,6 @@ class DistResult:
     converged: bool
 
 
-# ---------------------------------------------------------------------------
-# dense interop helpers
-
-def _support_union(vectors: Sequence[Vector], space: NormedSpaceSpec) -> tuple[int, ...]:
-    """Sorted coordinate index over the space and the vectors, each checked to lie in it."""
-    idx: set[int] = set()
-    if space.mode == "dense":
-        idx.update(range(space.dimension))
-    for v in vectors:
-        space.validate(v)
-        idx.update(v.support())
-    return tuple(sorted(idx))
-
-
-def _to_array(v: Vector, index: tuple[int, ...]) -> np.ndarray:
-    pos = {j: k for k, j in enumerate(index)}
-    out = np.zeros(len(index))
-    for j, val in v.coords:
-        out[pos[j]] = val
-    return out
-
-
-def _from_array(arr: np.ndarray, index: tuple[int, ...]) -> Vector:
-    return Vector.from_map({j: float(x) for j, x in zip(index, arr)})
-
-
 def check_set(S: ConvexSet, space: NormedSpaceSpec) -> None:
     """Raise unless S can live in space: a box needs a dense space of its
     dimension, and every hull vertex must lie in the space."""
@@ -135,11 +109,6 @@ def check_set(S: ConvexSet, space: NormedSpaceSpec) -> None:
     elif isinstance(S, Hull):
         for v in S.vertices:
             space.validate(v)
-
-
-def _box_arrays(S: Box, space: NormedSpaceSpec) -> tuple[np.ndarray, np.ndarray]:
-    check_set(S, space)
-    return np.array(S.lower, dtype=float), np.array(S.upper, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +187,22 @@ def contains(S: ConvexSet, space: NormedSpaceSpec, v: Vector, tol: float = TOL_N
     """Membership of v in S within slack tol."""
     space.validate(v)
     if isinstance(S, Box):
-        return member_test(S, space, tol)(v, v.dense_values(space.dimension))
+        return member_test(S, space, tol)(v.dense_values(space.dimension))
     if isinstance(S, Hull):
-        index = _support_union(list(S.vertices) + [v], space)
-        V = np.array([_to_array(w, index) for w in S.vertices])
-        return _in_hull(V, _to_array(v, index), tol)
+        arr, _ = pack([*S.vertices, v], space)
+        return _in_hull(arr[:-1], arr[-1], tol)
     return bool(S.member(v, tol))
 
 
-def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[Vector, Any], bool]:
-    """Membership in S within tol of v with row r, as contains decides it;
-    a dense v may be None, and is built from r if S needs it."""
+def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[Any], bool]:
+    """Membership in S within tol of the vector with the given row
+    (space.row_kernel), as contains decides it."""
     if not isinstance(S, Box):
-        return lambda v, r: contains(S, space, Vector.dense(r) if v is None else v, tol)
+        vector = row_vector(space)
+        return lambda r: contains(S, space, vector(r), tol)
     check_set(S, space)
     lo, hi = [a - tol for a in S.lower], [b + tol for b in S.upper]
-    return lambda v, r: all(map(le, lo, r)) and all(map(le, r, hi))
+    return lambda r: all(map(le, lo, r)) and all(map(le, r, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +250,18 @@ def sample(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list[
 def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, method: str):
     """The coordinate index over both sets' support, and each set as
     (kind, data): a hull's vertex array or a box's (lower, upper) arrays."""
-    index = _support_union([v for S in (A, B) if isinstance(S, Hull) for v in S.vertices],
-                           space)
+    hulls = [S.vertices if isinstance(S, Hull) else () for S in (A, B)]
+    arr, index = pack([*hulls[0], *hulls[1]], space)
 
-    def prepare(S):
+    def prepare(S, V):
         if isinstance(S, Hull):
-            return "hull", np.array([_to_array(v, index) for v in S.vertices])
+            return "hull", V
         if isinstance(S, Box):
-            return "box", _box_arrays(S, space)
+            check_set(S, space)
+            return "box", (np.array(S.lower, dtype=float), np.array(S.upper, dtype=float))
         raise SetsError(f"{method} needs box or hull sets")
 
-    return index, prepare(A), prepare(B)
+    return index, prepare(A, arr[:len(hulls[0])]), prepare(B, arr[len(hulls[0]):])
 
 
 def _cone(kind: str, data) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +284,7 @@ def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     *_, z = _nnls(np.hstack([Ca, -Cb]), np.concatenate([ga, gb + ga.max() + 1]))
     a, b = Ca @ z[:len(ga)], Cb @ z[len(ga):]
     value = float(np.linalg.norm(a - b))
-    return value, ProximalWitness(_from_array(a, index), _from_array(b, index), value)
+    return value, ProximalWitness(unpack(a.tolist(), index), unpack(b.tolist(), index), value)
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -352,7 +322,7 @@ def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: 
         return np.sign(w)  # l1 (and a valid descent signal for l2)
 
     def value_of(w: np.ndarray) -> float:
-        return norm(space, _from_array(w, index))
+        return norm(space, unpack(w.tolist(), index))
 
     best_val, best_pair = math.inf, None
     for _ in range(n_starts):
@@ -380,7 +350,7 @@ def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: 
         if loc_val < best_val:
             best_val, best_pair = loc_val, loc_pair
     wit = ProximalWitness(
-        _from_array(best_pair[0], index), _from_array(best_pair[1], index), best_val
+        unpack(best_pair[0].tolist(), index), unpack(best_pair[1].tolist(), index), best_val
     )
     return best_val, wit
 

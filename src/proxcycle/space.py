@@ -3,14 +3,17 @@
 Vectors are sparse index -> value maps so the same type serves finite
 dimensional spaces and summable sequence spaces.  A space spec pins the
 norm, the mode (dense with a dimension bound, or unbounded sequence) and,
-for dense mode, the dimension.
+for dense mode, the dimension.  This module alone converts between
+Vectors, rows (row_kernel, row_vector) and index arrays (pack, unpack).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from operator import itemgetter, methodcaller, sub
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 # Global inequality slack.  Every check that compares two real quantities
 # accepts an override; this is only the default.
@@ -201,6 +204,33 @@ def row_kernel(space: NormedSpaceSpec) -> tuple[Callable[[Vector], Any], Callabl
         return _norm_values(space, [v for _, v in sorted(m.items()) if v != 0.0])
 
     return lambda v: v, gap
+
+
+def row_vector(space: NormedSpaceSpec) -> Callable[[Any], Vector]:
+    """The Vector of a row_kernel row: Vector.dense, or in sequence mode the row."""
+    return Vector.dense if space.mode == "dense" else lambda v: v
+
+
+def pack(vectors: Sequence[Vector], space: NormedSpaceSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The (len(vectors), k) array of the vectors over index, the sorted coordinates
+    of the space and their supports, each vector checked to lie in the space."""
+    idx = set(range(space.dimension)) if space.mode == "dense" else set()
+    for v in vectors:
+        space.validate(v)
+        idx.update(v.support())
+    index = tuple(sorted(idx))
+    pos = {j: k for k, j in enumerate(index)}
+    values = np.zeros((len(vectors), len(index)))
+    for r, v in enumerate(vectors):
+        for j, x in v.coords:
+            values[r, pos[j]] = x
+    return values, index
+
+
+def unpack(row: Sequence[float], index: Sequence[int]) -> Vector:
+    """The Vector with row[k] at coordinate index[k], for a row of Python
+    floats (an array row's .tolist()) over a sorted index."""
+    return Vector(tuple((j, v) for j, v in zip(index, row) if v != 0.0))
 
 
 @dataclass(frozen=True, slots=True)

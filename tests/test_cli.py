@@ -16,7 +16,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 from proxcycle.cli import main
-from proxcycle.config import CHECKS
+from proxcycle.config import CHECKS, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -379,6 +379,25 @@ def test_non_finite_or_negative_tolerance_is_a_config_error(cfg, extra, message,
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out"), *extra]) == 2
     assert f"configuration error: {message}\n" in capsys.readouterr().err
+
+
+# a zero tolerance or eps is allowed: the loader takes it, and so must the schema
+ZERO_TOLERANCES = [
+    ("tol", dict(INTERVAL, tol=0), 0),
+    ("cert_tol", dict(INTERVAL, cert_tol=0), 1),
+    ("check-tol", interval_with("phi_contraction", tol=0), 0),
+    ("eps", interval_with("interleaved", eps=[0]), 0),
+]
+
+
+@pytest.mark.parametrize("cfg,code", [c[1:] for c in ZERO_TOLERANCES],
+                         ids=[c[0] for c in ZERO_TOLERANCES])
+def test_zero_tolerance_loads_runs_and_matches_the_schema(cfg, code, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    load_config(str(path))
+    CONFIG_VALIDATOR.validate(cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
 
 
 REFUSED_INTEGERS = [

@@ -35,9 +35,10 @@ from proxcycle import (
     pair_distance,
     sample,
 )
+from proxcycle.config import parse_phi
 from proxcycle.maps import RowEvaluator, row_form
 from proxcycle.report import render_pair
-from proxcycle.sets import Box
+from proxcycle.sets import Box, Hull
 
 INTERVAL = builtin("interval_contraction")
 FLIP = builtin("flip")
@@ -445,3 +446,42 @@ def test_flip_violations_render_each_point_once(monkeypatch):
     rep = check_phi_contraction(FLIP, HALF, 400, seed=0)
     assert rep.status == "failed" and len(rep.violations) > 400
     assert len(rendered) <= 800
+
+
+def test_half_phi_is_linear_one_half():
+    # 1.0 - 0.5 == 0.5 exactly, so linear(0.5) is t / 2 bit for bit
+    assert parse_phi({"variant": "half"}) == PhiSpec.half() == PhiSpec.linear(0.5)
+
+
+# ------------------------------------------------------------- one path
+
+def vector_only(T):
+    """T with its evaluator behind a plain function, which gets Vectors."""
+    return replace(T, evaluator=lambda x, y, side: T.evaluator(x, y, side))
+
+
+ONE_PATH_MAPS = {
+    **{name: builtin(name) for name in sorted(VECTOR_FORMS) + ["l1_kannan"]},
+    "interval-hull-sets": replace(INTERVAL, A=Hull((Vector.dense([1.0]), Vector.dense([2.0]))),
+                                  B=Hull((Vector.dense([-2.0]), Vector.dense([-1.0])))),
+}
+
+ONE_PATH_CHECKS = {
+    "cyclic_invariance": lambda T: check_cyclic_invariance(T, 80, seed=3),
+    "phi_contraction": lambda T: check_phi_contraction(T, HALF, 80, seed=3),
+    "phi_contraction-consecutive": lambda T: check_phi_contraction(
+        T, HALF, seed=3, quantification="consecutive_iterates", n_starts=4, n_steps=9),
+    "kannan": lambda T: check_kannan(T, 80, seed=3),
+    "kannan_strict": lambda T: check_kannan_strict_hypothesis(T, 80, seed=3),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ONE_PATH_CHECKS))
+@pytest.mark.parametrize("name", sorted(ONE_PATH_MAPS))
+def test_checkers_report_the_same_on_rows_and_on_vectors(name, check):
+    T = ONE_PATH_MAPS[name]
+    got, want = ONE_PATH_CHECKS[check](T), ONE_PATH_CHECKS[check](vector_only(T))
+    # non_cyclic moves no point, so kannan_strict counts none
+    assert got.checked > 0 or (name, check) == ("non_cyclic", "kannan_strict")
+    # every violation, its rendered points included
+    assert got.to_json(len(got.violations)) == want.to_json(len(want.violations))

@@ -26,7 +26,8 @@ from proxcycle import (
     paired_block_hull,
     sample,
 )
-from proxcycle.sets import Box, DeclaredDistance, Hull, ProximalWitness
+from proxcycle.sets import Box, DeclaredDistance, Hull, ProximalWitness, member_test
+from proxcycle.space import row_kernel
 
 L1_SEQ = NormedSpaceSpec("l1", "sequence", None)
 R1 = NormedSpaceSpec("l2", "dense", 1)
@@ -277,3 +278,34 @@ def test_paired_block_sample_members():
         assert contains(A, L1_SEQ, v)
         # convex combinations of unit-sum blocks keep total mass 2
         assert norm(L1_SEQ, v) == pytest.approx(2.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# membership on rows
+
+MEMBER_TOL = 1e-6
+HULL_EDGE = Hull((Vector.dense([0.0, 0.0]), Vector.dense([2.0, 0.0]), Vector.dense([0.0, 2.0])))
+# (set, space, boundary point, outward direction, whether an inward step stays in)
+BOUNDARY_CASES = {
+    "box": (Box((1.0, -1.0), (2.0, 3.0)), R2, [2.0, 0.5], [1.0, 0.0], True),
+    "hull-dense": (HULL_EDGE, R2, [1.0, 1.0], [0.5 ** 0.5] * 2, True),
+    "hull-sequence": (HULL_EDGE, NormedSpaceSpec("l2", "sequence", None), [1.0, 1.0],
+                      [0.5 ** 0.5] * 2, True),
+    # total weight 1 + delta: off the set on either side
+    "paired-blocks-dense": (paired_block_hull(1, "odd"), NormedSpaceSpec("l1", "dense", 6),
+                            [0.0, 0.5, 0.5, 0.5, 0.5], [0.0, 1.0, 1.0, 0.0, 0.0], False),
+    "paired-blocks-sequence": (paired_block_hull(1, "odd"), L1_SEQ, [0.0, 0.5, 0.5, 0.5, 0.5],
+                               [0.0, 1.0, 1.0, 0.0, 0.0], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+def test_member_test_on_rows_is_contains(name):
+    S, space, base, out, inward_in = BOUNDARY_CASES[name]
+    row, _ = row_kernel(space)
+    inside = member_test(S, space, MEMBER_TOL)
+    for k in (0.0, 0.5, -0.5, 3.0, -3.0):
+        v = Vector.dense([b + k * MEMBER_TOL * o for b, o in zip(base, out)])
+        want = k <= 1.0 if inward_in else abs(k) <= 1.0
+        assert contains(S, space, v, MEMBER_TOL) is want, k
+        assert inside(row(v)) is want, k

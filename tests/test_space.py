@@ -23,7 +23,7 @@ from proxcycle import (
     pair_distance,
     product_norm,
 )
-from proxcycle.space import row_kernel
+from proxcycle.space import pack, row_kernel, row_vector, unpack
 
 L1 = NormedSpaceSpec("l1", "sequence", None)
 L2 = NormedSpaceSpec("l2", "sequence", None)
@@ -250,3 +250,31 @@ def test_dense_row_refuses_an_index_past_the_dimension():
     assert row(Vector.dense([0.0, 3.0])) == [0.0, 3.0]
     with pytest.raises(DimensionMismatch):
         row(basis(2))
+
+
+# ------------------------------------------------------------ formats
+
+PACKED = [Vector.dense([1.5, 0.0, -2.0]), Vector.zero(), basis(3).scale(0.25),
+          Vector.dense([0.1, 0.2, 0.3, -0.4])]
+
+
+@pytest.mark.parametrize("space,vs", [
+    (NormedSpaceSpec("l2", "dense", 4), PACKED),
+    (L1, PACKED + [Vector.from_map({9: -3.0, 2: 1e-300}), basis(40)]),
+])
+def test_unpack_inverts_pack(space, vs):
+    values, index = pack(vs, space)
+    assert index == tuple(sorted(set(range(space.dimension or 0)).union(
+        *(v.support() for v in vs))))
+    assert values.shape == (len(vs), len(index))
+    row, _ = row_kernel(space)
+    for i, v in enumerate(vs):
+        got = unpack(values[i].tolist(), index)
+        assert got == v and all(type(x) is float for _, x in got.coords)
+        assert row_vector(space)(row(v)) == v
+
+
+def test_pack_refuses_a_coordinate_at_or_past_the_dimension():
+    for v in (basis(2), basis(7)):
+        with pytest.raises(DimensionMismatch):
+            pack([Vector.dense([1.0, 2.0]), v], L2_2)
