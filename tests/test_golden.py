@@ -3,8 +3,10 @@
 Pins the sha256 of summary.json and of every trace_*.csv that `run`
 writes for each shipped config, at the config's own seed and at
 --seed 0, 1 and 101, and of the trace of a dense box-pair contraction at d = 8
-(every shipped config is 1-D or in sequence mode).  A change that
-alters any byte of these files must update the digests on purpose.
+(every shipped config is 1-D or in sequence mode).  Also pins what `run`
+prints for the two negative controls, whose violation lines carry witness
+text, with the line naming the summary's path left out.  A change that
+alters any byte of these must update the digests on purpose.
 """
 import hashlib
 import math
@@ -163,6 +165,27 @@ def test_shipped_outputs_are_byte_identical(name, seed, tmp_path):
     extra = [] if seed is None else ["--seed", str(seed)]
     main(["run", str(CONFIGS / name), "--out", str(out), *extra])
     assert digests(out) == SHIPPED[name, seed]
+
+
+STDOUT = {
+    ('flip_negative.json', None):
+        "f1b4a24c260528da07593dc5737f68036c47416b373e5b03166e89bbd1cc17a4",
+    ('flip_negative.json', 1):
+        "065eb414f1297c3abe9aafaa41d803bff558eaaa484f237c0e252435fbffd0b6",
+    ('non_cyclic_negative.json', None):
+        "aa357c1769b88e27377d50139569cd0ab98580e72d1548267eaf9e89288e0011",
+    ('non_cyclic_negative.json', 1):
+        "7f87a9da3ba325c49278c6157a53e6ecd17345f0e6da7fbd0d66f6753b8030b3",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(STDOUT, key=str), ids=str)
+def test_negative_control_stdout_is_byte_identical(name, seed, tmp_path, capsys):
+    extra = [] if seed is None else ["--seed", str(seed)]
+    main(["run", str(CONFIGS / name), "--out", str(tmp_path / "out"), *extra])
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    kept = "".join(ln for ln in lines if not ln.startswith("summary written to "))
+    assert hashlib.sha256(kept.encode()).hexdigest() == STDOUT[name, seed]
 
 
 def box_pair_map(d, kappa):
