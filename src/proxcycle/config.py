@@ -32,6 +32,7 @@ from .iterate import (
 )
 from .maps import (
     CyclicMapSpec,
+    QUANTIFICATIONS,
     MapsError,
     PhiSpec,
     builtin,
@@ -68,6 +69,12 @@ def _integer(value: Any, least: float = -math.inf) -> int:
 
 
 _count = partial(_integer, least=1)  # a sample, start, step or iteration count
+
+
+def _quantification(value: Any) -> str:
+    if value not in QUANTIFICATIONS:
+        raise ValueError(f"must be one of {', '.join(QUANTIFICATIONS)}, got {value!r}")
+    return value
 
 
 def _given(convert: Callable[[Any], Any], value: Any, key: str) -> Any:
@@ -270,7 +277,7 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
                                                     p["tol"])),
     Check("phi_contraction", False,
           {"samples": (_count, 1000), "tol": (_nonnegative, CFG_TOL),
-           "quantification": (str, "all_cross_pairs"), "starts": (_count, 5),
+           "quantification": (_quantification, "all_cross_pairs"), "starts": (_count, 5),
            "steps": (_count, 20)}, 23,
           lambda ctx, _, p: check_phi_contraction(
               ctx.cfg.T, ctx.cfg.require_phi(), p["samples"], p["seed"],

@@ -10,9 +10,11 @@ row once; distances and set tests then see rows only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable
+from functools import partial
+from itertools import chain, repeat
+from typing import Any, Callable
 
 from .report import CheckReport, Violation, conclude, render_pair, render_vector
 from .sets import (Box, ConvexSet, box_rows, check_set, contains, l1_example_sets, member_test,
@@ -30,6 +32,8 @@ from .space import (
 
 SIDE_AB = "AB"
 SIDE_BA = "BA"
+
+QUANTIFICATIONS = ("all_cross_pairs", "consecutive_iterates")
 
 
 class MapsError(ValueError):
@@ -72,6 +76,8 @@ class PhiSpec:
         elif self.variant == "custom":
             if len(self.table) < 2:
                 raise MapsError("custom phi needs at least two breakpoints")
+            if not all(map(math.isfinite, chain.from_iterable(self.table))):
+                raise MapsError("custom phi breakpoints must be finite")
             if self.table[0][0] != 0.0:
                 raise MapsError("custom phi table must start at t = 0")
             if self.table[0][1] < 0.0:
@@ -239,10 +245,11 @@ class _Probe:
             got += map(_Point, rxs[k:n], rys[k:n], repeat(side))
         return got[:n]
 
-    def render(self, p: _Point) -> str:
-        if p.text is None:
-            p.text = render_pair(ProductPoint(self.vector(p.rx), self.vector(p.ry)))
-        return p.text
+    def witness(self, *points: _Point, image=None) -> Callable[[], tuple[str, ...]]:
+        """The inputs of a Violation at points, and then at the row image if
+        given, rendered when first read.  It holds the points and the row to
+        Vector function, not the probe and its sample streams."""
+        return partial(_render, self.vector, points, image)
 
     def image(self, p: _Point) -> _Point:
         if p.image is None:
@@ -255,6 +262,16 @@ class _Probe:
             q = self.image(p)
             p.disp = max(self.gap(p.rx, q.rx), self.gap(p.ry, q.ry))
         return p.disp
+
+
+def _render(vector: Callable[[Any], Vector], points: tuple[_Point, ...],
+            image=None) -> tuple[str, ...]:
+    """Each point's text, rendered once per point, then the image row's."""
+    for p in points:
+        if p.text is None:
+            p.text = render_pair(ProductPoint(vector(p.rx), vector(p.ry)))
+    texts = tuple(p.text for p in points)
+    return texts if image is None else (*texts, render_vector(vector(image)))
 
 
 def check_cyclic_invariance(T: CyclicMapSpec, n_samples: int = 200, seed: int = 0,
@@ -270,7 +287,7 @@ def check_cyclic_invariance(T: CyclicMapSpec, n_samples: int = 200, seed: int = 
             checked += 1
             if not inside(r):
                 violations.append(Violation(
-                    (probe.render(p), render_vector(probe.vector(r))),
+                    probe.witness(p, image=r),
                     1.0, 0.0, 1.0,
                     note=f"{side}-side image left the {target_label} set",
                 ))
@@ -288,7 +305,7 @@ def _phi_pair_violations(probe: _Probe, phi: PhiSpec, p: _Point, q: _Point, phi_
         lhs = probe.gap(a, b)
         if lhs > rhs + tol:
             out.append(Violation(
-                (probe.render(p), probe.render(q)),
+                probe.witness(p, q),
                 lhs, rhs, lhs - rhs,
                 note=f"{component}-component image pair broke the phi bound",
             ))
@@ -362,7 +379,7 @@ def check_kannan(T: CyclicMapSpec, n_samples: int = 1000, seed: int = 0,
             checked += 1
             if lhs > rhs + tol:
                 violations.append(Violation(
-                    (probe.render(p), probe.render(q)), lhs, rhs, lhs - rhs,
+                    probe.witness(p, q), lhs, rhs, lhs - rhs,
                     note=f"sides {side1}/{side2}",
                 ))
     return conclude("kannan", checked, violations)
@@ -388,7 +405,7 @@ def check_kannan_strict_hypothesis(T: CyclicMapSpec, n_samples: int = 500,
             checked += 1
             if d1 >= d0 - tol:
                 violations.append(Violation(
-                    (probe.render(p),), d1, d0, d1 - d0,
+                    probe.witness(p), d1, d0, d1 - d0,
                     note="coupled image displacement failed to decrease strictly",
                 ))
     return conclude("kannan_strict_hypothesis", checked, violations)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .space import ProductPoint, Vector
 
@@ -24,15 +25,38 @@ def render_pair(p: ProductPoint) -> str:
     return f"({render_vector(p.first)}, {render_vector(p.second)})"
 
 
-@dataclass(frozen=True)
 class Violation:
-    """One failed inequality: lhs <= rhs was expected, slack = lhs - rhs."""
+    """One failed inequality: lhs <= rhs was expected, slack = lhs - rhs.
 
-    inputs: tuple[str, ...]
-    lhs: float
-    rhs: float
-    slack: float
-    note: str = ""
+    inputs, the witness text, may be given as a function of no arguments
+    that returns it; it is then built on the first read of inputs, so that
+    a report holding many violations formats only those it shows.
+    """
+
+    __slots__ = ("_inputs", "lhs", "rhs", "slack", "note")
+
+    def __init__(self, inputs: tuple[str, ...] | Callable[[], tuple[str, ...]],
+                 lhs: float, rhs: float, slack: float, note: str = ""):
+        self._inputs, self.lhs, self.rhs, self.slack, self.note = inputs, lhs, rhs, slack, note
+
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        if callable(self._inputs):
+            self._inputs = self._inputs()
+        return self._inputs
+
+    def _key(self) -> tuple:
+        return self.inputs, self.lhs, self.rhs, self.slack, self.note
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, Violation) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "Violation(inputs={!r}, lhs={!r}, rhs={!r}, slack={!r}, note={!r})".format(
+            *self._key())
 
     def to_json(self) -> dict:
         return {
@@ -75,14 +99,18 @@ def conclude(name: str, checked: int, violations: list[Violation], detail: str =
     return CheckReport(name, checked, tuple(violations), status, detail)
 
 
+def _tagged(tag: str, v: Violation) -> Violation:
+    """v with tag before its inputs, read when the result's inputs are."""
+    return Violation(lambda: (tag, *v.inputs), v.lhs, v.rhs, v.slack, v.note)
+
+
 def merge_reports(name: str, parts: list[CheckReport]) -> CheckReport:
     """One report for several runs of a check: the worst status, every
     violation tagged with its run index, and the runs' details joined."""
     if not parts:
         return CheckReport(name, 0, status=INCONCLUSIVE, detail="nothing to check")
     status = max((r.status for r in parts), key=lambda s: _STATUS_RANK[s])
-    violations = [Violation((f"run {i}",) + v.inputs, v.lhs, v.rhs, v.slack, v.note)
-                  for i, r in enumerate(parts) for v in r.violations]
+    violations = [_tagged(f"run {i}", v) for i, r in enumerate(parts) for v in r.violations]
     detail = "; ".join(f"run {i}: {r.detail}" for i, r in enumerate(parts) if r.detail)
     return CheckReport(name, sum(r.checked for r in parts), tuple(violations),
                        status, detail)

@@ -43,6 +43,8 @@ class Box:
         if not self.lower:
             raise SetsError("empty box")
         for lo, hi in zip(self.lower, self.upper):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise SetsError(f"box bounds must be finite, got [{lo}, {hi}]")
             if lo > hi:
                 raise SetsError(f"empty interval [{lo}, {hi}]")
 
@@ -56,6 +58,9 @@ class Hull:
     def __post_init__(self):
         if not self.vertices:
             raise SetsError("hull needs at least one vertex")
+        for v in self.vertices:
+            if not all(math.isfinite(x) for _, x in v.coords):
+                raise SetsError(f"hull vertex coordinates must be finite, got {dict(v.coords)}")
 
 
 @dataclass(frozen=True)
@@ -424,10 +429,35 @@ def _paired_block_member(offset: int) -> Callable[[Vector, float], bool]:
 
 
 def _paired_block_sampler(offset: int, max_block: int = 6) -> Callable[[random.Random], Vector]:
+    """Draws of 1 to 4 distinct blocks n in 1 .. max_block with weights
+    uniform on the simplex, weight w putting w at 2n - 2 + offset and
+    2n - 1 + offset.  A draw of k blocks consumes rng as randint(1, 4),
+    sample(range(1, max_block + 1), k) and _simplex_weights(rng, k) would in
+    turn, and gives their values, but calls getrandbits and random directly:
+    randint and sample's pool swaps draw below n by taking n.bit_length()
+    bits until they are below n."""
+    swaps = [(n, n.bit_length()) for n in range(max_block, 0, -1)]
+    blocks_in_order = list(range(1, max_block + 1))
+
     def sampler(rng: random.Random) -> Vector:
-        k = rng.randint(1, 4)
-        blocks = rng.sample(range(1, max_block + 1), k)
-        weights = _simplex_weights(rng, k)
+        bits = rng.getrandbits
+        cuts = bits(3)  # randint(1, 4) - 1, the number of cuts
+        while cuts >= 4:
+            cuts = bits(3)
+        pool, blocks = blocks_in_order[:], []
+        for n, b in swaps[:cuts + 1]:
+            j = bits(b)
+            while j >= n:
+                j = bits(b)
+            blocks.append(pool[j])
+            pool[j] = pool[n - 1]
+        weights = [1.0]
+        if cuts:  # the spacings of the sorted cuts, as _simplex_weights gives them
+            uniform = rng.random
+            at = sorted([uniform() for _ in range(cuts)])
+            at.append(1.0)
+            weights = [at[0]]
+            weights += map(float.__sub__, at[1:], at)
         coords = []  # the blocks are distinct, so in block order the indices ascend
         for n, w in sorted(zip(blocks, weights)):
             if w != 0.0:

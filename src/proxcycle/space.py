@@ -198,10 +198,29 @@ def row_kernel(space: NormedSpaceSpec) -> tuple[Callable[[Vector], Any], Callabl
         return row, lambda a, b: _norm_values(space, [z for z in map(sub, a, b) if z != 0.0])
 
     def gap(a: Vector, b: Vector) -> float:
-        m = dict(a.coords)
-        for i, v in b.coords:
-            m[i] = m.get(i, 0.0) - v
-        return _norm_values(space, [v for _, v in sorted(m.items()) if v != 0.0])
+        # one merge of the two sorted coordinate tuples, in index order; a
+        # coordinate of one alone is nonzero, a shared one may cancel
+        ac, bc = a.coords, b.coords
+        na, nb = len(ac), len(bc)
+        i = j = 0
+        vals = []
+        while i < na and j < nb:
+            ia, va = ac[i]
+            ib, vb = bc[j]
+            if ia < ib:
+                vals.append(va)
+                i += 1
+            elif ib < ia:
+                vals.append(-vb)
+                j += 1
+            else:
+                if (d := va - vb) != 0.0:
+                    vals.append(d)
+                i += 1
+                j += 1
+        vals += [v for _, v in ac[i:]]
+        vals += [-v for _, v in bc[j:]]
+        return _norm_values(space, vals)
 
     return lambda v: v, gap
 

@@ -468,6 +468,36 @@ def test_bad_map_dist_or_lambda_is_a_config_error(cfg, message, tmp_path, capsys
     assert f"configuration error: {message}\n" in capsys.readouterr().err
 
 
+B_BOX = {"variant": "box", "lower": [-2.0], "upper": [-1.0]}
+REFUSED_VALUES = [
+    ("quantification-unknown", interval_with("phi_contraction", quantification="foo"),
+     "check 'phi_contraction': bad parameter 'quantification': "
+     "must be one of all_cross_pairs, consecutive_iterates, got 'foo'"),
+    ("box-lower-nan", with_map("interval.json", sets=[
+        {"variant": "box", "lower": [NAN], "upper": [2.0]}, B_BOX]),
+     "bad set definition: box bounds must be finite, got [nan, 2.0]"),
+    ("box-upper-inf", with_map("interval.json", sets=[
+        {"variant": "box", "lower": [1.0], "upper": [INF]}, B_BOX]),
+     "bad set definition: box bounds must be finite, got [1.0, inf]"),
+    ("hull-vertex-nan", with_map("interval.json", sets=[
+        {"variant": "hull", "vertices": [[1.0], [NAN]]}, B_BOX]),
+     "bad set definition: hull vertex coordinates must be finite, got {0: nan}"),
+    ("phi-custom-nan", with_map("interval.json", phi={
+        "variant": "custom", "table": [[0, 0], [NAN, 1], [2, 2]]}),
+     "bad phi spec: custom phi breakpoints must be finite"),
+]
+
+
+@pytest.mark.parametrize("cfg,message", [c[1:] for c in REFUSED_VALUES],
+                         ids=[c[0] for c in REFUSED_VALUES])
+def test_unknown_quantification_or_non_finite_set_or_phi_is_a_config_error(cfg, message,
+                                                                           tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"configuration error: {message}\n" in capsys.readouterr().err
+
+
 def test_integral_floats_load_as_integers(tmp_path):
     cfg = dict(INTERVAL, seed=7.0, checks=[{"name": "cyclic_invariance", "samples": 50.0}])
     path = tmp_path / "ok.json"

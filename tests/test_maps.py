@@ -4,7 +4,9 @@ The interval family is small enough for an exhaustive grid oracle over
 cross quadruples, so the sampled checker is validated against a complete
 enumeration at desk scale.
 """
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -37,7 +39,8 @@ from proxcycle import (
 )
 from proxcycle.config import parse_phi
 from proxcycle.maps import RowEvaluator, row_form
-from proxcycle.report import render_pair
+from proxcycle import maps
+from proxcycle.report import Violation, merge_reports, render_pair
 from proxcycle.sets import Box, Hull
 
 INTERVAL = builtin("interval_contraction")
@@ -446,6 +449,48 @@ def test_flip_violations_render_each_point_once(monkeypatch):
     rep = check_phi_contraction(FLIP, HALF, 400, seed=0)
     assert rep.status == "failed" and len(rep.violations) > 400
     assert len(rendered) <= 800
+
+
+@pytest.mark.parametrize("check,points", [
+    (lambda: check_phi_contraction(FLIP, HALF, 400, seed=0), 2),
+    (lambda: check_cyclic_invariance(builtin("non_cyclic"), 200), 1),
+], ids=["flip-phi_contraction", "non_cyclic-cyclic_invariance"])
+def test_only_the_violations_written_are_rendered(check, points, monkeypatch):
+    # each violation cites `points` sampled points, each rendered at most once
+    rendered = []
+    render = maps.render_pair
+    monkeypatch.setattr("proxcycle.maps.render_pair",
+                        lambda p: rendered.append(p) or render(p))
+    rep = check()
+    assert len(rep.violations) > 100 and not rendered
+    rep.to_json()
+    assert len(rendered) <= 10 * points
+    assert len(rendered) == len({(p.first, p.second) for p in rendered})
+
+
+def test_a_deferred_violation_equals_an_eager_one():
+    text = ("({0: 1.5}, {0: -1.5})", "({0: -1.0}, {0: 2.0})")
+    eager = Violation(text, 2.0, 1.0, 1.0, note="n")
+    deferred = Violation(lambda: text, 2.0, 1.0, 1.0, note="n")
+    assert deferred == eager and eager == deferred
+    assert deferred.inputs == text and deferred.to_json() == eager.to_json()
+    assert Violation(lambda: text[:1], 2.0, 1.0, 1.0, note="n") != eager
+
+
+def test_a_held_report_keeps_no_probe(monkeypatch):
+    # the deferred witness text holds its points, not the sample streams
+    made = []
+
+    class Recorded(maps._Probe):
+        def __init__(self, T):
+            super().__init__(T)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(maps, "_Probe", Recorded)
+    rep = merge_reports("flip", [check_phi_contraction(FLIP, HALF, 50, seed=0)])
+    gc.collect()
+    assert made and all(r() is None for r in made)
+    assert rep.violations[0].inputs[0] == "run 0"
 
 
 def test_half_phi_is_linear_one_half():

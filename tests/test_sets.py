@@ -26,7 +26,8 @@ from proxcycle import (
     paired_block_hull,
     sample,
 )
-from proxcycle.sets import Box, DeclaredDistance, Hull, ProximalWitness, member_test
+from proxcycle.sets import (Box, DeclaredDistance, Hull, ProximalWitness, _simplex_weights,
+                            member_test)
 from proxcycle.space import row_kernel
 
 L1_SEQ = NormedSpaceSpec("l1", "sequence", None)
@@ -278,6 +279,28 @@ def test_paired_block_sample_members():
         assert contains(A, L1_SEQ, v)
         # convex combinations of unit-sum blocks keep total mass 2
         assert norm(L1_SEQ, v) == pytest.approx(2.0, abs=1e-9)
+
+
+def reference_paired_block_draw(rng, offset):
+    """One paired-block draw through the stdlib calls it stands for."""
+    k = rng.randint(1, 4)
+    blocks = rng.sample(range(1, 7), k)
+    weights = _simplex_weights(rng, k)
+    coords = []
+    for n, w in sorted(zip(blocks, weights)):
+        if w != 0.0:
+            coords += ((2 * n - 2 + offset, w), (2 * n - 1 + offset, w))
+    return Vector(tuple(coords))
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+def test_paired_block_draws_consume_the_stream_as_the_stdlib_calls_do(offset):
+    draw = paired_block_hull(offset, "S").sampler
+    for seed in range(200):
+        rng, ref = random.Random(f"sample:{seed}"), random.Random(f"sample:{seed}")
+        for _ in range(200):
+            assert draw(rng) == reference_paired_block_draw(ref, offset)
+        assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------
