@@ -31,8 +31,8 @@ from .iterate import (
     diagnose_t_limit,
 )
 from .maps import (
-    CyclicMapSpec,
     QUANTIFICATIONS,
+    CyclicMapSpec,
     MapsError,
     PhiSpec,
     builtin,

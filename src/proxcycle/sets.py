@@ -451,13 +451,14 @@ def _paired_block_sampler(offset: int, max_block: int = 6) -> Callable[[random.R
                 j = bits(b)
             blocks.append(pool[j])
             pool[j] = pool[n - 1]
-        weights = [1.0]
         if cuts:  # the spacings of the sorted cuts, as _simplex_weights gives them
             uniform = rng.random
             at = sorted([uniform() for _ in range(cuts)])
             at.append(1.0)
             weights = [at[0]]
             weights += map(float.__sub__, at[1:], at)
+        else:
+            weights = [1.0]
         coords = []  # the blocks are distinct, so in block order the indices ascend
         for n, w in sorted(zip(blocks, weights)):
             if w != 0.0:
