@@ -37,9 +37,9 @@ from proxcycle import (
     pair_distance,
     sample,
 )
+from proxcycle import maps
 from proxcycle.config import parse_phi
 from proxcycle.maps import RowEvaluator, row_form
-from proxcycle import maps
 from proxcycle.report import Violation, merge_reports, render_pair
 from proxcycle.sets import Box, Hull
 
