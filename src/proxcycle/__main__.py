@@ -1,0 +1,4 @@
+"""`python -m proxcycle`: the command line of proxcycle.cli."""
+from .cli import main
+if __name__ == "__main__":
+    raise SystemExit(main())

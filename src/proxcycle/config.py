@@ -99,10 +99,18 @@ def parse_vector(obj: Any) -> Vector:
     raise ConfigError(f"a vector must be an index->value map or a list, got {obj!r}")
 
 
-def parse_pair(obj: Any) -> tuple[Vector, Vector]:
+def parse_point(obj: Any, key: str) -> Vector:
+    """parse_vector, with a non-finite coordinate a ConfigError naming key."""
+    v = parse_vector(obj)
+    if not all(math.isfinite(x) for _, x in v.coords):
+        raise ConfigError(f"{key}: coordinates must be finite, got {obj!r}")
+    return v
+
+
+def parse_pair(obj: Any, key: str) -> tuple[Vector, Vector]:
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ConfigError(f"a point pair must be a two-element list, got {obj!r}")
-    return parse_vector(obj[0]), parse_vector(obj[1])
+    return parse_point(obj[0], f"{key}[0]"), parse_point(obj[1], f"{key}[1]")
 
 
 def parse_set(obj: Any) -> ConvexSet:
@@ -359,7 +367,7 @@ def _resolve_starts(obj: Any, T: CyclicMapSpec, default_seed: int) -> list[tuple
     if obj is None:
         return []
     if isinstance(obj, dict) and "explicit" in obj:
-        return [parse_pair(p) for p in obj["explicit"]]
+        return [parse_pair(p, f"starts.explicit[{i}]") for i, p in enumerate(obj["explicit"])]
     if isinstance(obj, dict) and "count" in obj:
         n = _given(_count, obj["count"], "starts.count")
         seed = _given(_integer, obj.get("seed", default_seed), "starts.seed")
@@ -425,7 +433,8 @@ def parse_config(raw: dict, seed_override: int | None = None,
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad starts: {exc}") from exc
-    candidates = [parse_pair(p) for p in raw.get("candidates", [])]
+    candidates = [parse_pair(p, f"candidates[{i}]")
+                  for i, p in enumerate(raw.get("candidates", []))]
 
     return ExperimentConfig(
         map_name=str(map_cfg["builtin"]),

@@ -14,11 +14,11 @@ failing after a converged stop is a genuine failure.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
+from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
 from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, flip_side, native_form
 from .report import FAILED, INCONCLUSIVE, PASSED, CheckReport, Violation, conclude
@@ -28,11 +28,14 @@ from .space import (
     NormedSpaceSpec,
     ProductPoint,
     Vector,
-    pack,
+    pack_flat,
     pair_distance,
     row_kernel,
     unpack,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STOP_BUDGET = "budget"
 STOP_CONVERGED_T = "converged_t"
@@ -63,13 +66,13 @@ class StopRule:
 
 
 class _Points(Sequence):
-    """Read-only view of a trajectory's points.  Point n is built from
-    values[n] on first access and kept, so a point read twice is one
-    object; a slice is a tuple."""
+    """Read-only view of the points in a trajectory's flat buffer.  Point n
+    is built on first access and kept, so a point read twice is one object;
+    a slice is a tuple.  It holds no Trajectory, so it makes no cycle."""
 
-    def __init__(self, traj: "Trajectory"):
-        self._traj = traj
-        self._built: list[ProductPoint | None] = [None] * len(traj.values)
+    def __init__(self, flat: array, index: tuple[int, ...], n_points: int):
+        self._flat, self._index = flat, index
+        self._built: list[ProductPoint | None] = [None] * n_points
 
     def __len__(self) -> int:
         return len(self._built)
@@ -80,36 +83,35 @@ class _Points(Sequence):
         n = range(len(self))[n]
         p = self._built[n]
         if p is None:
-            p = self._built[n] = _point(self._traj.values[n].tolist(), self._traj.index)
+            p = self._built[n] = _point(_rows(self._flat, len(self._index), n), self._index)
         return p
 
 
-def _point(rows: list[list[float]], index: Sequence[int]) -> ProductPoint:
+def _rows(flat: array, k: int, n: int) -> tuple[array, array]:
+    """The coordinate rows of x_n and y_n in a flat buffer of k-float rows."""
+    return flat[2 * n * k:(2 * n + 1) * k], flat[(2 * n + 1) * k:(2 * n + 2) * k]
+
+
+def _point(rows: tuple[array, array], index: Sequence[int]) -> ProductPoint:
     return ProductPoint(unpack(rows[0], index), unpack(rows[1], index))
-
-
-def _pack(space: NormedSpaceSpec,
-          pairs: Sequence[tuple[Vector, Vector]]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """space.pack of the pairs, as an (n, 2, k) array."""
-    values, index = pack([v for pair in pairs for v in pair], space)
-    return values.reshape(len(pairs), 2, len(index)), index
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A run of the coupled iteration.
 
-    values[n] holds the point (x_n, y_n) as two coordinate rows over index,
-    the sorted coordinates the points may use: range(dimension) in dense
-    mode, the union of their supports in sequence mode.  points is a lazy
-    read-only view of the same points as ProductPoints.  even_gap_x[j] is
-    ||x_(2j+2) - x_(2j)||, odd_gap_x[j] is ||x_(2j+3) - x_(2j+1)||, and
-    likewise for y.
+    flat holds the points once, read-only: the rows x_0, y_0, x_1, ... over
+    index, the sorted coordinates the points may use: range(dimension) in
+    dense mode, the union of their supports in sequence mode.  values, an
+    (n, 2, k) numpy array, and points, ProductPoints, are views of it made on
+    first read.  even_gap_x[j] is ||x_(2j+2) - x_(2j)||, odd_gap_x[j] is
+    ||x_(2j+3) - x_(2j+1)||, and likewise for y.
     """
 
     space: NormedSpaceSpec
-    values: np.ndarray
+    flat: array
     index: tuple[int, ...]
+    n_points: int
     t_series: tuple[float, ...]
     even_gap_x: tuple[float, ...]
     even_gap_y: tuple[float, ...]
@@ -121,23 +123,26 @@ class Trajectory:
     error_index: int | None = None
 
     def __post_init__(self):
-        self.values.flags.writeable = False
+        if len(self.flat) != 2 * self.n_points * len(self.index):
+            raise ValueError("flat must hold two rows of len(index) floats per point")
 
     @classmethod
     def from_points(cls, space: NormedSpaceSpec, points: Sequence[ProductPoint],
                     *args, **kwargs) -> "Trajectory":
         """A trajectory through the given points; the remaining arguments
-        are the fields after index, as for the constructor."""
-        values, index = _pack(space, [(p.first, p.second) for p in points])
-        return cls(space, values, index, *args, **kwargs)
+        are the fields after n_points, as for the constructor."""
+        flat, index = pack_flat([v for p in points for v in (p.first, p.second)], space)
+        return cls(space, flat, index, len(points), *args, **kwargs)
 
-    @property
-    def n_points(self) -> int:
-        return len(self.values)
+    @cached_property
+    def values(self) -> np.ndarray:
+        import numpy as np
+        view = np.frombuffer(memoryview(self.flat).toreadonly())
+        return view.reshape(self.n_points, 2, len(self.index))
 
     @cached_property
     def points(self) -> Sequence[ProductPoint]:
-        return _Points(self)
+        return _Points(self.flat, self.index, self.n_points)
 
     def side_of(self, n: int) -> str:
         return SIDE_AB if n % 2 == 0 else SIDE_BA
@@ -158,8 +163,8 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     T is evaluated through maps.native_form, on rows for a RowEvaluator
     and on Vectors otherwise, each image becoming a row once.  Distances
     and set tests work on rows (space.row_kernel) and equal norm and
-    contains on the Vectors bit for bit.  In sequence mode a row is the
-    Vector itself, and the array is built last, once the index is known.
+    contains on the Vectors bit for bit.  A dense row joins the flat buffer
+    at once; in sequence mode a row is the Vector itself, packed last.
     """
     space = T.space
     if not contains(T.A, space, x0, tol):
@@ -171,8 +176,11 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     f, to_row = native_form(T)
     in_A, in_B = member_test(T.A, space, tol), member_test(T.B, space, tol)
 
-    rows = [(row(x0), row(y0))]
-    x, y = rows[0] if to_row is None else (x0, y0)
+    flat, vectors = array("d"), []
+    keep = (lambda r: flat.extend([*r[0], *r[1]])) if space.mode == "dense" else vectors.extend
+    last = before = (row(x0), row(y0))  # the rows of points n - 1 and n - 2
+    keep(last)
+    x, y = last if to_row is None else (x0, y0)
     t_series: list[float] = []
     gaps: dict[str, list[float]] = {"even_x": [], "even_y": [], "odd_x": [], "odd_y": []}
     stop_reason = STOP_BUDGET
@@ -188,11 +196,11 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
             stop_reason = STOP_DOMAIN_ERROR
             error_index = n
             break
-        px, py = rows[-1]
-        rows.append((rx, ry))
+        (px, py), (qx, qy) = last, before
+        before, last = last, (rx, ry)
+        keep(last)
         t_series.append(max(gap(px, rx), gap(py, ry)))
         if n >= 2:
-            qx, qy = rows[n - 2]
             key = "even" if n % 2 == 0 else "odd"
             gaps[key + "_x"].append(gap(rx, qx))
             gaps[key + "_y"].append(gap(ry, qy))
@@ -207,14 +215,12 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
                 stop_reason = STOP_CONVERGED_GAP
                 break
 
-    if space.mode == "dense":
-        values, index = np.array(rows, dtype=float), tuple(range(space.dimension))
-    else:
-        values, index = _pack(space, rows)
+    flat, index = pack_flat(vectors, space) if vectors else (flat, tuple(range(space.dimension)))
     return Trajectory(
         space=space,
-        values=values,
+        flat=flat,
         index=index,
+        n_points=len(t_series) + 1,
         t_series=tuple(t_series),
         even_gap_x=tuple(gaps["even_x"]),
         even_gap_y=tuple(gaps["even_y"]),
@@ -312,6 +318,7 @@ def diagnose_even_gaps(traj: Trajectory, tol: float | None = None) -> CheckRepor
 def _component_norms(space: NormedSpaceSpec, diff: np.ndarray) -> np.ndarray:
     """The space's norm along the last axis, as numpy sums it: within a few
     ulps of norm(), not always equal to it."""
+    import numpy as np
     if space.norm == "l2":
         return np.sqrt(np.einsum("...i,...i->...", diff, diff))
     a = np.abs(diff)
@@ -337,6 +344,7 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
     threshold is decided again with pair_distance, so every verdict is
     the one pair_distance gives.
     """
+    import numpy as np
     d = traj.dist_used if d is None else d
     if d is None:
         return CheckReport("interleaved", 0, status=INCONCLUSIVE,
@@ -400,15 +408,17 @@ def diagnose_cauchy(traj: Trajectory, k: int = 10, tol: float | None = None) -> 
                            detail="need at least six points")
     if tol is None:
         tol = traj.rule.gap_tol if traj.rule.gap_tol is not None else TOL_STOP
+    _, gap = row_kernel(traj.space)  # on its rows: a dense buffer row, else its Vector
+    row = (lambda r: r) if traj.space.mode == "dense" else partial(unpack, index=traj.index)
     checked = 0
     worst = {"even": 0.0, "odd": 0.0}
     for label, first in (("even", 0), ("odd", 1)):
         seq = range(first, traj.n_points, 2)
-        tail = [traj.points[n] for n in seq[-min(k, len(seq)):]]
-        for i in range(len(tail)):
-            for j in range(i + 1, len(tail)):
+        tail = [tuple(map(row, _rows(traj.flat, len(traj.index), n))) for n in seq[-k:]]
+        for i, (xi, yi) in enumerate(tail):
+            for xj, yj in tail[i + 1:]:
                 checked += 1
-                worst[label] = max(worst[label], pair_distance(traj.space, tail[i], tail[j]))
+                worst[label] = max(worst[label], max(gap(xi, xj), gap(yi, yj)))
     detail = f"even spread = {worst['even']!r}, odd spread = {worst['odd']!r}"
     violations = [
         Violation((f"last-{k} {label} points",), spread, tol, spread - tol,
@@ -432,18 +442,18 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     would write, ending in \\r\\n.
     """
     if traj.space.mode == "dense":
-        def fmt(row: list[float]) -> str:
+        def fmt(row: array) -> str:
             return ";".join(map(repr, row))
     else:
-        def fmt(row: list[float]) -> str:
+        def fmt(row: array) -> str:
             return ";".join(f"{j}:{v!r}" for j, v in zip(traj.index, row) if v != 0.0)
 
     even = _product_gaps(traj.even_gap_x, traj.even_gap_y)
     odd = _product_gaps(traj.odd_gap_x, traj.odd_gap_y)
     with open(path, "w", newline="") as fh:
         fh.write("n,x,y,t,even_gap,odd_gap\r\n")
-        for n, point in enumerate(traj.values):
-            x, y = point.tolist()
+        for n in range(traj.n_points):
+            x, y = _rows(traj.flat, len(traj.index), n)
             t = repr(traj.t_series[n]) if n < len(traj.t_series) else ""
             eg = repr(even[n // 2 - 1]) if n >= 2 and n % 2 == 0 else ""
             og = repr(odd[(n - 3) // 2]) if n >= 3 and n % 2 == 1 else ""

@@ -12,7 +12,7 @@ import os
 from typing import Callable
 
 from .certify import certify
-from .config import CHECKS, CheckContext, ConfigError, ExperimentConfig, parse_vector
+from .config import CHECKS, CheckContext, ConfigError, ExperimentConfig, parse_point
 from .iterate import Trajectory, run, trajectory_to_csv
 from .maps import DomainError
 from .report import FAILED, INCONCLUSIVE, NOT_APPLICABLE, PASSED, CheckReport
@@ -109,7 +109,7 @@ def _say_report(rep: CheckReport, say: Callable[[str], None]) -> None:
 def run_certify_command(cfg: ExperimentConfig, x_obj, y_obj,
                         say: Callable[[str], None] = print) -> int:
     """Certify a single explicit candidate; exit 0 only if accepted."""
-    x, y = parse_vector(x_obj), parse_vector(y_obj)
+    x, y = parse_point(x_obj, "--x"), parse_point(y_obj, "--y")
     cert = certify(cfg.T, ProductPoint(x, y), tol=cfg.cert_tol)
     say(json.dumps(cert.to_json(), indent=2, sort_keys=True))
     return EXIT_OK if cert.accepted else EXIT_VIOLATION

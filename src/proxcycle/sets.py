@@ -8,7 +8,7 @@ projected subgradient descent for l1/linf, flagged approximate.
 
 Hull membership is the same NNLS solve.  Containment in a hull is norm
 independent, so it is always decided in l2 coordinates regardless of the
-space's declared norm.
+space's declared norm.  Only the solvers import numpy.
 """
 from __future__ import annotations
 
@@ -16,11 +16,12 @@ import math
 import random
 from dataclasses import dataclass
 from operator import le
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from .space import TOL_NUM, NormedSpaceSpec, Vector, basis, norm, pack, row_vector, unpack
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # witness must achieve the reported distance this tightly
 TOL_DIST = 1e-8
@@ -132,6 +133,7 @@ def _nnls(C: np.ndarray, group: np.ndarray):
     Yields each iterate, all feasible; the last is the solution.  Stops
     when no entry gains or the residual stops falling.
     """
+    import numpy as np
     free = np.zeros(len(group), dtype=bool)
     free[np.unique(group, return_index=True)[1]] = True
     z = free.astype(float)
@@ -177,6 +179,7 @@ def _in_hull(V: np.ndarray, x: np.ndarray, tol: float) -> bool:
     directly.  Accepts once |r| <= tol; rejects once every row d of D has
     d.r > tol |r|, a hyperplane separating x from the hull by more than tol.
     """
+    import numpy as np
     D = V - x
     for w in _nnls(D.T, np.zeros(len(D), dtype=int)):
         r = w @ D
@@ -255,6 +258,7 @@ def sample(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list[
 def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, method: str):
     """The coordinate index over both sets' support, and each set as
     (kind, data): a hull's vertex array or a box's (lower, upper) arrays."""
+    import numpy as np
     hulls = [S.vertices if isinstance(S, Hull) else () for S in (A, B)]
     arr, index = pack([*hulls[0], *hulls[1]], space)
 
@@ -274,6 +278,7 @@ def _cone(kind: str, data) -> tuple[np.ndarray, np.ndarray]:
     entries in each group sum to one.  A hull has one group, its vertex
     weights; a box has one per coordinate i, the weights of lower_i e_i
     and upper_i e_i."""
+    import numpy as np
     if kind == "hull":
         return data.T, np.zeros(len(data), dtype=int)
     lo, hi = data
@@ -284,6 +289,7 @@ def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     """l2 distance as one NNLS over both sets' weights, minimising
     |C_A z_A - C_B z_B|.  The witnesses are feasible and the value is
     their distance."""
+    import numpy as np
     index, pa, pb = _prepare_pair(A, B, space, "nnls")
     (Ca, ga), (Cb, gb) = _cone(*pa), _cone(*pb)
     *_, z = _nnls(np.hstack([Ca, -Cb]), np.concatenate([ga, gb + ga.max() + 1]))
@@ -294,6 +300,7 @@ def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
     # Euclidean projection onto the probability simplex (sort based)
+    import numpy as np
     u = np.sort(w)[::-1]
     css = np.cumsum(u) - 1.0
     ks = np.arange(1, len(w) + 1)
@@ -305,6 +312,7 @@ def _project_simplex(w: np.ndarray) -> np.ndarray:
 
 def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: int,
                       n_starts: int = 6, iters: int = 2500):
+    import numpy as np
     index, (ka, da), (kb, db) = _prepare_pair(A, B, space, "subgradient")
     rng = np.random.default_rng(seed)
 

@@ -1,19 +1,21 @@
 """Normed-space primitives.
 
 Vectors are sparse index -> value maps so the same type serves finite
-dimensional spaces and summable sequence spaces.  A space spec pins the
-norm, the mode (dense with a dimension bound, or unbounded sequence) and,
-for dense mode, the dimension.  This module alone converts between
-Vectors, rows (row_kernel, row_vector) and index arrays (pack, unpack).
+dimensional spaces and summable sequence spaces.  A space spec pins the norm,
+the mode (dense with a dimension bound, or unbounded sequence) and, for dense
+mode, the dimension.  This module alone converts between Vectors, rows
+(row_kernel, row_vector) and index arrays (pack_flat, pack, unpack).
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter, methodcaller, sub
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Global inequality slack.  Every check that compares two real quantities
 # accepts an override; this is only the default.
@@ -230,25 +232,32 @@ def row_vector(space: NormedSpaceSpec) -> Callable[[Any], Vector]:
     return Vector.dense if space.mode == "dense" else lambda v: v
 
 
-def pack(vectors: Sequence[Vector], space: NormedSpaceSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The (len(vectors), k) array of the vectors over index, the sorted coordinates
-    of the space and their supports, each vector checked to lie in the space."""
+def pack_flat(vectors: Sequence[Vector], space: NormedSpaceSpec) -> tuple[array, tuple[int, ...]]:
+    """The vectors as len(vectors) rows of one flat array("d") over index, the sorted
+    coordinates of the space and their supports, each checked to lie in the space."""
     idx = set(range(space.dimension)) if space.mode == "dense" else set()
     for v in vectors:
         space.validate(v)
         idx.update(v.support())
     index = tuple(sorted(idx))
     pos = {j: k for k, j in enumerate(index)}
-    values = np.zeros((len(vectors), len(index)))
+    flat = array("d", [0.0]) * (len(vectors) * len(index))
     for r, v in enumerate(vectors):
         for j, x in v.coords:
-            values[r, pos[j]] = x
-    return values, index
+            flat[r * len(index) + pos[j]] = x
+    return flat, index
+
+
+def pack(vectors: Sequence[Vector], space: NormedSpaceSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """pack_flat's floats as a (len(vectors), len(index)) numpy array."""
+    import numpy as np
+    flat, index = pack_flat(vectors, space)
+    return np.frombuffer(flat).reshape(len(vectors), len(index)), index
 
 
 def unpack(row: Sequence[float], index: Sequence[int]) -> Vector:
-    """The Vector with row[k] at coordinate index[k], for a row of Python
-    floats (an array row's .tolist()) over a sorted index."""
+    """The Vector with row[k] at coordinate index[k], for a row of Python floats
+    over a sorted index: a slice of pack_flat's array, or a numpy row's .tolist()."""
     return Vector(tuple((j, v) for j, v in zip(index, row) if v != 0.0))
 
 

@@ -498,6 +498,34 @@ def test_unknown_quantification_or_non_finite_set_or_phi_is_a_config_error(cfg, 
     assert f"configuration error: {message}\n" in capsys.readouterr().err
 
 
+NON_FINITE = "coordinates must be finite, got"
+REFUSED_POINTS = [
+    ("starts-nan", dict(INTERVAL, starts={"explicit": [[[NAN], [-1.5]]]}), (),
+     f"starts.explicit[0][0]: {NON_FINITE} [nan]"),
+    ("starts-sparse-inf", dict(INTERVAL, starts={"explicit": [[[1.5], [-1.5]],
+                                                              [[1.5], {"0": -INF}]]}), (),
+     f"starts.explicit[1][1]: {NON_FINITE} {{'0': -inf}}"),
+    ("candidates-nan", dict(INTERVAL, candidates=[[[1.0], [-1.0]], [[NAN], [-1.0]]]), (),
+     f"candidates[1][0]: {NON_FINITE} [nan]"),
+    ("--x-nan", INTERVAL, ("--x", "[NaN]", "--y", "[-1]"), f"--x: {NON_FINITE} [nan]"),
+    ("--y-inf", INTERVAL, ("--x", "[1]", "--y", "[-Infinity]"), f"--y: {NON_FINITE} [-inf]"),
+]
+
+
+@pytest.mark.parametrize("cfg,extra,message", [c[1:] for c in REFUSED_POINTS],
+                         ids=[c[0] for c in REFUSED_POINTS])
+def test_non_finite_start_or_candidate_is_a_config_error(cfg, extra, message, tmp_path, capsys):
+    # a NaN start used to fail only as an unusable start, a NaN candidate as a
+    # rejected one (exit 1), and certify --x '[NaN]' printed a NaN residual
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    command = "certify" if extra else "run"
+    assert main([command, str(path), "--out", str(tmp_path / "out"), *extra]) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: {message}\n" in captured.err
+    assert "NaN" not in captured.out
+
+
 def test_integral_floats_load_as_integers(tmp_path):
     cfg = dict(INTERVAL, seed=7.0, checks=[{"name": "cyclic_invariance", "samples": 50.0}])
     path = tmp_path / "ok.json"
@@ -522,10 +550,15 @@ def test_a_check_that_checks_nothing_is_inconclusive(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # determinism
 
-def run_subprocess(config, outdir, hash_seed, seed_args=()):
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+def child_env():
     # the child imports proxcycle from this checkout, installed or not
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_subprocess(config, outdir, hash_seed, seed_args=()):
+    env = dict(child_env(), PYTHONHASHSEED=str(hash_seed))
     proc = subprocess.run(
         [sys.executable, "-m", "proxcycle.cli", "run", str(config),
          "--out", str(outdir), *seed_args],
@@ -535,6 +568,28 @@ def run_subprocess(config, outdir, hash_seed, seed_args=()):
 
 def dir_bytes(d):
     return {p.name: p.read_bytes() for p in sorted(Path(d).iterdir())}
+
+
+def test_python_dash_m_proxcycle_runs_the_cli(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxcycle", "run", str(CONFIGS / "overlap.json"),
+         "--out", str(tmp_path / "m")], capture_output=True, env=child_env(), cwd=str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run", str(CONFIGS / "overlap.json"), "--out", str(tmp_path / "main")]) == 0
+    assert dir_bytes(tmp_path / "m") == dir_bytes(tmp_path / "main")
+
+
+def test_a_run_without_hulls_or_interleaved_does_not_import_numpy(tmp_path):
+    # numpy's import is about half of a shipped run's wall time; only hull
+    # sets, the interleaved diagnostic and Trajectory.values need it
+    code = ("import sys\n"
+            "from proxcycle.cli import main\n"
+            f"assert main(['run', {str(CONFIGS / 'overlap.json')!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), cwd=str(ROOT))
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", ["l1_kannan.json", "interval.json"])

@@ -5,8 +5,11 @@ each step while alternating sign, so points, t values and gaps all have
 dyadic closed forms that survive float arithmetic exactly.  Those are
 frozen below and double as the oracle for the CSV export.
 """
+import gc
+import hashlib
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -44,7 +47,7 @@ from proxcycle import (
     trajectory_to_csv,
 )
 from proxcycle import iterate
-from proxcycle.maps import row_form
+from proxcycle.maps import RowEvaluator, row_form
 from proxcycle.report import CheckReport, Violation
 
 INTERVAL = builtin("interval_contraction")
@@ -476,6 +479,14 @@ def test_run_matches_the_vector_reference(space, offset):
         ns = range(first, 25, 2)
         assert list(gx) == [norm(space, points[n].first - points[n - 2].first) for n in ns]
         assert list(gy) == [norm(space, points[n].second - points[n - 2].second) for n in ns]
+    # diagnose_cauchy measures the buffer's rows; its spreads are pair_distance's
+    spread = {}
+    for label, first in (("even", 0), ("odd", 1)):
+        tail = points[first::2][-10:]
+        spread[label] = max(pair_distance(space, p, q)
+                            for i, p in enumerate(tail) for q in tail[i + 1:])
+    assert diagnose_cauchy(traj).detail == (f"even spread = {spread['even']!r}, "
+                                            f"odd spread = {spread['odd']!r}")
 
 
 ROW_RUNS = {
@@ -541,6 +552,51 @@ def test_from_points_round_trips_sequence_supports():
     assert traj.values.tolist() == [[[0.0, 1.5, 0.0], [0.0, 0.0, 0.0]],
                                     [[-2.0, 0.25, 0.0], [0.0, 0.0, 3.0]]]
     assert tuple(traj.points) == points
+
+
+TWO_MODES = [NormedSpaceSpec("l2", "dense", 3), NormedSpaceSpec("l1", "sequence", None)]
+# sha256 of values.tobytes() for the wobble runs below, as the (n, 2, k) array
+# that run built before the points moved to one flat buffer gave it
+VALUES_SHA256 = {
+    "dense": "acb697c5e545804e4a6979cbeccae4aa2ef9b6a78adf324a7c6586ba73005975",
+    "sequence": "f8943e43fb1f8d36ce6924b141e2ef4a843e1af85c85ca5a2586ad5c60a5bf5f",
+}
+
+
+@pytest.mark.parametrize("space", TWO_MODES, ids=lambda s: s.mode)
+def test_values_is_a_read_only_view_of_the_flat_buffer(space):
+    traj = run(wobble_map(space, 2.5), *wobble_start(space, 2.5, seed=1), WOBBLE)
+    values = traj.values
+    assert values is traj.values and values.shape == (25, 2, len(traj.index))
+    assert values.ctypes.data == traj.flat.buffer_info()[0]  # no copy
+    with pytest.raises(ValueError):
+        values[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        values.flags.writeable = True
+    assert hashlib.sha256(values.tobytes()).hexdigest() == VALUES_SHA256[space.mode]
+
+
+def test_a_row_of_the_wrong_length_is_refused():
+    # a row form that drops a coordinate would shift every later row of the buffer
+    space = NormedSpaceSpec("l1", "dense", 2)
+    T = CyclicMapSpec("short_rows", space, Box((1.0, 1.0), (2.0, 2.0)),
+                      Box((-2.0, -2.0), (-1.0, -1.0)),
+                      RowEvaluator(lambda rx, ry, side: [1.5 if side == "BA" else -1.5], 2))
+    with pytest.raises(ValueError, match="two rows of len\\(index\\) floats per point"):
+        run(T, Vector.dense([1.5, 1.5]), Vector.dense([-1.5, -1.5]), WOBBLE)
+
+
+@pytest.mark.parametrize("space", TWO_MODES, ids=lambda s: s.mode)
+def test_a_read_trajectory_is_freed_without_the_cycle_collector(space):
+    traj = run(wobble_map(space, 2.5), *wobble_start(space, 2.5, seed=1), WOBBLE)
+    gc.disable()
+    try:
+        traj.points[0], traj.final_even_point(), diagnose_cauchy(traj), traj.values
+        ref = weakref.ref(traj)
+        del traj
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
