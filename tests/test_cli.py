@@ -515,8 +515,8 @@ REFUSED_POINTS = [
 @pytest.mark.parametrize("cfg,extra,message", [c[1:] for c in REFUSED_POINTS],
                          ids=[c[0] for c in REFUSED_POINTS])
 def test_non_finite_start_or_candidate_is_a_config_error(cfg, extra, message, tmp_path, capsys):
-    # a NaN start used to fail only as an unusable start, a NaN candidate as a
-    # rejected one (exit 1), and certify --x '[NaN]' printed a NaN residual
+    # otherwise a NaN candidate is merely rejected (exit 1, "violations found"),
+    # and certify prints a NaN residual, which is not strict JSON
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     command = "certify" if extra else "run"

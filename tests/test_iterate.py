@@ -555,8 +555,8 @@ def test_from_points_round_trips_sequence_supports():
 
 
 TWO_MODES = [NormedSpaceSpec("l2", "dense", 3), NormedSpaceSpec("l1", "sequence", None)]
-# sha256 of values.tobytes() for the wobble runs below, as the (n, 2, k) array
-# that run built before the points moved to one flat buffer gave it
+# sha256 of values.tobytes() for the wobble runs below, pinned from the numpy
+# array run built from its row list, so the buffer must hold the same floats
 VALUES_SHA256 = {
     "dense": "acb697c5e545804e4a6979cbeccae4aa2ef9b6a78adf324a7c6586ba73005975",
     "sequence": "f8943e43fb1f8d36ce6924b141e2ef4a843e1af85c85ca5a2586ad5c60a5bf5f",
