@@ -6,15 +6,18 @@ finitely generated).  Distances come from a declared analytic value,
 an exact non-negative least-squares (NNLS) solve for l2, or a multi-start
 projected subgradient descent for l1/linf, flagged approximate.
 
-Hull membership is the same NNLS solve.  Containment in a hull is norm
-independent, so it is always decided in l2 coordinates regardless of the
-space's declared norm.  Only the solvers import numpy.
+Hull membership is the same NNLS solve, on vertices packed once per hull.
+A step is one least-squares solve with each sum-to-one constraint eliminated
+at a reference column, and the residual is measured directly, not through a
+Gram matrix.  Containment in a hull is norm independent, so it is always
+decided in l2 coordinates.  Only the solvers import numpy.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from operator import le
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -62,6 +65,11 @@ class Hull:
         for v in self.vertices:
             if not all(math.isfinite(x) for _, x in v.coords):
                 raise SetsError(f"hull vertex coordinates must be finite, got {dict(v.coords)}")
+
+    @cached_property
+    def packed(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """space.pack of the vertices over their own support, once per hull."""
+        return pack(self.vertices, NormedSpaceSpec(mode="sequence", dimension=None))
 
 
 @dataclass(frozen=True)
@@ -122,51 +130,56 @@ def check_set(S: ConvexSet, space: NormedSpaceSpec) -> None:
 
 def _nnls(C: np.ndarray, group: np.ndarray):
     """Iterates of min ||C z|| over z >= 0 whose entries in each group sum
-    to one, by the active-set method of Lawson and Hanson (Solving
-    Least Squares Problems, 1974, ch. 23).
+    to one, by the active-set method of Lawson and Hanson (Solving Least
+    Squares Problems, 1974, ch. 23).
 
-    Starts from the first entry of each group.  Each step frees the fixed
-    entry whose dual value -C^T C z most exceeds its group's multiplier
-    (the mean over the group's free entries), then moves toward the
-    least-squares point over the free entries, fixing at zero each one
-    that would turn negative; the projection P keeps the group sums.
-    Yields each iterate, all feasible; the last is the solution.  Stops
-    when no entry gains or the residual stops falling.
+    Starts from each group's first entry, its reference.  Each step frees
+    the fixed entry whose dual value -C^T C z most exceeds its reference's,
+    then moves toward the least-squares point over the free entries, fixing
+    at zero each one that would turn negative.  A change of a free entry is
+    taken back at its reference, keeping the group sums, so the move is one
+    least-squares solve over the columns less their reference's.  Yields
+    each iterate z, all feasible, with its residual C z; the last is the
+    solution.  Stops when no entry gains or the residual stops falling.
     """
     import numpy as np
-    free = np.zeros(len(group), dtype=bool)
-    free[np.unique(group, return_index=True)[1]] = True
+    entry = np.arange(len(group))
+    ref = np.argmax(group == group[:, None], axis=1)  # each entry's reference
+    free = ref == entry
     z = free.astype(float)
-    resid = float(np.linalg.norm(C @ z))
-    yield z
+    y = C @ z
+    resid = y @ y
+    yield z, y
     for _ in range(3 * len(z)):
-        dual = -C.T @ (C @ z)
-        gain = dual - (np.bincount(group, dual * free) / np.bincount(group, free))[group]
+        grad = C.T @ y
+        gain = grad[ref] - grad
         gain[free] = -np.inf
-        j = int(np.argmax(gain))
+        j = int(gain.argmax())
         if gain[j] <= 0.0:
             return
         free[j] = True
         while True:
-            F = np.flatnonzero(free)
-            g = group[F]
-            P = np.eye(len(F)) - (g[:, None] == g[None, :]) / np.bincount(g)[g]
+            F = np.flatnonzero(free & (ref != entry))
+            t = np.linalg.lstsq(C[:, F] - C[:, ref[F]], y, rcond=None)[0]
             s = z.copy()
-            s[F] -= P @ np.linalg.lstsq(C[:, F] @ P, C @ z, rcond=None)[0]
+            s[F] -= t
+            np.add.at(s, ref[F], t)
             neg = free & (s < 0.0)
             if not neg.any():
                 break
             ratio = np.full(len(z), np.inf)
             ratio[neg] = z[neg] / (z[neg] - s[neg])
-            k = int(np.argmin(ratio))
+            k = int(ratio.argmin())
             z = np.maximum(z + ratio[k] * (s - z), 0.0)
             z[k], free[k] = 0.0, False
-        z = s
-        now = float(np.linalg.norm(C @ z))
-        if now >= resid:
+            if ref[k] == k:  # hand over to the group's largest free entry
+                ref[ref == k] = np.where(free & (ref == k), z, -1.0).argmax()
+            y = C @ z
+        z, y = s, C @ s
+        if y @ y >= resid:
             return
-        resid = now
-        yield z
+        resid = y @ y
+        yield z, y
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +194,11 @@ def _in_hull(V: np.ndarray, x: np.ndarray, tol: float) -> bool:
     """
     import numpy as np
     D = V - x
-    for w in _nnls(D.T, np.zeros(len(D), dtype=int)):
-        r = w @ D
-        gap = float(np.linalg.norm(r))
+    for _, r in _nnls(D.T, np.zeros(len(D), dtype=np.intp)):
+        gap = math.sqrt(r @ r)
         if gap <= tol:
             return True
-        if float(np.min(D @ r)) > tol * gap:
+        if (D @ r).min() > tol * gap:
             return False
     return False
 
@@ -194,23 +206,36 @@ def _in_hull(V: np.ndarray, x: np.ndarray, tol: float) -> bool:
 def contains(S: ConvexSet, space: NormedSpaceSpec, v: Vector, tol: float = TOL_NUM) -> bool:
     """Membership of v in S within slack tol."""
     space.validate(v)
-    if isinstance(S, Box):
-        return member_test(S, space, tol)(v.dense_values(space.dimension))
-    if isinstance(S, Hull):
-        arr, _ = pack([*S.vertices, v], space)
-        return _in_hull(arr[:-1], arr[-1], tol)
-    return bool(S.member(v, tol))
+    return member_test(S, space, tol)(v.dense_values(space.dimension) if space.mode == "dense"
+                                      else v)
 
 
 def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[Any], bool]:
     """Membership in S within tol of the vector with the given row
-    (space.row_kernel), as contains decides it."""
-    if not isinstance(S, Box):
+    (space.row_kernel), as contains decides it.  Off a hull's vertex support,
+    a row's coordinates are one direction orthogonal to the hull: their norm
+    is one more coordinate, 0 at every vertex."""
+    if isinstance(S, DeclaredSet):
         vector = row_vector(space)
-        return lambda r: contains(S, space, vector(r), tol)
-    check_set(S, space)
-    lo, hi = [a - tol for a in S.lower], [b + tol for b in S.upper]
-    return lambda r: all(map(le, lo, r)) and all(map(le, r, hi))
+        return lambda r: bool(S.member(vector(r), tol))
+    if isinstance(S, Box):
+        check_set(S, space)
+        lo, hi = [a - tol for a in S.lower], [b + tol for b in S.upper]
+        return lambda r: all(map(le, lo, r)) and all(map(le, r, hi))
+    import numpy as np
+    V, index = S.packed
+    if space.mode == "dense" and index and index[-1] >= space.dimension:
+        check_set(S, space)  # raises DimensionMismatch for a vertex outside the space
+    if space.mode == "dense" and len(index) == space.dimension:
+        return lambda r: _in_hull(V, np.array(r), tol)
+    V = np.hstack([V, np.zeros((len(V), 1))])
+
+    def test(r) -> bool:
+        rest = dict(enumerate(r) if space.mode == "dense" else r.coords)
+        x = [rest.pop(j, 0.0) for j in index]
+        return _in_hull(V, np.array([*x, math.hypot(*rest.values())]), tol)
+
+    return test
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +317,7 @@ def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     import numpy as np
     index, pa, pb = _prepare_pair(A, B, space, "nnls")
     (Ca, ga), (Cb, gb) = _cone(*pa), _cone(*pb)
-    *_, z = _nnls(np.hstack([Ca, -Cb]), np.concatenate([ga, gb + ga.max() + 1]))
+    *_, (z, _) = _nnls(np.hstack([Ca, -Cb]), np.concatenate([ga, gb + ga.max() + 1]))
     a, b = Ca @ z[:len(ga)], Cb @ z[len(ga):]
     value = float(np.linalg.norm(a - b))
     return value, ProximalWitness(unpack(a.tolist(), index), unpack(b.tolist(), index), value)

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from proxcycle import (
+    CyclicMapSpec,
     DimensionMismatch,
     NormedSpaceSpec,
     SetsError,
+    StopRule,
     Vector,
     basis,
     contains,
@@ -24,11 +26,12 @@ from proxcycle import (
     l1_example_sets,
     norm,
     paired_block_hull,
+    run,
     sample,
 )
-from proxcycle.sets import (Box, DeclaredDistance, Hull, ProximalWitness, _simplex_weights,
-                            member_test)
-from proxcycle.space import row_kernel
+from proxcycle.sets import (Box, DeclaredDistance, Hull, ProximalWitness, _cone, _nnls,
+                            _prepare_pair, _simplex_weights, member_test)
+from proxcycle.space import TOL_NUM, pack_flat, row_kernel
 
 L1_SEQ = NormedSpaceSpec("l1", "sequence", None)
 R1 = NormedSpaceSpec("l2", "dense", 1)
@@ -69,6 +72,40 @@ def test_sampled_points_are_members():
             assert contains(S, sp, v)
 
 
+def assert_feasible_descent(C, group):
+    """Every _nnls iterate is feasible, with each group summing to one, and
+    its residual |C z| never rises."""
+    resid = np.inf
+    for z, y in _nnls(C, group):
+        assert (z >= 0.0).all()
+        assert np.abs(np.bincount(group, z) - 1.0).max() <= 1e-12
+        assert np.array_equal(y, C @ z)
+        assert np.linalg.norm(y) <= resid
+        resid = np.linalg.norm(y)
+
+
+def assert_membership_verdicts(V, rng):
+    """Members, one with a weight of 1e-3, are accepted; points pushed 10 tol
+    and 0.1 past a supporting hyperplane are not; _nnls stays feasible."""
+    k, d = V.shape
+    hull = Hull(tuple(Vector.dense(v) for v in V))
+    sp = NormedSpaceSpec("l2", "dense", d)
+    members, outside = [], []
+    for _ in range(4):
+        w = rng.dirichlet(np.ones(k))
+        if k > 1:
+            w = np.r_[1e-3, (1.0 - 1e-3) * w[1:] / w[1:].sum()]
+        members.append(w @ V)
+        z = rng.standard_normal(d)
+        z /= np.linalg.norm(z)
+        base = rng.dirichlet(np.ones(k)) @ V
+        for push in (10 * TOL_NUM, 0.1):
+            outside.append(base + (float(np.max(V @ z)) - float(base @ z) + push) * z)
+    for x, want in [(x, True) for x in members] + [(x, False) for x in outside]:
+        assert contains(hull, sp, Vector.dense(x)) is want, (x, want)
+        assert_feasible_descent((V - x).T, np.zeros(k, dtype=np.intp))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 20])
 def test_members_of_offset_hulls_are_accepted(d):
     # vertices about 2 from the origin, where rounding in a Gram-matrix
@@ -80,6 +117,58 @@ def test_members_of_offset_hulls_are_accepted(d):
         sp = NormedSpaceSpec("l2", "dense", d)
         for v in sample(hull, sp, 25, seed=trial):
             assert contains(hull, sp, v)
+        assert_membership_verdicts(V, rng)
+
+
+DEGENERATE_HULLS = {
+    "repeated-vertex": np.array([[2.0, 1.5, 2.5], [1.0, 2.0, 2.0], [2.0, 1.5, 2.5],
+                                 [2.5, 2.5, 1.0]]),
+    "collinear-3d": np.array([2.0, 1.5, 1.0]) + np.outer([0.0, 0.3, 1.1, 1.7], [0.6, -0.8, 0.5]),
+    "one-vertex": np.array([[1.0, -2.0, 0.5, 1.5, 0.25]]),
+    "more-than-d-plus-1": 2.0 + 0.5 * np.random.default_rng(3).standard_normal((30, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_HULLS))
+def test_degenerate_hull_membership(name):
+    assert_membership_verdicts(DEGENERATE_HULLS[name], np.random.default_rng(len(name)))
+
+
+def test_nnls_iterates_of_a_distance_stay_feasible():
+    # several groups: a box's coordinates and a hull's weights
+    rng = np.random.default_rng(5)
+    hull = Hull(tuple(Vector.dense(v) for v in 2.0 + 0.5 * rng.standard_normal((7, 4))))
+    box = Box((-1.0, -2.0, 0.0, -3.0), (0.0, -1.0, 0.5, -2.0))
+    sp = NormedSpaceSpec("l2", "dense", 4)
+    _, pa, pb = _prepare_pair(hull, box, sp, "nnls")
+    (Ca, ga), (Cb, gb) = _cone(*pa), _cone(*pb)
+    assert_feasible_descent(np.hstack([Ca, -Cb]), np.concatenate([ga, gb + ga.max() + 1]))
+
+
+def test_hull_vertices_are_packed_once(monkeypatch):
+    packs = []
+
+    def spy(vectors, sp):
+        packs.append(tuple(vectors))
+        return pack_flat(vectors, sp)
+
+    monkeypatch.setattr("proxcycle.space.pack_flat", spy)
+    tri = Hull((Vector.dense([0.0, 0.0]), Vector.dense([1.0, 0.0]), Vector.dense([0.0, 1.0])))
+    assert contains(tri, R2, Vector.dense([0.2, 0.3]))
+    packs.clear()
+    for v in sample(tri, R2, 10, seed=1):
+        assert contains(tri, R2, v)
+    assert not contains(tri, R2, Vector.dense([0.9, 0.9]))
+    assert packs == []
+
+    A = Hull((Vector.dense([1.0, 0.5]), Vector.dense([2.0, 1.0]), Vector.dense([1.5, 2.0])))
+    B = Hull(tuple(-v for v in A.vertices))
+    T = CyclicMapSpec("negate", R2, A, B, lambda x, y, side: -x)
+    x0 = sample(A, R2, 1, seed=2)[0]
+    traj = run(T, x0, -x0, StopRule(50, None, None))
+    assert traj.n_points == 51
+    for S in (A, B):
+        assert sum(vs[:len(S.vertices)] == S.vertices for vs in packs) <= 1
 
 
 def test_hull_vertex_outside_the_space_is_refused():
@@ -332,3 +421,19 @@ def test_member_test_on_rows_is_contains(name):
         want = k <= 1.0 if inward_in else abs(k) <= 1.0
         assert contains(S, space, v, MEMBER_TOL) is want, k
         assert inside(row(v)) is want, k
+
+
+@pytest.mark.parametrize("mode,off", [("sequence", 7), ("dense", 0)])
+def test_query_off_the_vertex_support(mode, off):
+    # the hull lies on coordinates 1 and 2; a step of k tol along coordinate
+    # off leaves each point at distance k tol from it
+    sp = NormedSpaceSpec("l2", mode, 3 if mode == "dense" else None)
+    hull = Hull((Vector.from_map({1: 1.0}), Vector.from_map({2: 2.0}),
+                 Vector.from_map({1: 2.0, 2: 2.0})))
+    row, _ = row_kernel(sp)
+    inside = member_test(hull, sp, MEMBER_TOL)
+    for base in ({1: 1.0}, {1: 0.5, 2: 1.0}, {1: 1.5, 2: 1.5}):
+        for k, want in ((0.5, True), (2.0, False)):
+            v = Vector.from_map({**base, off: k * MEMBER_TOL})
+            assert contains(hull, sp, v, MEMBER_TOL) is want, (base, k)
+            assert inside(row(v)) is want, (base, k)
