@@ -5,8 +5,10 @@ writes for each shipped config, at the config's own seed and at
 --seed 0, 1 and 101, and of the trace of a dense box-pair contraction at d = 8
 (every shipped config is 1-D or in sequence mode).  Also pins what `run`
 prints for the two negative controls, whose violation lines carry witness
-text, with the line naming the summary's path left out.  A change that
-alters any byte of these must update the digests on purpose.
+text, with the line naming the summary's path left out, and what `certify`
+prints, with its exit code, for an accepted candidate and a residual miss
+on three configs.  A change that alters any byte of these must update the
+digests on purpose.
 """
 import hashlib
 import math
@@ -186,6 +188,30 @@ def test_negative_control_stdout_is_byte_identical(name, seed, tmp_path, capsys)
     lines = capsys.readouterr().out.splitlines(keepends=True)
     kept = "".join(ln for ln in lines if not ln.startswith("summary written to "))
     assert hashlib.sha256(kept.encode()).hexdigest() == STDOUT[name, seed]
+
+
+CERTIFY = {
+    ("interval.json", "[1.0]", "[-1.0]"):
+        (0, "d89eb0890ff125cb7c5719a9ecb0a4a9a8e5ce6a8af1d8b509adaaaefb257542"),
+    ("interval.json", "[1.5]", "[-1.2]"):
+        (1, "9b4b0892e8a9f7c4e6712be0fbe82e95595196d0986c3819bfc3481fa838e2e1"),
+    ("overlap.json", "[0.0]", "[0.0]"):
+        (0, "d5d145ad3774a3d03dfabc53672f2395cb2f3e1ae11ce6ac37a4c1519b1542db"),
+    ("overlap.json", "[0.5]", "[0.2]"):
+        (1, "0a4e071ba15d248f277248705acdac9958a2af5a0d5c8bbbebe6d4cafa33b182"),
+    ("l1_kannan.json", '{"1": 1, "2": 1}', '{"2": 1, "3": 1}'):
+        (0, "871167a9f4d25f0625262318ee9de365e8b3232e0b31ae2cb7901bf786725f84"),
+    ("l1_kannan.json", '{"1": 0.25, "2": 0.25, "5": 0.75, "6": 0.75}', '{"2": 1, "3": 1}'):
+        (1, "ff7f6a067fa3b45d1c664c5cc8bb172e3fd207125a9b061a821ccc78b0831152"),
+}
+
+
+@pytest.mark.parametrize("name,x,y", sorted(CERTIFY), ids=str)
+def test_certify_stdout_and_exit_code_are_byte_identical(name, x, y, tmp_path, capsys):
+    code = main(["certify", str(CONFIGS / name), "--x", x, "--y", y,
+                 "--out", str(tmp_path / "out")])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == CERTIFY[name, x, y]
 
 
 def box_pair_map(d, kappa):
