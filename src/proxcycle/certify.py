@@ -10,7 +10,8 @@ A start that already certifies is kept as its own limit rather than its
 run's limit: the iteration is a search procedure, and a found point is
 found.  This matters for maps whose solution set is larger than the
 attractor of the iteration, where limits alone would hide the
-non-uniqueness.
+non-uniqueness.  certify and second_iterate_check take T on space.row_kernel
+rows through maps.row_map, the package's one evaluation path.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .iterate import TOL_STOP, StopRule, Trajectory, run
-from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, coupled_image, eval_map
+from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, row_map
 from .report import (
     FAILED,
     NOT_APPLICABLE,
@@ -29,15 +30,8 @@ from .report import (
     render_vector,
 )
 from .sets import ConvexSet, DeclaredDistance, contains, dist as set_dist
-from .space import (
-    TOL_NUM,
-    ModulusUnavailable,
-    NormedSpaceSpec,
-    ProductPoint,
-    Vector,
-    norm,
-    pair_distance,
-)
+from .space import (TOL_NUM, ModulusUnavailable, NormedSpaceSpec, ProductPoint, Vector,
+                    pair_distance, row_kernel, row_vector)
 
 VERDICT_BPP = "coupled_bpp"
 VERDICT_FIXED = "coupled_fixed_point"
@@ -91,15 +85,14 @@ def certify(T: CyclicMapSpec, candidate: ProductPoint, d: float | None = None,
     d = T.declared_dist if d is None else d
     if d is None:
         raise CertifyError("certification needs the pair distance")
-    x, y = candidate.first, candidate.second
-    if not contains(T.A, T.space, x, tol):
-        return Certificate(candidate, float("nan"), float("nan"), d,
-                           VERDICT_REJECTED, tol, reason="x is not in the A set")
-    if not contains(T.B, T.space, y, tol):
-        return Certificate(candidate, float("nan"), float("nan"), d,
-                           VERDICT_REJECTED, tol, reason="y is not in the B set")
-    rx = norm(T.space, x - eval_map(T, x, y, SIDE_AB, check_domain=False))
-    ry = norm(T.space, y - eval_map(T, y, x, SIDE_BA, check_domain=False))
+    for v, S, reason in ((candidate.first, T.A, "x is not in the A set"),
+                         (candidate.second, T.B, "y is not in the B set")):
+        if not contains(S, T.space, v, tol):
+            return Certificate(candidate, float("nan"), float("nan"), d,
+                               VERDICT_REJECTED, tol, reason=reason)
+    f, (row, gap) = row_map(T), row_kernel(T.space)
+    x, y = row(candidate.first), row(candidate.second)
+    rx, ry = gap(x, f(x, y, SIDE_AB)), gap(y, f(y, x, SIDE_BA))
     miss = max(abs(rx - d), abs(ry - d))
     if miss <= tol:
         verdict = VERDICT_FIXED if d <= tol else VERDICT_BPP
@@ -208,14 +201,15 @@ def second_iterate_check(T: CyclicMapSpec, candidate: ProductPoint,
     if not T.space.modulus_available:
         return CheckReport("second_iterate", 0, status=NOT_APPLICABLE,
                            detail=f"{T.space.norm} has no convexity modulus")
-    p1 = coupled_image(T, candidate, SIDE_AB)
-    p2 = coupled_image(T, p1, SIDE_BA)
-    dx = norm(T.space, p2.first - candidate.first)
-    dy = norm(T.space, p2.second - candidate.second)
+    f, (row, gap), vector = row_map(T), row_kernel(T.space), row_vector(T.space)
+    x, y = row(candidate.first), row(candidate.second)
+    x1, y1 = f(x, y, SIDE_AB), f(y, x, SIDE_BA)
+    x2, y2 = f(x1, y1, SIDE_BA), f(y1, x1, SIDE_AB)
+    dx, dy = gap(x2, x), gap(y2, y)
     violations = [
-        Violation((render_pair(candidate), render_vector(got)), err, tol, err - tol,
+        Violation((render_pair(candidate), render_vector(vector(got))), err, tol, err - tol,
                   note=f"second iterate moved the {label} component")
-        for label, err, got in (("x", dx, p2.first), ("y", dy, p2.second))
+        for label, err, got in (("x", dx, x2), ("y", dy, y2))
         if err > tol
     ]
     status = PASSED if not violations else FAILED

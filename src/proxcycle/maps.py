@@ -3,10 +3,11 @@
 A cyclic map sends A x B into B and B x A into A.  The checkers sample
 point pairs and test the contraction-style inequalities that the
 iteration and certification layers rely on; each returns a CheckReport
-whose violations carry printable witnesses.  run and the checkers take T
-through native_form, its one evaluation path: a RowEvaluator runs on
-coordinate rows, any other evaluator on Vectors, each image becoming a
-row once; distances and set tests then see rows only.
+whose violations carry printable witnesses.  T is evaluated one way,
+native_form: a RowEvaluator runs on coordinate rows, any other evaluator
+on Vectors, each image becoming a row once.  run takes it as it is; the
+checkers and certify take row_map, T on rows.  eval_map (domain-checked),
+coupled_image and displacement are the public Vector API, not called here.
 """
 from __future__ import annotations
 
@@ -149,18 +150,17 @@ class CyclicMapSpec:
 
 
 def eval_map(T: CyclicMapSpec, x: Vector, y: Vector, side: str,
-             tol: float = TOL_NUM, check_domain: bool = True) -> Vector:
+             tol: float = TOL_NUM) -> Vector:
     """Evaluate T(x, y) on the given side.
 
     side "AB" requires (x, y) in A x B, side "BA" requires (x, y) in B x A.
     Image membership is not re-verified here; see check_cyclic_invariance.
     """
-    if check_domain:
-        SX, SY = T.domain_sets(side)
-        if not contains(SX, T.space, x, tol):
-            raise DomainError(f"{render_vector(x)} not in the {side[0]} set")
-        if not contains(SY, T.space, y, tol):
-            raise DomainError(f"{render_vector(y)} not in the {side[1]} set")
+    SX, SY = T.domain_sets(side)
+    if not contains(SX, T.space, x, tol):
+        raise DomainError(f"{render_vector(x)} not in the {side[0]} set")
+    if not contains(SY, T.space, y, tol):
+        raise DomainError(f"{render_vector(y)} not in the {side[1]} set")
     return T.evaluator(x, y, side)
 
 
@@ -181,12 +181,17 @@ def native_form(T: CyclicMapSpec) -> tuple[Callable, Callable[[Vector], list] | 
     return T.evaluator, None if T.space.mode == "sequence" else row_kernel(T.space)[0]
 
 
+def row_map(T: CyclicMapSpec) -> Callable[[Any, Any, str], Any]:
+    """T on row_kernel rows, f(rx, ry, side): native_form's f if its images are
+    rows already, else the Vector evaluator wrapped once."""
+    (f, to_row), vector = native_form(T), row_vector(T.space)
+    return f if to_row is None else lambda rx, ry, side: to_row(f(vector(rx), vector(ry), side))
+
+
 def coupled_image(T: CyclicMapSpec, p: ProductPoint, side: str) -> ProductPoint:
     """(T(x, y), T(y, x)) for p = (x, y) on the given side."""
-    return ProductPoint(
-        eval_map(T, p.first, p.second, side, check_domain=False),
-        eval_map(T, p.second, p.first, flip_side(side), check_domain=False),
-    )
+    return ProductPoint(T.evaluator(p.first, p.second, side),
+                        T.evaluator(p.second, p.first, flip_side(side)))
 
 
 def displacement(T: CyclicMapSpec, p: ProductPoint, side: str) -> float:
@@ -212,15 +217,13 @@ class _Probe:
     """One checker call's points, each piece of work done once: each (set,
     seed) sample stream is drawn once and serves shorter requests as its
     prefix, and each (side, seed) draw keeps its points and their images.
-    f(rx, ry, side) is T on rows; a Vector evaluator is wrapped once."""
+    f(rx, ry, side) is T on rows, row_map(T)."""
 
     def __init__(self, T: CyclicMapSpec):
         self.T = T
         self.row, self.gap = row_kernel(T.space)
-        self.vector = vector = row_vector(T.space)
-        f, to_row = native_form(T)
-        self.f = f if to_row is None else (
-            lambda rx, ry, side: to_row(f(vector(rx), vector(ry), side)))
+        self.vector = row_vector(T.space)
+        self.f = row_map(T)
         self._streams: dict[tuple[int, int], list] = {}
         self._sides: dict[tuple[str, int], list[_Point]] = {}
 
