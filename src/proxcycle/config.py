@@ -43,7 +43,7 @@ from .maps import (
 )
 from .report import INCONCLUSIVE, CheckReport, Violation, conclude, merge_reports
 from .sets import Box, ConvexSet, Hull, SetsError, check_set, sample
-from .space import TOL_NUM, ProductPoint, SpaceError, Vector
+from .space import TOL_NUM, NormedSpaceSpec, ProductPoint, SpaceError, Vector
 
 
 class ConfigError(ValueError):
@@ -99,18 +99,20 @@ def parse_vector(obj: Any) -> Vector:
     raise ConfigError(f"a vector must be an index->value map or a list, got {obj!r}")
 
 
-def parse_point(obj: Any, key: str) -> Vector:
-    """parse_vector, with a non-finite coordinate a ConfigError naming key."""
+def parse_point(obj: Any, key: str, space: NormedSpaceSpec) -> Vector:
+    """parse_vector, with a non-finite coordinate or one outside space a
+    ConfigError naming key."""
     v = parse_vector(obj)
     if not all(math.isfinite(x) for _, x in v.coords):
         raise ConfigError(f"{key}: coordinates must be finite, got {obj!r}")
+    _given(space.validate, v, key)
     return v
 
 
-def parse_pair(obj: Any, key: str) -> tuple[Vector, Vector]:
+def parse_pair(obj: Any, key: str, space: NormedSpaceSpec) -> tuple[Vector, Vector]:
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ConfigError(f"a point pair must be a two-element list, got {obj!r}")
-    return parse_point(obj[0], f"{key}[0]"), parse_point(obj[1], f"{key}[1]")
+    return parse_point(obj[0], f"{key}[0]", space), parse_point(obj[1], f"{key}[1]", space)
 
 
 def parse_set(obj: Any) -> ConvexSet:
@@ -367,7 +369,8 @@ def _resolve_starts(obj: Any, T: CyclicMapSpec, default_seed: int) -> list[tuple
     if obj is None:
         return []
     if isinstance(obj, dict) and "explicit" in obj:
-        return [parse_pair(p, f"starts.explicit[{i}]") for i, p in enumerate(obj["explicit"])]
+        return [parse_pair(p, f"starts.explicit[{i}]", T.space)
+                for i, p in enumerate(obj["explicit"])]
     if isinstance(obj, dict) and "count" in obj:
         n = _given(_count, obj["count"], "starts.count")
         seed = _given(_integer, obj.get("seed", default_seed), "starts.seed")
@@ -433,7 +436,7 @@ def parse_config(raw: dict, seed_override: int | None = None,
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad starts: {exc}") from exc
-    candidates = [parse_pair(p, f"candidates[{i}]")
+    candidates = [parse_pair(p, f"candidates[{i}]", T.space)
                   for i, p in enumerate(raw.get("candidates", []))]
 
     return ExperimentConfig(

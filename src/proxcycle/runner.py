@@ -109,7 +109,7 @@ def _say_report(rep: CheckReport, say: Callable[[str], None]) -> None:
 def run_certify_command(cfg: ExperimentConfig, x_obj, y_obj,
                         say: Callable[[str], None] = print) -> int:
     """Certify a single explicit candidate; exit 0 only if accepted."""
-    x, y = parse_point(x_obj, "--x"), parse_point(y_obj, "--y")
+    x, y = parse_point(x_obj, "--x", cfg.T.space), parse_point(y_obj, "--y", cfg.T.space)
     cert = certify(cfg.T, ProductPoint(x, y), tol=cfg.cert_tol)
     say(json.dumps(cert.to_json(), indent=2, sort_keys=True))
     return EXIT_OK if cert.accepted else EXIT_VIOLATION

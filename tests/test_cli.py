@@ -526,6 +526,28 @@ def test_non_finite_start_or_candidate_is_a_config_error(cfg, extra, message, tm
     assert "NaN" not in captured.out
 
 
+OUTSIDE = "index 1 out of range for dimension 1"
+OUTSIDE_POINTS = [
+    ("starts.explicit", dict(INTERVAL, starts={"explicit": [[[1.5, 2.0], [-1.5]]]}), (),
+     f"starts.explicit[0][0]: {OUTSIDE}"),
+    ("candidates", dict(INTERVAL, candidates=[[[1.5, 2.0], [-1.5]]]), (),
+     f"candidates[0][0]: {OUTSIDE}"),
+    ("--x", INTERVAL, ("--x", "[1.5, 2]", "--y", "[-1.5]"), f"--x: {OUTSIDE}"),
+]
+
+
+@pytest.mark.parametrize("cfg,extra,message", [c[1:] for c in OUTSIDE_POINTS],
+                         ids=[c[0] for c in OUTSIDE_POINTS])
+def test_point_outside_the_dense_space_is_a_config_error(cfg, extra, message, tmp_path, capsys):
+    # otherwise the first membership test raises DimensionMismatch: a traceback
+    # with exit 1, the "violations found" code
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    command = "certify" if extra else "run"
+    assert main([command, str(path), "--out", str(tmp_path / "out"), *extra]) == 2
+    assert f"configuration error: {message}\n" in capsys.readouterr().err
+
+
 def test_integral_floats_load_as_integers(tmp_path):
     cfg = dict(INTERVAL, seed=7.0, checks=[{"name": "cyclic_invariance", "samples": 50.0}])
     path = tmp_path / "ok.json"
