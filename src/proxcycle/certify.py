@@ -51,8 +51,8 @@ class PremiseNotMet(CertifyError):
 @dataclass(frozen=True)
 class Certificate:
     candidate: ProductPoint
-    residual_x: float
-    residual_y: float
+    residual_x: float | None  # None when rejected on membership, before measuring
+    residual_y: float | None
     dist_used: float
     verdict: str
     tolerance: float
@@ -88,8 +88,7 @@ def certify(T: CyclicMapSpec, candidate: ProductPoint, d: float | None = None,
     for v, S, reason in ((candidate.first, T.A, "x is not in the A set"),
                          (candidate.second, T.B, "y is not in the B set")):
         if not contains(S, T.space, v, tol):
-            return Certificate(candidate, float("nan"), float("nan"), d,
-                               VERDICT_REJECTED, tol, reason=reason)
+            return Certificate(candidate, None, None, d, VERDICT_REJECTED, tol, reason=reason)
     f, (row, gap) = row_map(T), row_kernel(T.space)
     x, y = row(candidate.first), row(candidate.second)
     rx, ry = gap(x, f(x, y, SIDE_AB)), gap(y, f(y, x, SIDE_BA))

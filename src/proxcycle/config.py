@@ -244,11 +244,12 @@ def _certify(ctx: CheckContext, name: str, pool_attr: str, tol: float) -> CheckR
                                         note="no limit produced"))
         elif cert.accepted:
             ctx.accepted.append(cert)
-        else:
-            violations.append(Violation(
-                (f"start {i}", cert.reason),
+        else:  # a rejection on membership measured no residuals
+            lhs, rhs = (1.0, 0.0) if cert.residual_x is None else (
                 max(abs(cert.residual_x - cert.dist_used), abs(cert.residual_y - cert.dist_used)),
-                cert.tolerance, 1.0, note=f"verdict {cert.verdict}"))
+                cert.tolerance)
+            violations.append(Violation((f"start {i}", cert.reason), lhs, rhs, 1.0,
+                                        note=f"verdict {cert.verdict}"))
     ctx.certifications.append({
         "name": name,
         "certificates": [None if r.certificate is None else r.certificate.to_json()

@@ -548,6 +548,41 @@ def test_point_outside_the_dense_space_is_a_config_error(cfg, extra, message, tm
     assert f"configuration error: {message}\n" in capsys.readouterr().err
 
 
+def strict_json(text):
+    """json.loads, refusing the NaN and Infinity that are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_certify_rejection_on_membership_prints_null_residuals(capsys):
+    code = main(["certify", str(CONFIGS / "l1_kannan.json"), "--x", "[1.0]", "--y", "[-1.0]"])
+    assert code == 1
+    cert = strict_json(capsys.readouterr().out)
+    assert cert["reason"] == "x is not in the A set"
+    assert cert["residual_x"] is None and cert["residual_y"] is None
+
+
+def test_limit_outside_its_set_at_cert_tol_writes_null_residuals(tmp_path):
+    # the run's tol lets the iterates converge to x = 1, just below A's lower
+    # bound; at cert_tol that limit is outside A, so no residual is measured
+    cfg = dict(BASE, map={"builtin": "interval_contraction", "sets": [
+        {"variant": "box", "lower": [1.0 + 5e-9], "upper": [2.0]}, B_BOX]},
+        tol=1e-8, cert_tol=1e-10, checks=["certify_limits"])
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    summary = strict_json((out / "summary.json").read_text())
+    SUMMARY_VALIDATOR.validate(summary)
+    cert = summary["certifications"][0]["certificates"][0]
+    assert cert["reason"] == "x is not in the A set"
+    assert cert["residual_x"] is None and cert["residual_y"] is None
+    violation = summary["checks"][0]["violations"][0]
+    assert violation["inputs"] == ["start 0", "x is not in the A set"]
+    assert (violation["lhs"], violation["rhs"], violation["slack"]) == (1.0, 0.0, 1.0)
+
+
 def test_integral_floats_load_as_integers(tmp_path):
     cfg = dict(INTERVAL, seed=7.0, checks=[{"name": "cyclic_invariance", "samples": 50.0}])
     path = tmp_path / "ok.json"
