@@ -7,8 +7,11 @@ published candidates.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proxcycle import (
+    SIDE_AB,
+    SIDE_BA,
     Box,
     CertifyError,
     CyclicMapSpec,
@@ -21,10 +24,16 @@ from proxcycle import (
     basis,
     builtin,
     certify,
+    coupled_image,
+    norm,
     proximal_squeeze_check,
     second_iterate_check,
     solve_and_certify,
 )
+from proxcycle.certify import CERT_TOL, Certificate
+from proxcycle.maps import RowEvaluator, native_form
+from proxcycle.report import CheckReport, Violation, render_pair, render_vector
+from proxcycle.sets import DeclaredSet
 
 INTERVAL = builtin("interval_contraction")
 OVERLAP = builtin("overlap_contraction")
@@ -255,3 +264,102 @@ def test_squeeze_reports_a_stuck_gap():
     rep = proximal_squeeze_check(SQ_SPACE, SQ_A, SQ_B, xy, wz, uv, d=2.0)
     assert rep.status == "failed"
     assert rep.violations[0].note == "sequences failed to collapse together"
+
+
+# ---------------------------------------------------------------------------
+# certify and second_iterate on rows against the Vector reference
+
+def reference_certificate(T, cand, d, tol=CERT_TOL):
+    """certify's certificate from coupled_image and norm on Vectors, for a
+    candidate inside A x B."""
+    img = coupled_image(T, cand, SIDE_AB)
+    rx, ry = norm(T.space, cand.first - img.first), norm(T.space, cand.second - img.second)
+    miss = max(abs(rx - d), abs(ry - d))
+    if miss <= tol:
+        return Certificate(cand, rx, ry, d, "coupled_fixed_point" if d <= tol else "coupled_bpp",
+                           tol)
+    return Certificate(cand, rx, ry, d, "rejected", tol,
+                       reason=f"residuals miss the pair distance by {miss!r}")
+
+
+def reference_second_iterate(T, cand, tol=CERT_TOL):
+    """second_iterate_check's report from coupled_image and norm on Vectors."""
+    if not T.space.modulus_available:
+        return CheckReport("second_iterate", 0, status="not_applicable",
+                           detail=f"{T.space.norm} has no convexity modulus")
+    p2 = coupled_image(T, coupled_image(T, cand, SIDE_AB), SIDE_BA)
+    dx, dy = norm(T.space, p2.first - cand.first), norm(T.space, p2.second - cand.second)
+    violations = tuple(
+        Violation((render_pair(cand), render_vector(got)), err, tol, err - tol,
+                  note=f"second iterate moved the {label} component")
+        for label, err, got in (("x", dx, p2.first), ("y", dy, p2.second)) if err > tol)
+    return CheckReport("second_iterate", 2, violations, "failed" if violations else "passed",
+                       detail=f"|x2 - x| = {dx!r}, |y2 - y| = {dy!r}")
+
+
+KINDS = ("row", "vector", "sequence")
+NORMS = (("l1", None), ("l2", None), ("linf", None), ("lp", 3.0))
+EVERYWHERE = DeclaredSet("everywhere", lambda v, tol: True, lambda rng: Vector.zero())
+
+
+def affine_case(kind, norm_p, a, b, rows, c_scale):
+    """T(x, y) = a x + b y + c_side and the candidate (x, y), from rows = [x,
+    y, c_AB, c_BA].  kind "row" gives T as a RowEvaluator, "vector" as a plain
+    Vector evaluator of the same dense space, "sequence" as that evaluator in
+    sequence mode, with x, y and c_AB on supports shifted by 3, 4 and 5."""
+    n = len(rows[0])
+    rows = rows[:2] + [[c_scale * v for v in r] for r in rows[2:]]
+    if kind == "sequence":
+        space = NormedSpaceSpec(norm=norm_p[0], mode="sequence", dimension=None, p=norm_p[1])
+        x, y, c_ab, c_ba = (Vector.from_map({k + i: v for i, v in enumerate(r)})
+                            for k, r in zip((3, 4, 5, 3), rows))
+        A = B = EVERYWHERE
+    else:
+        space = NormedSpaceSpec(norm=norm_p[0], mode="dense", dimension=n, p=norm_p[1])
+        x, y, c_ab, c_ba = map(Vector.dense, rows)
+        A = B = Box((-50.0,) * n, (50.0,) * n)
+    c = {SIDE_AB: c_ab, SIDE_BA: c_ba}
+    if kind == "row":
+        cr = {side: v.dense_values(n) for side, v in c.items()}
+        ev = RowEvaluator(lambda rx, ry, side: [a * u + b * v + w + 0.0  # -0.0 to 0.0
+                                                for u, v, w in zip(rx, ry, cr[side])], n)
+    else:
+        def ev(x, y, side):
+            return x.scale(a) + y.scale(b) + c[side]
+    return CyclicMapSpec("affine", space, A, B, ev, declared_dist=2.0), ProductPoint(x, y)
+
+
+coordinate = st.tuples(st.floats(0.5, 4.0), st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+weight = st.sampled_from([0.0, 1.0, 0.5, -0.25, -1.0])
+four_rows = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=4, max_size=4))
+FAR_ROWS = [[1.5, -2.0, 3.0], [-1.0, 2.5, 0.75], [1.0, 1.0, -2.0], [0.5, -3.0, 1.25]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(KINDS), norm_p=st.sampled_from(NORMS), a=weight, b=weight,
+       rows=four_rows, c_scale=st.sampled_from([0.0, 1.0]), accept=st.booleans())
+@example(kind="vector", norm_p=("l2", None), a=0.0, b=1.0, rows=FAR_ROWS, c_scale=0.0,
+         accept=True)  # T(x, y) = y: accepted, and the second iterate returns
+@example(kind="sequence", norm_p=("lp", 3.0), a=0.5, b=-0.25, rows=FAR_ROWS, c_scale=1.0,
+         accept=False)
+def test_certify_and_second_iterate_on_rows_match_the_vector_reference(kind, norm_p, a, b, rows,
+                                                                       c_scale, accept):
+    T, cand = affine_case(kind, norm_p, a, b, rows, c_scale)
+    d = reference_certificate(T, cand, 2.0).residual_x if accept else 2.0
+    assert repr(certify(T, cand, d).to_json()) == repr(reference_certificate(T, cand, d).to_json())
+    assert (repr(second_iterate_check(T, cand).to_json())
+            == repr(reference_second_iterate(T, cand).to_json()))
+
+
+@pytest.mark.parametrize("norm_p", [("l2", None), ("lp", 3.0)], ids=str)
+@pytest.mark.parametrize("kind", KINDS)
+def test_second_iterate_witnesses_on_rows_match_the_vector_reference(kind, norm_p):
+    T, cand = affine_case(kind, norm_p, 0.5, -0.25, FAR_ROWS, 1.0)
+    # each kind takes its own branch of maps.row_map
+    to_row = native_form(T)[1]
+    assert isinstance(T.evaluator, RowEvaluator) == (kind == "row")
+    assert (to_row is not None) == (kind == "vector")
+    rep = second_iterate_check(T, cand)
+    assert rep.status == "failed" and len(rep.violations) == 2
+    assert repr(rep.to_json()) == repr(reference_second_iterate(T, cand).to_json())
