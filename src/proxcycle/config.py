@@ -244,7 +244,7 @@ def _certify(ctx: CheckContext, name: str, pool_attr: str, tol: float) -> CheckR
                                         note="no limit produced"))
         elif cert.accepted:
             ctx.accepted.append(cert)
-        else:  # a rejection on membership measured no residuals
+        else:  # a rejection on membership has no residuals to subtract
             lhs, rhs = (1.0, 0.0) if cert.residual_x is None else (
                 max(abs(cert.residual_x - cert.dist_used), abs(cert.residual_y - cert.dist_used)),
                 cert.tolerance)

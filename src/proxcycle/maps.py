@@ -7,7 +7,7 @@ whose violations carry printable witnesses.  T is evaluated one way,
 native_form: a RowEvaluator runs on coordinate rows, any other evaluator
 on Vectors, each image becoming a row once.  run takes it as it is; the
 checkers and certify take row_map, T on rows.  eval_map (domain-checked),
-coupled_image and displacement are the public Vector API, not called here.
+coupled_image and displacement are the public Vector API, for callers and tests.
 """
 from __future__ import annotations
 
