@@ -40,6 +40,7 @@ from .maps import (
     BUILTIN_MAPS,
     SIDE_AB,
     SIDE_BA,
+    SIDES,
     CyclicMapSpec,
     DomainError,
     MapsError,
@@ -49,10 +50,10 @@ from .maps import (
     check_kannan,
     check_kannan_strict_hypothesis,
     check_phi_contraction,
+    coupled,
     coupled_image,
     displacement,
     eval_map,
-    flip_side,
 )
 from .report import CheckReport, Violation
 from .sets import (

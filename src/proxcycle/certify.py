@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .iterate import TOL_STOP, StopRule, Trajectory, run
-from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, row_map
+from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, coupled, row_map
 from .report import (
     FAILED,
     NOT_APPLICABLE,
@@ -91,7 +91,7 @@ def certify(T: CyclicMapSpec, candidate: ProductPoint, d: float | None = None,
             return Certificate(candidate, None, None, d, VERDICT_REJECTED, tol, reason=reason)
     f, (row, gap) = row_map(T), row_kernel(T.space)
     x, y = row(candidate.first), row(candidate.second)
-    rx, ry = gap(x, f(x, y, SIDE_AB)), gap(y, f(y, x, SIDE_BA))
+    rx, ry = map(gap, (x, y), coupled(f, x, y, SIDE_AB))
     miss = max(abs(rx - d), abs(ry - d))
     if miss <= tol:
         verdict = VERDICT_FIXED if d <= tol else VERDICT_BPP
@@ -202,11 +202,11 @@ def second_iterate_check(T: CyclicMapSpec, candidate: ProductPoint,
                            detail=f"{T.space.norm} has no convexity modulus")
     f, (row, gap), vector = row_map(T), row_kernel(T.space), row_vector(T.space)
     x, y = row(candidate.first), row(candidate.second)
-    x1, y1 = f(x, y, SIDE_AB), f(y, x, SIDE_BA)
-    x2, y2 = f(x1, y1, SIDE_BA), f(y1, x1, SIDE_AB)
+    x1, y1 = coupled(f, x, y, SIDE_AB)
+    x2, y2 = coupled(f, x1, y1, SIDE_BA)
     dx, dy = gap(x2, x), gap(y2, y)
     violations = [
-        Violation((render_pair(candidate), render_vector(vector(got))), err, tol, err - tol,
+        Violation((render_pair(candidate), render_vector(vector(got))), err, tol,
                   note=f"second iterate moved the {label} component")
         for label, err, got in (("x", dx, x2), ("y", dy, y2))
         if err > tol
@@ -260,6 +260,6 @@ def proximal_squeeze_check(
         return CheckReport("proximal_squeeze", len(seq_xy), (), PASSED, detail)
     return CheckReport(
         "proximal_squeeze", len(seq_xy),
-        (Violation(("final gap",), gap, bound, gap - bound,
+        (Violation(("final gap",), gap, bound,
                    note="sequences failed to collapse together"),),
         FAILED, detail)

@@ -240,7 +240,7 @@ def _certify(ctx: CheckContext, name: str, pool_attr: str, tol: float) -> CheckR
     for i, rec in enumerate(records):
         cert = rec.certificate
         if cert is None:
-            violations.append(Violation((f"start {i}", rec.reason), 1.0, 0.0, 1.0,
+            violations.append(Violation((f"start {i}", rec.reason), 1.0, 0.0,
                                         note="no limit produced"))
         elif cert.accepted:
             ctx.accepted.append(cert)
@@ -248,7 +248,7 @@ def _certify(ctx: CheckContext, name: str, pool_attr: str, tol: float) -> CheckR
             lhs, rhs = (1.0, 0.0) if cert.residual_x is None else (
                 max(abs(cert.residual_x - cert.dist_used), abs(cert.residual_y - cert.dist_used)),
                 cert.tolerance)
-            violations.append(Violation((f"start {i}", cert.reason), lhs, rhs, 1.0,
+            violations.append(Violation((f"start {i}", cert.reason), lhs, rhs,
                                         note=f"verdict {cert.verdict}"))
     ctx.certifications.append({
         "name": name,

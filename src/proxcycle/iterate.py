@@ -2,9 +2,10 @@
 
 From a start (x0, y0) in A x B the iteration produces
 x_n = T(x_(n-1), y_(n-1)) and y_n = T(y_(n-1), x_(n-1)), so the pair
-alternates between A x B (even n) and B x A (odd n).  The recorded
-t-series is the product distance between consecutive pairs; for the
-maps this package targets it decreases to dist(A, B).
+alternates between A x B (even n) and B x A (odd n): point n lies on
+side n % 2 of maps.SIDES.  The recorded t-series is the product distance
+between consecutive pairs; for the maps this package targets it
+decreases to dist(A, B).
 
 Diagnostics never raise on mathematical failure: they return reports.
 A bound that fails on a budget-exhausted trajectory is inconclusive,
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
-from .maps import SIDE_AB, SIDE_BA, CyclicMapSpec, DomainError, flip_side, native_form
+from .maps import SIDES, CyclicMapSpec, DomainError, coupled, native_form
 from .report import FAILED, INCONCLUSIVE, PASSED, CheckReport, Violation, conclude
 from .sets import contains, member_test
 from .space import (
@@ -49,7 +50,7 @@ class StopRule:
     """Iteration budget plus optional tolerance triggers.
 
     t_tol stops once |t_n - dist| < t_tol (needs a declared distance);
-    gap_tol stops once the latest even and odd gaps both fall below it.
+    gap_tol stops once the latest two lag gaps (one even, one odd) fall below it.
     Either tolerance may be None to disable that trigger.
     """
 
@@ -104,8 +105,8 @@ class Trajectory:
     index, the sorted coordinates the points may use: range(dimension) in
     dense mode, the union of their supports in sequence mode.  values, an
     (n, 2, k) numpy array, and points, ProductPoints, are views of it made on
-    first read.  even_gap_x[j] is ||x_(2j+2) - x_(2j)||, odd_gap_x[j] is
-    ||x_(2j+3) - x_(2j+1)||, and likewise for y.
+    first read.  lag_gaps[j] is the product distance from point j to point
+    j + 2, so the even gaps are lag_gaps[0::2] and the odd gaps lag_gaps[1::2].
     """
 
     space: NormedSpaceSpec
@@ -113,10 +114,7 @@ class Trajectory:
     index: tuple[int, ...]
     n_points: int
     t_series: tuple[float, ...]
-    even_gap_x: tuple[float, ...]
-    even_gap_y: tuple[float, ...]
-    odd_gap_x: tuple[float, ...]
-    odd_gap_y: tuple[float, ...]
+    lag_gaps: tuple[float, ...]
     stop_reason: str
     rule: StopRule
     dist_used: float | None
@@ -143,9 +141,6 @@ class Trajectory:
     @cached_property
     def points(self) -> Sequence[ProductPoint]:
         return _Points(self.flat, self.index, self.n_points)
-
-    def side_of(self, n: int) -> str:
-        return SIDE_AB if n % 2 == 0 else SIDE_BA
 
     def final_even_point(self) -> ProductPoint:
         last = self.n_points - 1
@@ -174,7 +169,8 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
 
     row, gap = row_kernel(space)
     f, to_row = native_form(T)
-    in_A, in_B = member_test(T.A, space, tol), member_test(T.B, space, tol)
+    # point n lies on side n % 2: step n applies side (n - 1) % 2 and lands there
+    inside = [[member_test(S, space, tol) for S in T.domain_sets(s)] for s in range(len(SIDES))]
 
     flat, vectors = array("d"), []
     keep = (lambda r: flat.extend([*r[0], *r[1]])) if space.mode == "dense" else vectors.extend
@@ -182,16 +178,15 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
     keep(last)
     x, y = last if to_row is None else (x0, y0)
     t_series: list[float] = []
-    gaps: dict[str, list[float]] = {"even_x": [], "even_y": [], "odd_x": [], "odd_y": []}
+    lag_gaps: list[float] = []
     stop_reason = STOP_BUDGET
     error_index = None
     d = T.declared_dist
 
     for n in range(1, rule.max_iters + 1):
-        # step n applies side AB for odd n and lands in B x A, and the reverse
-        side, in_x, in_y = (SIDE_AB, in_B, in_A) if n % 2 == 1 else (SIDE_BA, in_A, in_B)
-        x, y = f(x, y, side), f(y, x, flip_side(side))
+        x, y = coupled(f, x, y, (n - 1) % 2)
         rx, ry = (x, y) if to_row is None else (to_row(x), to_row(y))
+        in_x, in_y = inside[n % 2]
         if not (in_x(rx) and in_y(ry)):
             stop_reason = STOP_DOMAIN_ERROR
             error_index = n
@@ -201,19 +196,15 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
         keep(last)
         t_series.append(max(gap(px, rx), gap(py, ry)))
         if n >= 2:
-            key = "even" if n % 2 == 0 else "odd"
-            gaps[key + "_x"].append(gap(rx, qx))
-            gaps[key + "_y"].append(gap(ry, qy))
+            lag_gaps.append(max(gap(rx, qx), gap(ry, qy)))
 
         if rule.t_tol is not None and d is not None and abs(t_series[-1] - d) < rule.t_tol:
             stop_reason = STOP_CONVERGED_T
             break
-        if rule.gap_tol is not None and gaps["even_x"] and gaps["odd_x"]:
-            latest = max(gaps["even_x"][-1], gaps["even_y"][-1],
-                         gaps["odd_x"][-1], gaps["odd_y"][-1])
-            if latest < rule.gap_tol:
-                stop_reason = STOP_CONVERGED_GAP
-                break
+        if (rule.gap_tol is not None and len(lag_gaps) >= 2
+                and lag_gaps[-1] < rule.gap_tol and lag_gaps[-2] < rule.gap_tol):
+            stop_reason = STOP_CONVERGED_GAP
+            break
 
     flat, index = pack_flat(vectors, space) if vectors else (flat, tuple(range(space.dimension)))
     return Trajectory(
@@ -222,10 +213,7 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
         index=index,
         n_points=len(t_series) + 1,
         t_series=tuple(t_series),
-        even_gap_x=tuple(gaps["even_x"]),
-        even_gap_y=tuple(gaps["even_y"]),
-        odd_gap_x=tuple(gaps["odd_x"]),
-        odd_gap_y=tuple(gaps["odd_y"]),
+        lag_gaps=tuple(lag_gaps),
         stop_reason=stop_reason,
         rule=rule,
         dist_used=d,
@@ -250,7 +238,7 @@ def diagnose_monotone_t(traj: Trajectory, tol: float = TOL_NUM) -> CheckReport:
         a, b = traj.t_series[k], traj.t_series[k + 1]
         if b > a + tol:
             violations.append(Violation(
-                (f"t[{k}]={a!r}", f"t[{k + 1}]={b!r}"), b, a, b - a,
+                (f"t[{k}]={a!r}", f"t[{k + 1}]={b!r}"), b, a,
                 note="t series increased",
             ))
     return conclude("monotone_t", len(traj.t_series) - 1, violations)
@@ -274,7 +262,7 @@ def diagnose_t_limit(traj: Trajectory, d: float | None = None,
     for k, t in enumerate(traj.t_series):
         if t < d - floor_tol:
             violations.append(Violation(
-                (f"t[{k}]={t!r}",), d, t, d - t,
+                (f"t[{k}]={t!r}",), d, t,
                 note="t value undercut the pair distance",
             ))
     final = traj.t_series[-1]
@@ -284,12 +272,8 @@ def diagnose_t_limit(traj: Trajectory, d: float | None = None,
     if abs(final - d) < tol:
         return CheckReport("t_limit", len(traj.t_series), (), PASSED, detail)
     miss = Violation((f"t[{len(traj.t_series) - 1}]={final!r}",), abs(final - d), tol,
-                     abs(final - d) - tol, note="final t missed dist")
+                     note="final t missed dist")
     return CheckReport("t_limit", len(traj.t_series), (miss,), _budget_status(traj), detail)
-
-
-def _product_gaps(gx: tuple[float, ...], gy: tuple[float, ...]) -> list[float]:
-    return [max(a, b) for a, b in zip(gx, gy)]
 
 
 def diagnose_even_gaps(traj: Trajectory, tol: float | None = None) -> CheckReport:
@@ -299,15 +283,14 @@ def diagnose_even_gaps(traj: Trajectory, tol: float | None = None) -> CheckRepor
                            detail="need at least four points")
     if tol is None:
         tol = traj.rule.gap_tol if traj.rule.gap_tol is not None else TOL_STOP
-    even = _product_gaps(traj.even_gap_x, traj.even_gap_y)
-    odd = _product_gaps(traj.odd_gap_x, traj.odd_gap_y)
-    checked = len(even) + len(odd)
+    even, odd = traj.lag_gaps[0::2], traj.lag_gaps[1::2]
+    checked = len(traj.lag_gaps)
     detail = f"final even gap = {even[-1]!r}, final odd gap = {odd[-1]!r}"
     violations = []
     for label, series in (("even", even), ("odd", odd)):
         if series[-1] >= tol:
             violations.append(Violation(
-                (f"final {label} gap",), series[-1], tol, series[-1] - tol,
+                (f"final {label} gap",), series[-1], tol,
                 note="subsequence gap did not vanish",
             ))
     if not violations:
@@ -354,7 +337,8 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
         return CheckReport("interleaved", 0, status=INCONCLUSIVE, detail="too short")
     space, points = traj.space, traj.points
     n_even, n_odd = len(even_arr), len(odd_arr)
-    colmax = np.full(min(n_odd, n_even - 1), -np.inf)
+    last_tail = min(n_even - 1, n_odd) - 1  # the last N with a pair m > n >= N
+    colmax = np.full(last_tail + 1, -np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, n_even):
             k = min(m, n_odd)
@@ -385,12 +369,11 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
                 worst_n = int(n)
                 break
         N = worst_n + 1
-        # a valid tail needs at least one admissible pair m > n >= N
-        if N + 1 < n_even and N < n_odd:
+        if N <= last_tail:
             tails.append((eps, N))
         else:
             violations.append(Violation(
-                (f"eps={eps}",), float(N), float(n_odd), 1.0,
+                (f"eps={eps}",), float(N), float(last_tail),
                 note="no tail index leaves the cross distances under dist + eps",
             ))
     detail = "tails " + ", ".join(f"eps={e}: N={n}" for e, n in tails)
@@ -421,7 +404,7 @@ def diagnose_cauchy(traj: Trajectory, k: int = 10, tol: float | None = None) -> 
                 worst[label] = max(worst[label], max(gap(xi, xj), gap(yi, yj)))
     detail = f"even spread = {worst['even']!r}, odd spread = {worst['odd']!r}"
     violations = [
-        Violation((f"last-{k} {label} points",), spread, tol, spread - tol,
+        Violation((f"last-{k} {label} points",), spread, tol,
                   note="tail subsequence is not settling")
         for label, spread in worst.items() if spread >= tol
     ]
@@ -448,13 +431,11 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
         def fmt(row: array) -> str:
             return ";".join(f"{j}:{v!r}" for j, v in zip(traj.index, row) if v != 0.0)
 
-    even = _product_gaps(traj.even_gap_x, traj.even_gap_y)
-    odd = _product_gaps(traj.odd_gap_x, traj.odd_gap_y)
     with open(path, "w", newline="") as fh:
         fh.write("n,x,y,t,even_gap,odd_gap\r\n")
         for n in range(traj.n_points):
             x, y = _rows(traj.flat, len(traj.index), n)
             t = repr(traj.t_series[n]) if n < len(traj.t_series) else ""
-            eg = repr(even[n // 2 - 1]) if n >= 2 and n % 2 == 0 else ""
-            og = repr(odd[(n - 3) // 2]) if n >= 3 and n % 2 == 1 else ""
+            g = repr(traj.lag_gaps[n - 2]) if n >= 2 else ""
+            eg, og = (g, "") if n % 2 == 0 else ("", g)
             fh.write(f"{n},{fmt(x)},{fmt(y)},{t},{eg},{og}\r\n")

@@ -1,13 +1,19 @@
 """Cyclic maps on a pair of convex sets, with sampled inequality checks.
 
-A cyclic map sends A x B into B and B x A into A.  The checkers sample
-point pairs and test the contraction-style inequalities that the
-iteration and certification layers rely on; each returns a CheckReport
-whose violations carry printable witnesses.  T is evaluated one way,
-native_form: a RowEvaluator runs on coordinate rows, any other evaluator
-on Vectors, each image becoming a row once.  run takes it as it is; the
-checkers and certify take row_map, T on rows.  eval_map (domain-checked),
-coupled_image and displacement are the public Vector API, for callers and tests.
+A coupled cyclic map, after Sintunavarat & Kumam (Fixed Point Theory Appl.
+2012:93), sends A x B into B and B x A into A: on side A x B it takes
+(x, y) to T(x, y) in B, and T(y, x) is evaluated on the other side, B x A.
+p-cyclic maps generalise this to p sets; the table here has the two sides
+of p = 2.  A side is an index into SIDES, whose labels notes and messages
+print; CyclicMapSpec.domain_sets gives its sets, and coupled its step, the
+one place that names the side of (y, x).  The checkers sample point pairs
+and test the contraction-style inequalities that the iteration and
+certification layers rely on; each returns a CheckReport whose violations
+carry printable witnesses.  T is evaluated one way, native_form: a
+RowEvaluator runs on coordinate rows, any other evaluator on Vectors, each
+image becoming a row once.  run takes it as it is; the checkers and certify
+take row_map, T on rows.  eval_map (domain-checked), coupled_image and
+displacement are the public Vector API, for callers and tests.
 """
 from __future__ import annotations
 
@@ -31,8 +37,8 @@ from .space import (
     row_vector,
 )
 
-SIDE_AB = "AB"
-SIDE_BA = "BA"
+SIDE_AB, SIDE_BA = 0, 1
+SIDES = ("AB", "BA")  # the label of each side
 
 QUANTIFICATIONS = ("all_cross_pairs", "consecutive_iterates")
 
@@ -43,14 +49,6 @@ class MapsError(ValueError):
 
 class DomainError(MapsError):
     """Input (or iterate) left the set it is required to lie in."""
-
-
-def flip_side(side: str) -> str:
-    if side == SIDE_AB:
-        return SIDE_BA
-    if side == SIDE_BA:
-        return SIDE_AB
-    raise MapsError(f"unknown side {side!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +124,10 @@ class RowEvaluator:
     that it equals Vector.dense(row).dense_values(dimension).  Called with
     Vectors it is an ordinary evaluator."""
 
-    rows: Callable[[list, list, str], list]
+    rows: Callable[[list, list, int], list]
     dimension: int
 
-    def __call__(self, x: Vector, y: Vector, side: str) -> Vector:
+    def __call__(self, x: Vector, y: Vector, side: int) -> Vector:
         d = self.dimension
         return Vector.dense(self.rows(x.dense_values(d), y.dense_values(d), side))
 
@@ -140,31 +138,38 @@ class CyclicMapSpec:
     space: NormedSpaceSpec
     A: ConvexSet
     B: ConvexSet
-    evaluator: Callable[[Vector, Vector, str], Vector]
+    evaluator: Callable[[Vector, Vector, int], Vector]
     declared_class: str = "none"
     declared_dist: float | None = None
     phi: PhiSpec | None = None
 
-    def domain_sets(self, side: str) -> tuple[ConvexSet, ConvexSet]:
+    def domain_sets(self, side: int) -> tuple[ConvexSet, ConvexSet]:
+        """The sets of x and of y on side; T(x, y) lies in the second."""
+        if side not in range(len(SIDES)):
+            raise MapsError(f"unknown side {side!r}")
         return (self.A, self.B) if side == SIDE_AB else (self.B, self.A)
 
 
-def eval_map(T: CyclicMapSpec, x: Vector, y: Vector, side: str,
+def coupled(f: Callable, x, y, side: int) -> tuple:
+    """The coupled step on side: (f(x, y, side), f(y, x, other)), where
+    other is the side of (y, x)."""
+    return f(x, y, side), f(y, x, 1 - side)
+
+
+def eval_map(T: CyclicMapSpec, x: Vector, y: Vector, side: int,
              tol: float = TOL_NUM) -> Vector:
     """Evaluate T(x, y) on the given side.
 
-    side "AB" requires (x, y) in A x B, side "BA" requires (x, y) in B x A.
+    SIDE_AB requires (x, y) in A x B, SIDE_BA requires (x, y) in B x A.
     Image membership is not re-verified here; see check_cyclic_invariance.
     """
-    SX, SY = T.domain_sets(side)
-    if not contains(SX, T.space, x, tol):
-        raise DomainError(f"{render_vector(x)} not in the {side[0]} set")
-    if not contains(SY, T.space, y, tol):
-        raise DomainError(f"{render_vector(y)} not in the {side[1]} set")
+    for v, S, label in zip((x, y), T.domain_sets(side), SIDES[side]):
+        if not contains(S, T.space, v, tol):
+            raise DomainError(f"{render_vector(v)} not in the {label} set")
     return T.evaluator(x, y, side)
 
 
-def row_form(T: CyclicMapSpec) -> Callable[[list, list, str], list] | None:
+def row_form(T: CyclicMapSpec) -> Callable[[list, list, int], list] | None:
     """The row function of T's evaluator if it is a RowEvaluator of T's space,
     else None."""
     ev = T.evaluator
@@ -181,20 +186,19 @@ def native_form(T: CyclicMapSpec) -> tuple[Callable, Callable[[Vector], list] | 
     return T.evaluator, None if T.space.mode == "sequence" else row_kernel(T.space)[0]
 
 
-def row_map(T: CyclicMapSpec) -> Callable[[Any, Any, str], Any]:
+def row_map(T: CyclicMapSpec) -> Callable[[Any, Any, int], Any]:
     """T on row_kernel rows, f(rx, ry, side): native_form's f if its images are
     rows already, else the Vector evaluator wrapped once."""
     (f, to_row), vector = native_form(T), row_vector(T.space)
     return f if to_row is None else lambda rx, ry, side: to_row(f(vector(rx), vector(ry), side))
 
 
-def coupled_image(T: CyclicMapSpec, p: ProductPoint, side: str) -> ProductPoint:
+def coupled_image(T: CyclicMapSpec, p: ProductPoint, side: int) -> ProductPoint:
     """(T(x, y), T(y, x)) for p = (x, y) on the given side."""
-    return ProductPoint(T.evaluator(p.first, p.second, side),
-                        T.evaluator(p.second, p.first, flip_side(side)))
+    return ProductPoint(*coupled(T.evaluator, p.first, p.second, side))
 
 
-def displacement(T: CyclicMapSpec, p: ProductPoint, side: str) -> float:
+def displacement(T: CyclicMapSpec, p: ProductPoint, side: int) -> float:
     """Product distance from p to its coupled image."""
     return pair_distance(T.space, p, coupled_image(T, p, side))
 
@@ -208,7 +212,7 @@ class _Point:
 
     __slots__ = ("rx", "ry", "side", "text", "image", "disp")
 
-    def __init__(self, rx, ry, side: str):
+    def __init__(self, rx, ry, side: int):
         self.rx, self.ry, self.side = rx, ry, side
         self.text = self.image = self.disp = None
 
@@ -225,7 +229,7 @@ class _Probe:
         self.vector = row_vector(T.space)
         self.f = row_map(T)
         self._streams: dict[tuple[int, int], list] = {}
-        self._sides: dict[tuple[str, int], list[_Point]] = {}
+        self._sides: dict[tuple[int, int], list[_Point]] = {}
 
     def _stream(self, S: ConvexSet, n: int, seed: int) -> list:
         """The rows of n points drawn from S at seed."""
@@ -239,7 +243,7 @@ class _Probe:
             self._streams[id(S), seed] = got
         return got
 
-    def points(self, side: str, n: int, seed: int) -> list[_Point]:
+    def points(self, side: int, n: int, seed: int) -> list[_Point]:
         """n points (x, y) of side, x drawn at seed and y at seed + 7919."""
         got = self._sides.setdefault((side, seed), [])
         if (k := len(got)) < n:
@@ -255,9 +259,8 @@ class _Probe:
         return partial(_render, self.vector, points, image)
 
     def image(self, p: _Point) -> _Point:
-        if p.image is None:
-            other = flip_side(p.side)
-            p.image = _Point(self.f(p.rx, p.ry, p.side), self.f(p.ry, p.rx, other), other)
+        if p.image is None:  # on the side after p's, as in run
+            p.image = _Point(*coupled(self.f, p.rx, p.ry, p.side), (p.side + 1) % len(SIDES))
         return p.image
 
     def displacement(self, p: _Point) -> float:
@@ -283,16 +286,15 @@ def check_cyclic_invariance(T: CyclicMapSpec, n_samples: int = 200, seed: int = 
     probe = _Probe(T)
     violations: list[Violation] = []
     checked = 0
-    for side, target_label in ((SIDE_AB, "B"), (SIDE_BA, "A")):
-        inside = member_test(T.B if side == SIDE_AB else T.A, T.space, tol)
+    for side in (SIDE_AB, SIDE_BA):
+        inside = member_test(T.domain_sets(side)[1], T.space, tol)
         for p in probe.points(side, n_samples, seed):
             r = probe.f(p.rx, p.ry, p.side)
             checked += 1
             if not inside(r):
                 violations.append(Violation(
-                    probe.witness(p, image=r),
-                    1.0, 0.0, 1.0,
-                    note=f"{side}-side image left the {target_label} set",
+                    probe.witness(p, image=r), 1.0, 0.0,
+                    note=f"{SIDES[side]}-side image left the {SIDES[side][1]} set",
                 ))
     return conclude("cyclic_invariance", checked, violations)
 
@@ -308,8 +310,7 @@ def _phi_pair_violations(probe: _Probe, phi: PhiSpec, p: _Point, q: _Point, phi_
         lhs = probe.gap(a, b)
         if lhs > rhs + tol:
             out.append(Violation(
-                probe.witness(p, q),
-                lhs, rhs, lhs - rhs,
+                probe.witness(p, q), lhs, rhs,
                 note=f"{component}-component image pair broke the phi bound",
             ))
     return out
@@ -382,8 +383,8 @@ def check_kannan(T: CyclicMapSpec, n_samples: int = 1000, seed: int = 0,
             checked += 1
             if lhs > rhs + tol:
                 violations.append(Violation(
-                    probe.witness(p, q), lhs, rhs, lhs - rhs,
-                    note=f"sides {side1}/{side2}",
+                    probe.witness(p, q), lhs, rhs,
+                    note=f"sides {SIDES[side1]}/{SIDES[side2]}",
                 ))
     return conclude("kannan", checked, violations)
 
@@ -408,7 +409,7 @@ def check_kannan_strict_hypothesis(T: CyclicMapSpec, n_samples: int = 500,
             checked += 1
             if d1 >= d0 - tol:
                 violations.append(Violation(
-                    probe.witness(p), d1, d0, d1 - d0,
+                    probe.witness(p), d1, d0,
                     note="coupled image displacement failed to decrease strictly",
                 ))
     return conclude("kannan_strict_hypothesis", checked, violations)
@@ -453,7 +454,7 @@ def l1_kannan() -> CyclicMapSpec:
     to_b = basis(2) + basis(3)
     to_a = basis(1) + basis(2)
 
-    def ev(x: Vector, y: Vector, side: str) -> Vector:
+    def ev(x: Vector, y: Vector, side: int) -> Vector:
         return to_b if side == SIDE_AB else to_a
 
     return CyclicMapSpec("l1_kannan", space, A, B, ev,

@@ -33,11 +33,15 @@ class Violation:
     a report holding many violations formats only those it shows.
     """
 
-    __slots__ = ("_inputs", "lhs", "rhs", "slack", "note")
+    __slots__ = ("_inputs", "lhs", "rhs", "note")
 
     def __init__(self, inputs: tuple[str, ...] | Callable[[], tuple[str, ...]],
-                 lhs: float, rhs: float, slack: float, note: str = ""):
-        self._inputs, self.lhs, self.rhs, self.slack, self.note = inputs, lhs, rhs, slack, note
+                 lhs: float, rhs: float, note: str = ""):
+        self._inputs, self.lhs, self.rhs, self.note = inputs, lhs, rhs, note
+
+    @property
+    def slack(self) -> float:
+        return self.lhs - self.rhs
 
     @property
     def inputs(self) -> tuple[str, ...]:
@@ -101,7 +105,7 @@ def conclude(name: str, checked: int, violations: list[Violation], detail: str =
 
 def _tagged(tag: str, v: Violation) -> Violation:
     """v with tag before its inputs, read when the result's inputs are."""
-    return Violation(lambda: (tag, *v.inputs), v.lhs, v.rhs, v.slack, v.note)
+    return Violation(lambda: (tag, *v.inputs), v.lhs, v.rhs, v.note)
 
 
 def merge_reports(name: str, parts: list[CheckReport]) -> CheckReport:

@@ -12,6 +12,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 from proxcycle import (
+    SIDE_AB,
     Box,
     CyclicMapSpec,
     ModulusUnavailable,
@@ -57,9 +58,9 @@ L1_CANDIDATES = [
 SPACE1 = NormedSpaceSpec(norm="l2", mode="dense", dimension=1)
 
 
-def _damped(u: Vector, v: Vector, side: str) -> Vector:
+def _damped(u: Vector, v: Vector, side: int) -> Vector:
     q = (v.value_at(0) - u.value_at(0)) / 8.0
-    return Vector.dense([q - 0.75 if side == "AB" else q + 0.75])
+    return Vector.dense([q - 0.75 if side == SIDE_AB else q + 0.75])
 
 
 DAMPED = CyclicMapSpec("damped", SPACE1, Box((1.0,), (2.0,)), Box((-2.0,), (-1.0,)),

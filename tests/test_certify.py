@@ -290,7 +290,7 @@ def reference_second_iterate(T, cand, tol=CERT_TOL):
     p2 = coupled_image(T, coupled_image(T, cand, SIDE_AB), SIDE_BA)
     dx, dy = norm(T.space, p2.first - cand.first), norm(T.space, p2.second - cand.second)
     violations = tuple(
-        Violation((render_pair(cand), render_vector(got)), err, tol, err - tol,
+        Violation((render_pair(cand), render_vector(got)), err, tol,
                   note=f"second iterate moved the {label} component")
         for label, err, got in (("x", dx, p2.first), ("y", dy, p2.second)) if err > tol)
     return CheckReport("second_iterate", 2, violations, "failed" if violations else "passed",

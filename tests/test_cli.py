@@ -229,6 +229,15 @@ def test_truncated_limits_are_rejected_hard(tmp_path):
     assert by_name["t_limit"]["status"] == "inconclusive"
 
 
+def test_every_violation_has_slack_lhs_minus_rhs(tmp_path):
+    # a truncated run violates certify_limits, t_limit, even_gaps and interleaved
+    _, _, summary = run_config("interval.json", tmp_path, "--max-iters", "3")
+    violated = {c["name"] for c in summary["checks"] if c["violations"]}
+    assert {"certify_limits", "t_limit", "even_gaps", "interleaved"} <= violated
+    violations = [v for c in summary["checks"] for v in c["violations"]]
+    assert [v["slack"] for v in violations] == [v["lhs"] - v["rhs"] for v in violations]
+
+
 # ---------------------------------------------------------------------------
 # verify and certify subcommands
 
@@ -639,11 +648,13 @@ def test_python_dash_m_proxcycle_runs_the_cli(tmp_path):
 def test_a_run_without_hulls_or_interleaved_does_not_import_numpy(tmp_path):
     # numpy's import is about half of a shipped run's wall time; only hull
     # sets, the interleaved diagnostic and Trajectory.values need it
-    code = ("import sys\n"
-            "from proxcycle.cli import main\n"
-            f"assert main(['run', {str(CONFIGS / 'overlap.json')!r}, '--out', "
-            f"{str(tmp_path / 'out')!r}]) == 0\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    exits = dict(EXPECTED_EXITS)
+    code = "import sys\nfrom proxcycle.cli import main\n" + "".join(
+        f"assert main(['run', {str(CONFIGS / name)!r}, '--out', "
+        f"{str(tmp_path / name)!r}]) == {exits[name]}\n"
+        for name in ("overlap.json", "l1_kannan.json", "flip_negative.json",
+                     "non_cyclic_negative.json")
+    ) + "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env(), cwd=str(ROOT))
     assert proc.returncode == 0, proc.stderr

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from proxcycle import (
+    SIDE_AB,
     Box,
     CyclicMapSpec,
     NormedSpaceSpec,
@@ -219,7 +220,7 @@ def box_pair_map(d, kappa):
     space = NormedSpaceSpec(norm="l2", mode="dense", dimension=d)
 
     def ev(x, y, side):
-        sign = -1.0 if side == "AB" else 1.0
+        sign = -1.0 if side == SIDE_AB else 1.0
         return Vector.dense([sign * (1.0 + kappa * (abs(v) - 1.0)) for _, v in x.coords])
 
     return CyclicMapSpec(f"box_pair_d{d}", space, Box((1.0,) * d, (2.0,) * d),

@@ -21,6 +21,8 @@ from proxcycle import (
     STOP_CONVERGED_GAP,
     STOP_CONVERGED_T,
     STOP_DOMAIN_ERROR,
+    SIDE_AB,
+    SIDE_BA,
     Box,
     CyclicMapSpec,
     DeclaredSet,
@@ -39,7 +41,6 @@ from proxcycle import (
     diagnose_interleaved,
     diagnose_monotone_t,
     diagnose_t_limit,
-    flip_side,
     norm,
     pair_distance,
     run,
@@ -68,10 +69,7 @@ def test_interval_hand_values_exact():
         assert p.first.value_at(0) == want
         assert p.second.value_at(0) == -want
     assert list(traj.t_series) == [2.0 + 1.5 * 2.0 ** -k for k in range(8)]
-    assert list(traj.even_gap_x) == [3.0 * 2.0 ** -n for n in (2, 4, 6, 8)]
-    assert list(traj.odd_gap_x) == [3.0 * 2.0 ** -n for n in (3, 5, 7)]
-    assert traj.even_gap_x == traj.even_gap_y
-    assert traj.odd_gap_x == traj.odd_gap_y
+    assert list(traj.lag_gaps) == [3.0 * 2.0 ** -n for n in range(2, 9)]
     assert traj.dist_used == 2.0
     assert traj.error_index is None
 
@@ -93,11 +91,11 @@ def test_tight_rule_runs_to_float_collapse():
 def test_alternation_and_membership():
     traj = run(INTERVAL, X0, Y0)
     for n, p in enumerate(traj.points):
-        side = traj.side_of(n)
-        assert side == ("AB" if n % 2 == 0 else "BA")
-        first_set, second_set = (INTERVAL.A, INTERVAL.B) if side == "AB" else (INTERVAL.B, INTERVAL.A)
-        assert contains(first_set, INTERVAL.space, p.first)
-        assert contains(second_set, INTERVAL.space, p.second)
+        side = SIDE_AB if n % 2 == 0 else SIDE_BA
+        sets = (INTERVAL.A, INTERVAL.B) if side == SIDE_AB else (INTERVAL.B, INTERVAL.A)
+        assert INTERVAL.domain_sets(side) == sets
+        assert contains(sets[0], INTERVAL.space, p.first)
+        assert contains(sets[1], INTERVAL.space, p.second)
     assert traj.final_even_point() is traj.points[-1 if (len(traj.points) - 1) % 2 == 0 else -2]
 
 
@@ -155,7 +153,7 @@ def test_kannan_constant_map_collapses_to_exact_cycle():
     assert traj.stop_reason == STOP_CONVERGED_GAP
     assert len(traj.points) == 5
     assert list(traj.t_series) == [2.0, 2.0, 2.0, 2.0]
-    assert traj.even_gap_x[-1] == 0.0 and traj.odd_gap_x[-1] == 0.0
+    assert traj.lag_gaps[-2:] == (0.0, 0.0)
     rep = diagnose_even_gaps(traj, tol=1e-12)
     assert rep.status == "passed"
     # t never converges to 0 here: 2.0 is the genuine floor
@@ -249,9 +247,9 @@ def interleaved_reference(traj, eps_list, d, tol):
         N = worst_n + 1
         if N + 1 < len(evens) and N < len(odds):
             tails.append((eps, N))
-        else:
+        else:  # rhs: the last N with an admissible pair m > n >= N
             violations.append(Violation(
-                (f"eps={eps}",), float(N), float(len(odds)), 1.0,
+                (f"eps={eps}",), float(N), float(min(len(evens) - 1, len(odds)) - 1),
                 note="no tail index leaves the cross distances under dist + eps"))
     status = "passed" if not violations else (
         "inconclusive" if traj.stop_reason == STOP_BUDGET else "failed")
@@ -283,8 +281,7 @@ def settling_trajectory(space, seed, n_points, offset, stop_reason):
     points = tuple(ProductPoint(vec(1 if n % 2 == 0 else -1, 0.8 ** n),
                                 vec(-1 if n % 2 == 0 else 1, 0.8 ** n))
                    for n in range(n_points))
-    return Trajectory.from_points(space, points, (), (), (), (), (), stop_reason, StopRule(),
-                                  None)
+    return Trajectory.from_points(space, points, (), (), stop_reason, StopRule(), None)
 
 
 SPACES = [NormedSpaceSpec(norm, "dense", dim, 3.0 if norm == "lp" else None)
@@ -336,8 +333,7 @@ def test_interleaved_matches_the_pairwise_reference_on_zero_vectors(norm):
     # in sequence mode the zero vector has no coordinates at all
     space = NormedSpaceSpec(norm, "sequence", None, 3.0 if norm == "lp" else None)
     zero = ProductPoint(Vector.zero(), Vector.zero())
-    traj = Trajectory.from_points(space, (zero,) * 7, (), (), (), (), (), STOP_BUDGET,
-                                  StopRule(), None)
+    traj = Trajectory.from_points(space, (zero,) * 7, (), (), STOP_BUDGET, StopRule(), None)
     eps_list = [0.5, 0.0, -1e-9]
     got = diagnose_interleaved(traj, eps_list, d=0.0).to_json()
     assert got == interleaved_reference(traj, eps_list, 0.0, 1e-9).to_json()
@@ -429,12 +425,12 @@ def wobble_map(space, offset):
 
     def ev(x, y, side):
         # the image lies in B on side AB and in A on side BA
-        c = -offset if side == "AB" else offset
+        c = -offset if side == SIDE_AB else offset
         xs, ys = dict(x.coords), dict(y.coords)
         return Vector.from_map({
             i: c + 0.55 * math.sin(xs.get(i, 0.0) + c + 0.3 * i)
             + 0.3 * math.cos(i) * (ys.get(i, 0.0) - c)
-            for i in indices["B" if side == "AB" else "A"]})
+            for i in indices["B" if side == SIDE_AB else "A"]})
 
     return CyclicMapSpec("wobble", space, A, B, ev)
 
@@ -453,8 +449,8 @@ def reference_points(T, x, y, n_points):
     """The coupled iteration on Vectors, with the evaluator alone."""
     out = [ProductPoint(x, y)]
     for n in range(1, n_points):
-        side = "AB" if n % 2 == 1 else "BA"
-        x, y = T.evaluator(x, y, side), T.evaluator(y, x, flip_side(side))
+        side, other = (SIDE_AB, SIDE_BA) if n % 2 == 1 else (SIDE_BA, SIDE_AB)
+        x, y = T.evaluator(x, y, side), T.evaluator(y, x, other)
         out.append(ProductPoint(x, y))
     return out
 
@@ -474,11 +470,9 @@ def test_run_matches_the_vector_reference(space, offset):
     # bit for bit: == on floats that are never nan
     assert list(traj.t_series) == [pair_distance(space, points[k], points[k + 1])
                                    for k in range(24)]
-    for first, gx, gy in ((2, traj.even_gap_x, traj.even_gap_y),
-                          (3, traj.odd_gap_x, traj.odd_gap_y)):
-        ns = range(first, 25, 2)
-        assert list(gx) == [norm(space, points[n].first - points[n - 2].first) for n in ns]
-        assert list(gy) == [norm(space, points[n].second - points[n - 2].second) for n in ns]
+    assert list(traj.lag_gaps) == [max(norm(space, points[n].first - points[n - 2].first),
+                                       norm(space, points[n].second - points[n - 2].second))
+                                   for n in range(2, 25)]
     # diagnose_cauchy measures the buffer's rows; its spreads are pair_distance's
     spread = {}
     for label, first in (("even", 0), ("odd", 1)):
@@ -512,8 +506,7 @@ def test_run_on_rows_matches_the_vector_path(name):
     # bit for bit, zero signs included: flip writes 0.0 for -0.0
     assert got.values.tobytes() == want.values.tobytes()
     assert got.index == want.index
-    for field in ("t_series", "even_gap_x", "even_gap_y", "odd_gap_x", "odd_gap_y",
-                  "stop_reason", "error_index"):
+    for field in ("t_series", "lag_gaps", "stop_reason", "error_index"):
         assert getattr(got, field) == getattr(want, field)
 
 
@@ -546,8 +539,7 @@ def test_from_points_round_trips_sequence_supports():
     space = NormedSpaceSpec("l1", "sequence", None)
     points = (ProductPoint(Vector.from_map({4: 1.5}), Vector.zero()),
               ProductPoint(Vector.from_map({1: -2.0, 4: 0.25}), Vector.from_map({9: 3.0})))
-    traj = Trajectory.from_points(space, points, (), (), (), (), (), STOP_BUDGET, StopRule(),
-                                  None)
+    traj = Trajectory.from_points(space, points, (), (), STOP_BUDGET, StopRule(), None)
     assert traj.index == (1, 4, 9)
     assert traj.values.tolist() == [[[0.0, 1.5, 0.0], [0.0, 0.0, 0.0]],
                                     [[-2.0, 0.25, 0.0], [0.0, 0.0, 3.0]]]
@@ -581,7 +573,7 @@ def test_a_row_of_the_wrong_length_is_refused():
     space = NormedSpaceSpec("l1", "dense", 2)
     T = CyclicMapSpec("short_rows", space, Box((1.0, 1.0), (2.0, 2.0)),
                       Box((-2.0, -2.0), (-1.0, -1.0)),
-                      RowEvaluator(lambda rx, ry, side: [1.5 if side == "BA" else -1.5], 2))
+                      RowEvaluator(lambda rx, ry, side: [1.5 if side == SIDE_BA else -1.5], 2))
     with pytest.raises(ValueError, match="two rows of len\\(index\\) floats per point"):
         run(T, Vector.dense([1.5, 1.5]), Vector.dense([-1.5, -1.5]), WOBBLE)
 

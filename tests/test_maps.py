@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from proxcycle import (
     SIDE_AB,
     SIDE_BA,
+    SIDES,
     CyclicMapSpec,
     DomainError,
     TOL_NUM,
@@ -32,7 +33,6 @@ from proxcycle import (
     coupled_image,
     displacement,
     eval_map,
-    flip_side,
     norm,
     pair_distance,
     sample,
@@ -241,11 +241,11 @@ def test_coupled_image_and_displacement():
     assert displacement(INTERVAL, star, SIDE_AB) == 2.0
 
 
-def test_flip_side_round_trip():
-    assert flip_side(SIDE_AB) == SIDE_BA
-    assert flip_side(SIDE_BA) == SIDE_AB
-    with pytest.raises(MapsError):
-        flip_side("XY")
+def test_an_unknown_side_is_refused():
+    x, y = Vector.dense([1.5]), Vector.dense([-1.5])
+    for side in (2, -1, SIDES[SIDE_AB]):  # a label is not a side
+        with pytest.raises(MapsError, match="unknown side"):
+            eval_map(INTERVAL, x, y, side)
 
 
 def test_unknown_quantification_rejected():
@@ -295,13 +295,16 @@ def reference_kannan(T, n, seed, tol=TOL_NUM):
     return out
 
 
+OTHER = {SIDE_AB: SIDE_BA, SIDE_BA: SIDE_AB}
+
+
 def reference_phi(T, phi, pairs, tol=TOL_NUM):
     """check_phi_contraction's violations over (p, side, q) triples."""
     out = []
     for p, side, q in pairs:
         delta = pair_distance(T.space, p, q)
         rhs = delta - phi(delta) + phi(T.declared_dist)
-        ip, iq = coupled_image(T, p, side), coupled_image(T, q, flip_side(side))
+        ip, iq = coupled_image(T, p, side), coupled_image(T, q, OTHER[side])
         for lhs in (norm(T.space, ip.first - iq.first), norm(T.space, ip.second - iq.second)):
             if lhs > rhs + tol:
                 out.append((lhs, rhs, (render_pair(p), render_pair(q))))
@@ -332,7 +335,7 @@ def test_phi_contraction_matches_the_pairwise_definition(name):
         for _ in range(7):
             q = coupled_image(T, p, side)
             chain.append((p, side, q))
-            p, side = q, flip_side(side)
+            p, side = q, OTHER[side]
         side = SIDE_AB
     rep = check_phi_contraction(T, HALF, seed=seed, quantification="consecutive_iterates",
                                 n_starts=3, n_steps=7)
@@ -467,11 +470,11 @@ def test_only_the_violations_written_are_rendered(check, points, monkeypatch):
 
 def test_a_deferred_violation_equals_an_eager_one():
     text = ("({0: 1.5}, {0: -1.5})", "({0: -1.0}, {0: 2.0})")
-    eager = Violation(text, 2.0, 1.0, 1.0, note="n")
-    deferred = Violation(lambda: text, 2.0, 1.0, 1.0, note="n")
+    eager = Violation(text, 2.0, 1.0, note="n")
+    deferred = Violation(lambda: text, 2.0, 1.0, note="n")
     assert deferred == eager and eager == deferred
     assert deferred.inputs == text and deferred.to_json() == eager.to_json()
-    assert Violation(lambda: text[:1], 2.0, 1.0, 1.0, note="n") != eager
+    assert Violation(lambda: text[:1], 2.0, 1.0, note="n") != eager
 
 
 def test_a_held_report_keeps_no_probe(monkeypatch):
