@@ -105,8 +105,9 @@ class Trajectory:
     index, the sorted coordinates the points may use: range(dimension) in
     dense mode, the union of their supports in sequence mode.  values, an
     (n, 2, k) numpy array, and points, ProductPoints, are views of it made on
-    first read.  lag_gaps[j] is the product distance from point j to point
-    j + 2, so the even gaps are lag_gaps[0::2] and the odd gaps lag_gaps[1::2].
+    first read.  t_series[j] is the product distance from point j to point
+    j + 1, and lag_gaps[j] from point j to point j + 2, so the even gaps are
+    lag_gaps[0::2] and the odd gaps lag_gaps[1::2].
     """
 
     space: NormedSpaceSpec
@@ -123,6 +124,9 @@ class Trajectory:
     def __post_init__(self):
         if len(self.flat) != 2 * self.n_points * len(self.index):
             raise ValueError("flat must hold two rows of len(index) floats per point")
+        if (len(self.t_series) != self.n_points - 1
+                or len(self.lag_gaps) != max(self.n_points - 2, 0)):
+            raise ValueError("t_series needs n_points - 1 values and lag_gaps n_points - 2")
 
     @classmethod
     def from_points(cls, space: NormedSpaceSpec, points: Sequence[ProductPoint],

@@ -2,9 +2,9 @@
 
 Three set variants: coordinate boxes, finitely generated hulls, and
 declared sets (membership predicate plus sampler, for sets that are not
-finitely generated).  Distances come from a declared analytic value,
-an exact non-negative least-squares (NNLS) solve for l2, or a multi-start
-projected subgradient descent for l1/linf, flagged approximate.
+finitely generated).  Distances come from a declared analytic value, an
+exact non-negative least-squares (NNLS) solve for l2, or projected subgradient
+descent for l1/linf from starts advanced as one batch, flagged approximate.
 
 Hull membership is the same NNLS solve, on vertices packed once per hull.
 A step is one least-squares solve with each sum-to-one constraint eliminated
@@ -70,6 +70,13 @@ class Hull:
     def packed(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """space.pack of the vertices over their own support, once per hull."""
         return pack(self.vertices, NormedSpaceSpec(mode="sequence", dimension=None))
+
+    def _packed_in(self, space: NormedSpaceSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+        """packed, refusing a vertex outside a dense space (DimensionMismatch)."""
+        V, index = self.packed
+        if space.mode == "dense" and index and index[-1] >= space.dimension:
+            check_set(self, space)
+        return V, index
 
 
 @dataclass(frozen=True)
@@ -223,9 +230,7 @@ def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[A
         lo, hi = [a - tol for a in S.lower], [b + tol for b in S.upper]
         return lambda r: all(map(le, lo, r)) and all(map(le, r, hi))
     import numpy as np
-    V, index = S.packed
-    if space.mode == "dense" and index and index[-1] >= space.dimension:
-        check_set(S, space)  # raises DimensionMismatch for a vertex outside the space
+    V, index = S._packed_in(space)
     if space.mode == "dense" and len(index) == space.dimension:
         return lambda r: _in_hull(V, np.array(r), tol)
     V = np.hstack([V, np.zeros((len(V), 1))])
@@ -282,20 +287,24 @@ def sample(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list[
 
 def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, method: str):
     """The coordinate index over both sets' support, and each set as
-    (kind, data): a hull's vertex array or a box's (lower, upper) arrays."""
+    (kind, data): a hull's packed vertices over it or a box's (lower, upper)."""
     import numpy as np
-    hulls = [S.vertices if isinstance(S, Hull) else () for S in (A, B)]
-    arr, index = pack([*hulls[0], *hulls[1]], space)
+    supports = [S._packed_in(space)[1] for S in (A, B) if isinstance(S, Hull)]
+    index = set(range(space.dimension)) if space.mode == "dense" else set()
+    index = tuple(sorted(index.union(*supports)))
 
-    def prepare(S, V):
+    def prepare(S):
         if isinstance(S, Hull):
-            return "hull", V
+            V, own = S.packed
+            data = np.zeros((len(V), len(index)))
+            data[:, np.searchsorted(index, own)] = V
+            return "hull", data
         if isinstance(S, Box):
             check_set(S, space)
             return "box", (np.array(S.lower, dtype=float), np.array(S.upper, dtype=float))
         raise SetsError(f"{method} needs box or hull sets")
 
-    return index, prepare(A, arr[:len(hulls[0])]), prepare(B, arr[len(hulls[0]):])
+    return index, prepare(A), prepare(B)
 
 
 def _cone(kind: str, data) -> tuple[np.ndarray, np.ndarray]:
@@ -323,26 +332,25 @@ def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     return value, ProximalWitness(unpack(a.tolist(), index), unpack(b.tolist(), index), value)
 
 
-def _project_simplex(w: np.ndarray) -> np.ndarray:
-    # Euclidean projection onto the probability simplex (sort based)
+def _project_simplex(W: np.ndarray) -> np.ndarray:
+    # Euclidean projection of each row onto the probability simplex (sort based)
     import numpy as np
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, len(w) + 1)
-    cond = u - css / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(w - theta, 0.0)
+    u = np.sort(W, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    cond = u - css / np.arange(1, W.shape[1] + 1) > 0
+    rho = W.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)  # last positive index per row
+    theta = css[np.arange(len(W)), rho] / (rho + 1.0)
+    return np.maximum(W - theta[:, None], 0.0)
 
 
 def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: int,
                       n_starts: int = 6, iters: int = 2500):
+    """Projected subgradient descent on |a - b| over hull weights and box
+    coordinates, its n_starts starts advanced together as rows.  Each start
+    keeps its best iterate; the first start with the least value wins."""
     import numpy as np
     index, (ka, da), (kb, db) = _prepare_pair(A, B, space, "subgradient")
     rng = np.random.default_rng(seed)
-
-    def point(kind, data, par):
-        return data.T @ par if kind == "hull" else par
 
     def init(kind, data):
         if kind == "hull":
@@ -351,46 +359,38 @@ def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: 
         lo, hi = data
         return lo + rng.random(len(lo)) * (hi - lo)
 
-    def subgrad(w):
+    def point(kind, data, P):
+        return np.matmul(data.T, P[..., None])[..., 0] if kind == "hull" else P
+
+    def move(kind, data, P, step, G):
+        if kind == "hull":
+            return _project_simplex(P + step * np.matmul(data, G[..., None])[..., 0])
+        return np.clip(P + step * G, *data)
+
+    def subgrad(W):
         if space.norm == "linf":
-            g = np.zeros_like(w)
-            j = int(np.argmax(np.abs(w)))
-            g[j] = np.sign(w[j])
-            return g
-        return np.sign(w)  # l1 (and a valid descent signal for l2)
+            top = np.arange(W.shape[1]) == np.argmax(np.abs(W), axis=1)[:, None]
+            return np.where(top, np.sign(W), 0.0)
+        return np.sign(W)  # l1 (and a valid descent signal for l2)
 
-    def value_of(w: np.ndarray) -> float:
-        return norm(space, unpack(w.tolist(), index))
+    def values_of(W: np.ndarray) -> np.ndarray:
+        return np.array([norm(space, unpack(w, index)) for w in W.tolist()])
 
-    best_val, best_pair = math.inf, None
-    for _ in range(n_starts):
-        pa, pb = init(ka, da), init(kb, db)
-        cur_a, cur_b = point(ka, da, pa), point(kb, db, pb)
-        loc_val, loc_pair = value_of(cur_a - cur_b), (cur_a, cur_b)
-        spread = loc_val + 1.0
-        for k in range(1, iters + 1):
-            g = subgrad(cur_a - cur_b)
-            step = spread / math.sqrt(k)
-            if ka == "hull":
-                pa = _project_simplex(pa - step * (da @ g))
-            else:
-                lo, hi = da
-                pa = np.clip(pa - step * g, lo, hi)
-            if kb == "hull":
-                pb = _project_simplex(pb + step * (db @ g))
-            else:
-                lo, hi = db
-                pb = np.clip(pb + step * g, lo, hi)
-            cur_a, cur_b = point(ka, da, pa), point(kb, db, pb)
-            val = value_of(cur_a - cur_b)
-            if val < loc_val:
-                loc_val, loc_pair = val, (cur_a, cur_b)
-        if loc_val < best_val:
-            best_val, best_pair = loc_val, loc_pair
-    wit = ProximalWitness(
-        unpack(best_pair[0].tolist(), index), unpack(best_pair[1].tolist(), index), best_val
-    )
-    return best_val, wit
+    PA, PB = map(np.array, zip(*[(init(ka, da), init(kb, db)) for _ in range(n_starts)]))
+    cur_a, cur_b = point(ka, da, PA), point(kb, db, PB)
+    best = values_of(cur_a - cur_b)
+    best_a, best_b, spread = cur_a.copy(), cur_b.copy(), best + 1.0
+    for k in range(1, iters + 1):
+        G = subgrad(cur_a - cur_b)
+        step = (spread / math.sqrt(k))[:, None]
+        PA, PB = move(ka, da, PA, -step, G), move(kb, db, PB, step, G)
+        cur_a, cur_b = point(ka, da, PA), point(kb, db, PB)
+        val = values_of(cur_a - cur_b)
+        up = val < best
+        best[up], best_a[up], best_b[up] = val[up], cur_a[up], cur_b[up]
+    i = int(np.argmin(best))
+    a, b = (unpack(P[i].tolist(), index) for P in (best_a, best_b))
+    return float(best[i]), ProximalWitness(a, b, float(best[i]))
 
 
 def dist(

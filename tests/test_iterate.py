@@ -268,6 +268,12 @@ def eps_reaching(target, d, tol):
     return None
 
 
+def series(space, points):
+    """The t_series and lag_gaps that run records for these points."""
+    return (tuple(pair_distance(space, p, q) for p, q in zip(points, points[1:])),
+            tuple(pair_distance(space, p, q) for p, q in zip(points, points[2:])))
+
+
 def settling_trajectory(space, seed, n_points, offset, stop_reason):
     """Points that wander around (offset, -offset) with shrinking noise."""
     rng = random.Random(seed)
@@ -281,7 +287,8 @@ def settling_trajectory(space, seed, n_points, offset, stop_reason):
     points = tuple(ProductPoint(vec(1 if n % 2 == 0 else -1, 0.8 ** n),
                                 vec(-1 if n % 2 == 0 else 1, 0.8 ** n))
                    for n in range(n_points))
-    return Trajectory.from_points(space, points, (), (), stop_reason, StopRule(), None)
+    return Trajectory.from_points(space, points, *series(space, points), stop_reason, StopRule(),
+                                  None)
 
 
 SPACES = [NormedSpaceSpec(norm, "dense", dim, 3.0 if norm == "lp" else None)
@@ -333,7 +340,9 @@ def test_interleaved_matches_the_pairwise_reference_on_zero_vectors(norm):
     # in sequence mode the zero vector has no coordinates at all
     space = NormedSpaceSpec(norm, "sequence", None, 3.0 if norm == "lp" else None)
     zero = ProductPoint(Vector.zero(), Vector.zero())
-    traj = Trajectory.from_points(space, (zero,) * 7, (), (), STOP_BUDGET, StopRule(), None)
+    points = (zero,) * 7
+    traj = Trajectory.from_points(space, points, *series(space, points), STOP_BUDGET, StopRule(),
+                                  None)
     eps_list = [0.5, 0.0, -1e-9]
     got = diagnose_interleaved(traj, eps_list, d=0.0).to_json()
     assert got == interleaved_reference(traj, eps_list, 0.0, 1e-9).to_json()
@@ -539,7 +548,8 @@ def test_from_points_round_trips_sequence_supports():
     space = NormedSpaceSpec("l1", "sequence", None)
     points = (ProductPoint(Vector.from_map({4: 1.5}), Vector.zero()),
               ProductPoint(Vector.from_map({1: -2.0, 4: 0.25}), Vector.from_map({9: 3.0})))
-    traj = Trajectory.from_points(space, points, (), (), STOP_BUDGET, StopRule(), None)
+    traj = Trajectory.from_points(space, points, *series(space, points), STOP_BUDGET, StopRule(),
+                                  None)
     assert traj.index == (1, 4, 9)
     assert traj.values.tolist() == [[[0.0, 1.5, 0.0], [0.0, 0.0, 0.0]],
                                     [[-2.0, 0.25, 0.0], [0.0, 0.0, 3.0]]]
@@ -576,6 +586,21 @@ def test_a_row_of_the_wrong_length_is_refused():
                       RowEvaluator(lambda rx, ry, side: [1.5 if side == SIDE_BA else -1.5], 2))
     with pytest.raises(ValueError, match="two rows of len\\(index\\) floats per point"):
         run(T, Vector.dense([1.5, 1.5]), Vector.dense([-1.5, -1.5]), WOBBLE)
+
+
+def test_series_of_the_wrong_length_are_refused(tmp_path):
+    # diagnose_even_gaps and trajectory_to_csv index the series by point
+    space = NormedSpaceSpec("l2", "dense", 1)
+    points = tuple(ProductPoint(Vector.dense([1.0 + 0.5 ** n]), Vector.dense([-1.0]))
+                   for n in range(5))
+    t_series, lag_gaps = series(space, points)
+    for bad in (((), ()), (t_series, ()), (t_series[1:], lag_gaps), (t_series, lag_gaps + (0.0,))):
+        with pytest.raises(ValueError, match="t_series needs n_points - 1 values"):
+            Trajectory.from_points(space, points, *bad, STOP_BUDGET, StopRule(), None)
+    traj = Trajectory.from_points(space, points, t_series, lag_gaps, STOP_BUDGET, StopRule(), None)
+    assert diagnose_even_gaps(traj).checked == 3
+    trajectory_to_csv(traj, tmp_path / "trace.csv")
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 6
 
 
 @pytest.mark.parametrize("space", TWO_MODES, ids=lambda s: s.mode)

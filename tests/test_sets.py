@@ -4,6 +4,7 @@ Distance oracles: 1-d problems have closed forms, 2-d polytope cases are
 checked against a dense grid over the convex-weight simplex.
 """
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxcycle import (
     CyclicMapSpec,
@@ -30,8 +32,8 @@ from proxcycle import (
     sample,
 )
 from proxcycle.sets import (Box, DeclaredDistance, Hull, ProximalWitness, _cone, _nnls,
-                            _prepare_pair, _simplex_weights, member_test)
-from proxcycle.space import TOL_NUM, pack_flat, row_kernel
+                            _prepare_pair, _simplex_weights, _subgrad_distance, member_test)
+from proxcycle.space import TOL_NUM, pack, pack_flat, row_kernel, unpack
 
 L1_SEQ = NormedSpaceSpec("l1", "sequence", None)
 R1 = NormedSpaceSpec("l2", "dense", 1)
@@ -167,8 +169,22 @@ def test_hull_vertices_are_packed_once(monkeypatch):
     x0 = sample(A, R2, 1, seed=2)[0]
     traj = run(T, x0, -x0, StopRule(50, None, None))
     assert traj.n_points == 51
+    packed = len(packs)
+    assert dist(A, B, R2) == dist(A, B, R2)
+    assert len(packs) == packed
     for S in (A, B):
         assert sum(vs[:len(S.vertices)] == S.vertices for vs in packs) <= 1
+
+
+@pytest.mark.parametrize("sp", [NormedSpaceSpec("l1", "dense", 6), L1_SEQ],
+                         ids=["dense", "sequence"])
+def test_prepare_pair_places_each_hull_over_the_union_index(sp):
+    A = Hull((Vector.from_map({1: 1.0, 3: -2.0}), Vector.from_map({0: 0.5})))
+    B = Hull((Vector.from_map({2: 4.0}), Vector.from_map({1: -1.0, 2: 3.0}), Vector.zero()))
+    index, (_, da), (_, db) = _prepare_pair(A, B, sp, "subgradient")
+    arr, want = pack([*A.vertices, *B.vertices], sp)
+    assert index == want
+    assert np.array_equal(np.vstack([da, db]), arr)
 
 
 def test_hull_vertex_outside_the_space_is_refused():
@@ -314,6 +330,101 @@ def test_l1_distance_is_flagged_approximate():
     assert res.method == "subgradient"
     assert res.approximate
     assert res.value == pytest.approx(2.0, abs=1e-5)
+
+
+def subgrad_by_start(A, B, space, seed, n_starts, iters):
+    """_subgrad_distance as a loop over its starts, one start at a time."""
+    index, (ka, da), (kb, db) = _prepare_pair(A, B, space, "subgradient")
+    rng = np.random.default_rng(seed)
+
+    def project_simplex(w):
+        u = np.sort(w)[::-1]
+        css = np.cumsum(u) - 1.0
+        rho = int(np.nonzero(u - css / np.arange(1, len(w) + 1) > 0)[0][-1])
+        return np.maximum(w - css[rho] / (rho + 1.0), 0.0)
+
+    def point(kind, data, par):
+        return data.T @ par if kind == "hull" else par
+
+    def init(kind, data):
+        if kind == "hull":
+            w = rng.random(len(data))
+            return w / w.sum()
+        lo, hi = data
+        return lo + rng.random(len(lo)) * (hi - lo)
+
+    def subgrad(w):
+        if space.norm == "linf":
+            g = np.zeros_like(w)
+            j = int(np.argmax(np.abs(w)))
+            g[j] = np.sign(w[j])
+            return g
+        return np.sign(w)
+
+    def value_of(w):
+        return norm(space, unpack(w.tolist(), index))
+
+    best_val, best_pair = math.inf, None
+    for _ in range(n_starts):
+        pa, pb = init(ka, da), init(kb, db)
+        cur_a, cur_b = point(ka, da, pa), point(kb, db, pb)
+        loc_val, loc_pair = value_of(cur_a - cur_b), (cur_a, cur_b)
+        spread = loc_val + 1.0
+        for k in range(1, iters + 1):
+            g = subgrad(cur_a - cur_b)
+            step = spread / math.sqrt(k)
+            if ka == "hull":
+                pa = project_simplex(pa - step * (da @ g))
+            else:
+                pa = np.clip(pa - step * g, *da)
+            if kb == "hull":
+                pb = project_simplex(pb + step * (db @ g))
+            else:
+                pb = np.clip(pb + step * g, *db)
+            cur_a, cur_b = point(ka, da, pa), point(kb, db, pb)
+            val = value_of(cur_a - cur_b)
+            if val < loc_val:
+                loc_val, loc_pair = val, (cur_a, cur_b)
+        if loc_val < best_val:
+            best_val, best_pair = loc_val, loc_pair
+    a, b = (unpack(p.tolist(), index) for p in best_pair)
+    return best_val, ProximalWitness(a, b, best_val)
+
+
+def random_set(kind, d, offset, rng):
+    """A hull of 1 to d + 3 vertices or a box, both about offset."""
+    if kind == "hull":
+        scale = rng.uniform(0.1, 5.0)
+        return Hull(tuple(Vector.dense((offset + scale * rng.standard_normal(d)).tolist())
+                          for _ in range(rng.integers(1, d + 4))))
+    lo = offset + rng.uniform(-3.0, 3.0, d)
+    return Box(tuple(lo.tolist()), tuple((lo + rng.uniform(0.0, 4.0, d)).tolist()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(norm_name=st.sampled_from(["l1", "linf"]),
+       kinds=st.sampled_from([("hull", "hull"), ("box", "box"), ("hull", "box"), ("box", "hull")]),
+       d=st.integers(1, 20), offsets=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+       seed=st.integers(0, 2 ** 32 - 1), n_starts=st.sampled_from([1, 6]))
+def test_batched_subgradient_equals_the_loop_over_starts(norm_name, kinds, d, offsets, seed,
+                                                         n_starts):
+    rng = np.random.default_rng(seed)
+    A, B = (random_set(kind, d, off, rng) for kind, off in zip(kinds, offsets))
+    sp = NormedSpaceSpec(norm_name, "dense", d)
+    got = _subgrad_distance(A, B, sp, seed, n_starts, iters=25)
+    assert type(got[0]) is float
+    assert got == subgrad_by_start(A, B, sp, seed, n_starts, iters=25)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_subgradient_keeps_the_first_of_equal_iterates(seed):
+    # every point of A is at linf distance 2 from B, and the iterates drift
+    # along A in the last bits, so a start sees equal values at other points
+    sp = NormedSpaceSpec("linf", "dense", 2)
+    A = Hull((Vector.dense([1.0, 0.0]), Vector.dense([1.0, 1.0])))
+    B = Hull((Vector.dense([-1.0, 0.5]),))
+    got = _subgrad_distance(A, B, sp, seed, 6, iters=50)
+    assert got == subgrad_by_start(A, B, sp, seed, 6, iters=50)
 
 
 def test_declared_distance_wins_and_checks_witnesses():
