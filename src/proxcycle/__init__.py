@@ -80,7 +80,6 @@ from .space import (
     Vector,
     basis,
     convexity_modulus,
-    midpoint_defect_check,
     norm,
     pair_distance,
     product_norm,

@@ -29,7 +29,7 @@ from .report import (
     render_pair,
     render_vector,
 )
-from .sets import ConvexSet, DeclaredDistance, contains, dist as set_dist
+from .sets import ConvexSet, contains, dist as set_dist
 from .space import (TOL_NUM, ModulusUnavailable, NormedSpaceSpec, ProductPoint, Vector,
                     pair_distance, row_kernel, row_vector)
 
@@ -74,15 +74,14 @@ class Certificate:
         }
 
 
-def certify(T: CyclicMapSpec, candidate: ProductPoint, d: float | None = None,
-            tol: float = CERT_TOL) -> Certificate:
+def certify(T: CyclicMapSpec, candidate: ProductPoint, tol: float = CERT_TOL) -> Certificate:
     """Certify candidate = (x, y) with x in A, y in B.
 
     Verdict "coupled_bpp" when both residuals match the pair distance
-    within tol, "coupled_fixed_point" when additionally the distance
-    itself is below tol, "rejected" otherwise (with a reason).
+    T.declared_dist within tol, "coupled_fixed_point" when additionally
+    the distance itself is below tol, "rejected" otherwise (with a reason).
     """
-    d = T.declared_dist if d is None else d
+    d = T.declared_dist
     if d is None:
         raise CertifyError("certification needs the pair distance")
     for v, S, reason in ((candidate.first, T.A, "x is not in the A set"),
@@ -224,7 +223,6 @@ def proximal_squeeze_check(
     seq_wz: list[ProductPoint],
     seq_uv: list[ProductPoint],
     d: float | None = None,
-    declared: DeclaredDistance | None = None,
     tol: float = CERT_TOL,
 ) -> CheckReport:
     """Squeeze argument for uniformly convex spaces.
@@ -241,12 +239,9 @@ def proximal_squeeze_check(
     if not (len(seq_xy) == len(seq_wz) == len(seq_uv)) or len(seq_xy) < 2:
         raise CertifyError("need three equal-length sequences with >= 2 entries")
     if d is None:
-        if declared is not None:
-            d = declared.value
-        elif space.norm == "l2":
-            d = set_dist(A, B, space).value
-        else:
+        if space.norm != "l2":
             raise CertifyError("provide the pair distance for this space")
+        d = set_dist(A, B, space).value
     for label, seq in (("xy-uv", seq_xy), ("wz-uv", seq_wz)):
         final = pair_distance(space, seq[-1], seq_uv[-1])
         if abs(final - d) > tol:

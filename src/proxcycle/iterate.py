@@ -248,13 +248,12 @@ def diagnose_monotone_t(traj: Trajectory, tol: float = TOL_NUM) -> CheckReport:
     return conclude("monotone_t", len(traj.t_series) - 1, violations)
 
 
-def diagnose_t_limit(traj: Trajectory, d: float | None = None,
-                     tol: float | None = None, floor_tol: float = TOL_NUM) -> CheckReport:
-    """Final t value must sit within tol of dist(A, B).
+def diagnose_t_limit(traj: Trajectory, tol: float | None = None) -> CheckReport:
+    """Final t value must sit within tol of dist(A, B), traj.dist_used.
 
-    Also verifies the floor: no t value may undercut dist - floor_tol.
+    Also verifies the floor: no t value may undercut dist - TOL_NUM.
     """
-    d = traj.dist_used if d is None else d
+    d = traj.dist_used
     if d is None:
         return CheckReport("t_limit", 0, status=INCONCLUSIVE,
                            detail="no pair distance available")
@@ -264,7 +263,7 @@ def diagnose_t_limit(traj: Trajectory, d: float | None = None,
         tol = traj.rule.t_tol if traj.rule.t_tol is not None else TOL_STOP
     violations = []
     for k, t in enumerate(traj.t_series):
-        if t < d - floor_tol:
+        if t < d - TOL_NUM:
             violations.append(Violation(
                 (f"t[{k}]={t!r}",), d, t,
                 note="t value undercut the pair distance",
@@ -321,9 +320,10 @@ def _component_norms(space: NormedSpaceSpec, diff: np.ndarray) -> np.ndarray:
 
 
 def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
-                         d: float | None = None, tol: float = TOL_NUM) -> CheckReport:
+                         tol: float = TOL_NUM) -> CheckReport:
     """Interleaved closeness: for each eps some tail index N bounds every
-    cross distance ||u_2m - u_(2n+1)|| with m > n >= N by dist + eps.
+    cross distance ||u_2m - u_(2n+1)|| with m > n >= N by dist + eps,
+    where dist is traj.dist_used.
 
     Each cross distance is computed once, in numpy, and folded into
     colmax[n], the largest over m > n; N is one past the last n whose
@@ -332,7 +332,7 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
     the one pair_distance gives.
     """
     import numpy as np
-    d = traj.dist_used if d is None else d
+    d = traj.dist_used
     if d is None:
         return CheckReport("interleaved", 0, status=INCONCLUSIVE,
                            detail="no pair distance available")

@@ -2,9 +2,10 @@
 
 Three set variants: coordinate boxes, finitely generated hulls, and
 declared sets (membership predicate plus sampler, for sets that are not
-finitely generated).  Distances come from a declared analytic value, an
-exact non-negative least-squares (NNLS) solve for l2, or projected subgradient
-descent for l1/linf from starts advanced as one batch, flagged approximate.
+finitely generated).  dist picks its method from its inputs: a declared
+analytic value when one is given, else an exact non-negative least-squares
+(NNLS) solve for l2, else projected subgradient descent for l1/linf from
+starts advanced as one batch at seed 0, not converged.  lp is refused.
 
 Hull membership is the same NNLS solve, on vertices packed once per hull.
 A step is one least-squares solve with each sum-to-one constraint eliminated
@@ -109,13 +110,18 @@ class DeclaredDistance:
     value: float
     witnesses: tuple[tuple[Vector, Vector], ...]
 
+    def __post_init__(self):
+        if not self.witnesses:
+            raise SetsError("a declared distance needs at least one witness pair")
+        if not (math.isfinite(self.value) and self.value >= 0.0):
+            raise SetsError(f"a declared distance must be finite and >= 0, got {self.value!r}")
+
 
 @dataclass(frozen=True)
 class DistResult:
     value: float
     witness: ProximalWitness
     method: str
-    approximate: bool
     converged: bool
 
 
@@ -285,7 +291,7 @@ def sample(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list[
 # ---------------------------------------------------------------------------
 # distance between two sets
 
-def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, method: str):
+def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     """The coordinate index over both sets' support, and each set as
     (kind, data): a hull's packed vertices over it or a box's (lower, upper)."""
     import numpy as np
@@ -302,7 +308,7 @@ def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, method: st
         if isinstance(S, Box):
             check_set(S, space)
             return "box", (np.array(S.lower, dtype=float), np.array(S.upper, dtype=float))
-        raise SetsError(f"{method} needs box or hull sets")
+        raise SetsError("dist needs box or hull sets, or a declared distance")
 
     return index, prepare(A), prepare(B)
 
@@ -324,7 +330,7 @@ def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     |C_A z_A - C_B z_B|.  The witnesses are feasible and the value is
     their distance."""
     import numpy as np
-    index, pa, pb = _prepare_pair(A, B, space, "nnls")
+    index, pa, pb = _prepare_pair(A, B, space)
     (Ca, ga), (Cb, gb) = _cone(*pa), _cone(*pb)
     *_, (z, _) = _nnls(np.hstack([Ca, -Cb]), np.concatenate([ga, gb + ga.max() + 1]))
     a, b = Ca @ z[:len(ga)], Cb @ z[len(ga):]
@@ -349,7 +355,7 @@ def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: 
     coordinates, its n_starts starts advanced together as rows.  Each start
     keeps its best iterate; the first start with the least value wins."""
     import numpy as np
-    index, (ka, da), (kb, db) = _prepare_pair(A, B, space, "subgradient")
+    index, (ka, da), (kb, db) = _prepare_pair(A, B, space)
     rng = np.random.default_rng(seed)
 
     def init(kind, data):
@@ -371,7 +377,7 @@ def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: 
         if space.norm == "linf":
             top = np.arange(W.shape[1]) == np.argmax(np.abs(W), axis=1)[:, None]
             return np.where(top, np.sign(W), 0.0)
-        return np.sign(W)  # l1 (and a valid descent signal for l2)
+        return np.sign(W)  # l1
 
     def values_of(W: np.ndarray) -> np.ndarray:
         return np.array([norm(space, unpack(w, index)) for w in W.tolist()])
@@ -393,48 +399,27 @@ def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: 
     return float(best[i]), ProximalWitness(a, b, float(best[i]))
 
 
-def dist(
-    A: ConvexSet,
-    B: ConvexSet,
-    space: NormedSpaceSpec,
-    method: str | None = None,
-    declared: DeclaredDistance | None = None,
-    seed: int = 0,
-) -> DistResult:
+def dist(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec,
+         declared: DeclaredDistance | None = None) -> DistResult:
     """Distance between A and B with an achieving (or near-achieving) witness.
 
-    method: "declared" (trusted analytic value), "nnls" (l2 over box/hull
-    pairs, exact), or "subgradient" (l1/linf over box/hull pairs, multi
-    start from seed, always flagged approximate).  Default: declared when
-    given, else nnls for l2, else subgradient.
+    The method follows from the inputs: "declared" when declared is given
+    (every witness pair must achieve its value), else "nnls" for l2 over
+    box/hull pairs (exact), else "subgradient" for l1/linf over box/hull
+    pairs (multi start from seed 0, never converged).  lp is refused.
     """
-    if method is None:
-        if declared is not None:
-            method = "declared"
-        elif space.norm == "l2":
-            method = "nnls"
-        else:
-            method = "subgradient"
-    if method == "declared":
-        if declared is None:
-            raise SetsError("declared method needs a DeclaredDistance")
-        a, b = declared.witnesses[0]
-        achieved = norm(space, a - b)
-        if abs(achieved - declared.value) > TOL_DIST:
-            raise SetsError(
-                f"declared witness achieves {achieved}, not {declared.value}"
-            )
-        return DistResult(declared.value, ProximalWitness(a, b, achieved),
-                          "declared", False, True)
-    if method == "nnls":
-        if space.norm != "l2":
-            raise SetsError("nnls applies to the l2 norm only")
-        value, wit = _nnls_distance(A, B, space)
-        return DistResult(value, wit, "nnls", False, True)
-    if method == "subgradient":
-        value, wit = _subgrad_distance(A, B, space, seed)
-        return DistResult(value, wit, "subgradient", True, False)
-    raise SetsError(f"unknown dist method {method!r}")
+    if declared is not None:
+        achieved = [norm(space, a - b) for a, b in declared.witnesses]
+        for got in achieved:
+            if not abs(got - declared.value) <= TOL_DIST:
+                raise SetsError(f"declared witness achieves {got}, not {declared.value}")
+        return DistResult(declared.value, ProximalWitness(*declared.witnesses[0], achieved[0]),
+                          "declared", True)
+    if space.norm == "l2":
+        return DistResult(*_nnls_distance(A, B, space), "nnls", True)
+    if space.norm == "lp":
+        raise SetsError("dist has no solver for lp; declare the distance")
+    return DistResult(*_subgrad_distance(A, B, space, 0), "subgradient", False)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +430,7 @@ def _paired_block_member(offset: int) -> Callable[[Vector, float], bool]:
         blocks: dict[int, list[float]] = {}
         for j, val in v.coords:
             if j < offset:
-                if abs(val) > tol:
+                if not abs(val) <= tol:
                     return False
                 continue
             m = j - offset
@@ -461,16 +446,19 @@ def _paired_block_member(offset: int) -> Callable[[Vector, float], bool]:
     return member
 
 
-def _paired_block_sampler(offset: int, max_block: int = 6) -> Callable[[random.Random], Vector]:
-    """Draws of 1 to 4 distinct blocks n in 1 .. max_block with weights
+MAX_BLOCK = 6  # the paired-block sampler draws its blocks from 1 .. MAX_BLOCK
+
+
+def _paired_block_sampler(offset: int) -> Callable[[random.Random], Vector]:
+    """Draws of 1 to 4 distinct blocks n in 1 .. MAX_BLOCK with weights
     uniform on the simplex, weight w putting w at 2n - 2 + offset and
     2n - 1 + offset.  A draw of k blocks consumes rng as randint(1, 4),
-    sample(range(1, max_block + 1), k) and _simplex_weights(rng, k) would in
+    sample(range(1, MAX_BLOCK + 1), k) and _simplex_weights(rng, k) would in
     turn, and gives their values, but calls getrandbits and random directly:
     randint and sample's pool swaps draw below n by taking n.bit_length()
     bits until they are below n."""
-    swaps = [(n, n.bit_length()) for n in range(max_block, 0, -1)]
-    blocks_in_order = list(range(1, max_block + 1))
+    swaps = [(n, n.bit_length()) for n in range(MAX_BLOCK, 0, -1)]
+    blocks_in_order = list(range(1, MAX_BLOCK + 1))
 
     def sampler(rng: random.Random) -> Vector:
         bits = rng.getrandbits

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-# Global inequality slack.  Every check that compares two real quantities
-# accepts an override; this is only the default.
+# Global inequality slack: the default tolerance of the checks that compare
+# two real quantities, and the fixed slack of t_limit's floor.
 TOL_NUM = 1e-9
 
 NORMS = ("l1", "l2", "lp", "linf")
@@ -271,9 +271,6 @@ class ProductPoint:
     def __sub__(self, other: "ProductPoint") -> "ProductPoint":
         return ProductPoint(self.first - other.first, self.second - other.second)
 
-    def swap(self) -> "ProductPoint":
-        return ProductPoint(self.second, self.first)
-
 
 def product_norm(space: NormedSpaceSpec, pair: ProductPoint) -> float:
     """Max norm on the product: max of the component norms."""
@@ -298,37 +295,3 @@ def convexity_modulus(space: NormedSpaceSpec, eps: float) -> float:
     if space.norm == "lp":
         raise ModulusUnavailable("no exact modulus bundled for lp with p != 2")
     raise ModulusUnavailable(f"{space.norm} is not uniformly convex")
-
-
-def midpoint_defect_check(
-    space: NormedSpaceSpec,
-    x: Vector,
-    y: Vector,
-    z: Vector,
-    r: float,
-    R: float,
-    tol: float = TOL_NUM,
-) -> bool:
-    """Uniform-convexity midpoint bound.
-
-    With ||x-z|| <= R, ||y-z|| <= R and ||x-y|| >= r, uniform convexity
-    forces the midpoint of x and y within (1 - delta(r/R)) * R of z.
-    Returns whether that bound holds (with tol slack).  Precondition
-    violations raise, naming the failed bound.
-    """
-    if not space.modulus_available:
-        raise ModulusUnavailable(f"{space.norm} has no convexity modulus")
-    if not (0.0 < r <= 2.0 * R):
-        raise SpaceError(f"need 0 < r <= 2R, got r={r}, R={R}")
-    dxz = norm(space, x - z)
-    dyz = norm(space, y - z)
-    dxy = norm(space, x - y)
-    if dxz > R + tol:
-        raise SpaceError(f"precondition ||x-z|| <= R failed: {dxz} > {R}")
-    if dyz > R + tol:
-        raise SpaceError(f"precondition ||y-z|| <= R failed: {dyz} > {R}")
-    if dxy < r - tol:
-        raise SpaceError(f"precondition ||x-y|| >= r failed: {dxy} < {r}")
-    mid = (x + y).scale(0.5)
-    bound = (1.0 - convexity_modulus(space, r / R)) * R
-    return norm(space, mid - z) <= bound + tol

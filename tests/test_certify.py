@@ -6,6 +6,8 @@ constant map between the block hulls gives exactly 2.0 in l1 at both
 published candidates.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -95,8 +97,8 @@ def test_certify_needs_a_distance():
                          lambda x, y, side: x)
     with pytest.raises(CertifyError, match="needs the pair distance"):
         certify(anon, BPP)
-    # an explicit distance overrides the declared one
-    assert certify(INTERVAL, BPP, d=0.0).verdict == "rejected"
+    # the distance is the map's declared one
+    assert certify(replace(INTERVAL, declared_dist=0.0), BPP).verdict == "rejected"
 
 
 def test_certificate_json_shape():
@@ -347,7 +349,8 @@ def test_certify_and_second_iterate_on_rows_match_the_vector_reference(kind, nor
                                                                        c_scale, accept):
     T, cand = affine_case(kind, norm_p, a, b, rows, c_scale)
     d = reference_certificate(T, cand, 2.0).residual_x if accept else 2.0
-    assert repr(certify(T, cand, d).to_json()) == repr(reference_certificate(T, cand, d).to_json())
+    got = certify(replace(T, declared_dist=d), cand)
+    assert repr(got.to_json()) == repr(reference_certificate(T, cand, d).to_json())
     assert (repr(second_iterate_check(T, cand).to_json())
             == repr(reference_second_iterate(T, cand).to_json()))
 

@@ -207,7 +207,7 @@ def test_t_limit_fails_after_converged_stop_and_on_floor_violation():
     assert "final t = 3.0" in rep.detail
     # a fake larger distance trips the floor check instead
     traj = run(INTERVAL, X0, Y0)
-    floor = diagnose_t_limit(traj, d=2.5)
+    floor = diagnose_t_limit(replace(traj, dist_used=2.5))
     assert floor.status == "failed"
     assert any(v.note == "t value undercut the pair distance" for v in floor.violations)
 
@@ -318,7 +318,7 @@ def test_interleaved_matches_the_pairwise_reference(space, seed):
             if eps is not None:
                 eps_list.append(eps)
     assert len(eps_list) > 20
-    got = diagnose_interleaved(traj, eps_list, d=d, tol=tol).to_json(len(eps_list))
+    got = diagnose_interleaved(replace(traj, dist_used=d), eps_list, tol=tol).to_json(len(eps_list))
     assert got == interleaved_reference(traj, eps_list, d, tol).to_json(len(eps_list))
 
 
@@ -330,7 +330,7 @@ def test_interleaved_matches_the_pairwise_reference_past_squares_overflow(norm):
     evens, odds = traj.points[0::2], traj.points[1::2]
     target = pair_distance(space, evens[3], odds[1])
     eps_list = [1e201, 0.5, eps_reaching(target, 0.0, 1e-9)]
-    got = diagnose_interleaved(traj, eps_list, d=0.0).to_json()
+    got = diagnose_interleaved(replace(traj, dist_used=0.0), eps_list).to_json()
     assert got == interleaved_reference(traj, eps_list, 0.0, 1e-9).to_json()
     assert "eps=1e+201: N=0" in got["detail"]
 
@@ -344,7 +344,7 @@ def test_interleaved_matches_the_pairwise_reference_on_zero_vectors(norm):
     traj = Trajectory.from_points(space, points, *series(space, points), STOP_BUDGET, StopRule(),
                                   None)
     eps_list = [0.5, 0.0, -1e-9]
-    got = diagnose_interleaved(traj, eps_list, d=0.0).to_json()
+    got = diagnose_interleaved(replace(traj, dist_used=0.0), eps_list).to_json()
     assert got == interleaved_reference(traj, eps_list, 0.0, 1e-9).to_json()
 
 
@@ -355,7 +355,7 @@ def test_interleaved_matches_the_pairwise_reference_on_builtins(name):
     traj = run(T, x0, y0, StopRule(max_iters=120, t_tol=None, gap_tol=None))
     d = T.declared_dist
     eps_list = (0.5, 0.1, 0.01, 0.0, 1e-6)
-    got = diagnose_interleaved(traj, eps_list, d=d).to_json()
+    got = diagnose_interleaved(traj, eps_list).to_json()
     assert got == interleaved_reference(traj, eps_list, d, 1e-9).to_json()
 
 

@@ -142,7 +142,7 @@ def test_nnls_iterates_of_a_distance_stay_feasible():
     hull = Hull(tuple(Vector.dense(v) for v in 2.0 + 0.5 * rng.standard_normal((7, 4))))
     box = Box((-1.0, -2.0, 0.0, -3.0), (0.0, -1.0, 0.5, -2.0))
     sp = NormedSpaceSpec("l2", "dense", 4)
-    _, pa, pb = _prepare_pair(hull, box, sp, "nnls")
+    _, pa, pb = _prepare_pair(hull, box, sp)
     (Ca, ga), (Cb, gb) = _cone(*pa), _cone(*pb)
     assert_feasible_descent(np.hstack([Ca, -Cb]), np.concatenate([ga, gb + ga.max() + 1]))
 
@@ -181,7 +181,7 @@ def test_hull_vertices_are_packed_once(monkeypatch):
 def test_prepare_pair_places_each_hull_over_the_union_index(sp):
     A = Hull((Vector.from_map({1: 1.0, 3: -2.0}), Vector.from_map({0: 0.5})))
     B = Hull((Vector.from_map({2: 4.0}), Vector.from_map({1: -1.0, 2: 3.0}), Vector.zero()))
-    index, (_, da), (_, db) = _prepare_pair(A, B, sp, "subgradient")
+    index, (_, da), (_, db) = _prepare_pair(A, B, sp)
     arr, want = pack([*A.vertices, *B.vertices], sp)
     assert index == want
     assert np.array_equal(np.vstack([da, db]), arr)
@@ -225,7 +225,7 @@ def test_interval_distance_closed_form():
     # inf |a - b| over a in [1,2], b in [-2,-1] is 2, attained at (1, -1)
     res = dist(A_BOX, B_BOX, R1)
     assert res.value == pytest.approx(2.0, abs=1e-9)
-    assert res.converged and not res.approximate
+    assert res.method == "nnls" and res.converged
     assert res.witness.a_star.value_at(0) == pytest.approx(1.0, abs=1e-7)
     assert res.witness.b_star.value_at(0) == pytest.approx(-1.0, abs=1e-7)
 
@@ -276,7 +276,7 @@ def test_l2_box_pair_matches_closed_form():
     A = Box((0.5, 1.0, -3.0, -1.0, -0.4), (1.5, 1.5, -1.8, 0.9, 0.4))
     B = Box((0.3, -2.3, -1.4, 1.0, -2.3), (2.0, -0.5, -1.2, 2.9, -1.6))
     res = dist(A, B, NormedSpaceSpec("l2", "dense", 5))
-    assert res.method == "nnls" and res.converged and not res.approximate
+    assert res.method == "nnls" and res.converged
     assert res.value == pytest.approx(np.sqrt(1.5 ** 2 + 0.4 ** 2 + 0.1 ** 2 + 1.2 ** 2),
                                       abs=1e-9)
 
@@ -328,13 +328,13 @@ def test_l1_distance_is_flagged_approximate():
     sp = NormedSpaceSpec("l1", "dense", 1)
     res = dist(A_BOX, B_BOX, sp)
     assert res.method == "subgradient"
-    assert res.approximate
+    assert not res.converged
     assert res.value == pytest.approx(2.0, abs=1e-5)
 
 
 def subgrad_by_start(A, B, space, seed, n_starts, iters):
     """_subgrad_distance as a loop over its starts, one start at a time."""
-    index, (ka, da), (kb, db) = _prepare_pair(A, B, space, "subgradient")
+    index, (ka, da), (kb, db) = _prepare_pair(A, B, space)
     rng = np.random.default_rng(seed)
 
     def project_simplex(w):
@@ -431,11 +431,38 @@ def test_declared_distance_wins_and_checks_witnesses():
     pair = (Vector.dense([1.0]), Vector.dense([-1.0]))
     res = dist(A_BOX, B_BOX, R1, declared=DeclaredDistance(2.0, (pair,)))
     assert res.method == "declared"
-    assert res.value == 2.0 and not res.approximate
+    assert res.value == 2.0 and res.converged
 
     bad = (Vector.dense([1.5]), Vector.dense([-1.0]))  # achieves 2.5, not 2
     with pytest.raises(SetsError):
         dist(A_BOX, B_BOX, R1, declared=DeclaredDistance(2.0, (bad,)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_declared_distance_must_be_finite_and_non_negative(value):
+    pair = (Vector.dense([1.0]), Vector.dense([-1.0]))
+    with pytest.raises(SetsError, match="finite and >= 0"):
+        DeclaredDistance(value, (pair,))
+
+
+def test_declared_distance_needs_a_witness():
+    with pytest.raises(SetsError, match="at least one witness"):
+        DeclaredDistance(2.0, ())
+
+
+@pytest.mark.parametrize("bad", [(Vector.dense([1.5]), Vector.dense([-1.0])),
+                                 (Vector.dense([math.nan]), Vector.dense([-1.0]))],
+                         ids=["achieves-2.5", "achieves-nan"])
+def test_dist_checks_every_declared_witness(bad):
+    good = (Vector.dense([1.0]), Vector.dense([-1.0]))
+    with pytest.raises(SetsError, match="declared witness achieves"):
+        dist(A_BOX, B_BOX, R1, declared=DeclaredDistance(2.0, (good, bad)))
+
+
+def test_lp_distance_is_refused():
+    sp = NormedSpaceSpec("lp", "dense", 1, p=3.0)
+    with pytest.raises(SetsError, match="lp"):
+        dist(A_BOX, B_BOX, sp)
 
 
 # ------------------------------------------------------ the l1 block hulls
@@ -451,6 +478,13 @@ def test_paired_block_hull_membership():
     assert not contains(B, L1_SEQ, basis(1) + basis(2))
     # block generators are unit-weight pairs; a lone basis vector is outside
     assert not contains(A, L1_SEQ, basis(1))
+
+
+def test_paired_block_membership_refuses_nan():
+    A = paired_block_hull(1, "A")
+    assert contains(A, L1_SEQ, Vector(((1, 1.0), (2, 1.0))))
+    assert not contains(A, L1_SEQ, Vector(((0, math.nan), (1, 1.0), (2, 1.0))))
+    assert not contains(A, L1_SEQ, Vector(((1, math.nan), (2, 1.0))))
 
 
 def test_l1_example_sets_declared_distance():

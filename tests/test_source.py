@@ -1,7 +1,9 @@
 """Source hygiene that needs only the standard library: no module of the
-package imports a name it never uses.  __init__.py is left out, since its
-imports are the package's exports."""
+package imports a name it never uses (__init__.py is left out, since its
+imports are the package's exports), and every private top-level function
+or class is named somewhere besides its definition."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,33 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_a_name_it_never_uses(name):
     assert unused_imports((SRC / name).read_text()) == []
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """The _-prefixed top-level functions and classes of each source, as
+    module:name, that no other line of any source names."""
+    lines = [(mod, n, line) for mod, source in sources.items()
+             for n, line in enumerate(source.splitlines(), 1)]
+    unused = []
+    for mod, source in sources.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                word = re.compile(rf"\b{re.escape(node.name)}\b")
+                if not any(word.search(line) for m, n, line in lines
+                           if (m, n) != (mod, node.lineno)):
+                    unused.append(f"{mod}:{node.name}")
+    return unused
+
+
+def test_the_check_finds_an_unused_private_definition():
+    sources = {"a.py": ("def _used():\n    pass\n\ndef _lone():\n    pass\n\n"
+                        "def _lone_twin():\n    pass\n\nclass _Exported:\n    pass\n\n"
+                        "def public():\n    return _used(), _lone_twin()\n"),
+               "b.py": "from .a import _Exported as E\n"}
+    assert unused_private_definitions(sources) == ["a.py:_lone"]
+
+
+def test_every_private_definition_is_named_elsewhere_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unused_private_definitions(sources) == []

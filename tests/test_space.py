@@ -18,7 +18,6 @@ from proxcycle import (
     Vector,
     basis,
     convexity_modulus,
-    midpoint_defect_check,
     norm,
     pair_distance,
     product_norm,
@@ -127,11 +126,6 @@ def test_pair_distance_matches_difference_norm():
     assert pair_distance(L1, p, p) == 0.0
 
 
-def test_product_point_swap():
-    p = ProductPoint(basis(1), basis(2))
-    assert p.swap() == ProductPoint(basis(2), basis(1))
-
-
 # -------------------------------------------------------- convexity modulus
 
 def test_modulus_frozen_values():
@@ -165,47 +159,6 @@ def test_l2_spaces_report_modulus_available():
     assert L2.modulus_available
     assert not L1.modulus_available
     assert not LINF.modulus_available
-
-
-# ------------------------------------------------------- midpoint defect
-
-def test_midpoint_defect_exact_boundary_case():
-    # x, y on the unit circle with ||x - y|| = sqrt(2): the midpoint norm
-    # equals (1 - delta(sqrt 2)) exactly, so the bound is tight.
-    x, y, z = Vector.dense([1.0, 0.0]), Vector.dense([0.0, 1.0]), Vector.zero()
-    assert midpoint_defect_check(L2_2, x, y, z, r=math.sqrt(2.0), R=1.0)
-
-
-def test_midpoint_defect_randomised():
-    # The bound always holds in l2, so any admissible triple must pass.
-    import random
-
-    rng = random.Random(20240817)
-    sp = NormedSpaceSpec("l2", "dense", 3)
-    checked = 0
-    while checked < 400:
-        pts = [Vector.dense([rng.uniform(-5, 5) for _ in range(3)]) for _ in range(3)]
-        x, y, z = pts
-        dx, dy = norm(sp, x - z), norm(sp, y - z)
-        R = max(dx, dy)
-        r = norm(sp, x - y)
-        if R <= 1e-9 or r <= 1e-9 or r > 2.0 * R:
-            continue
-        assert midpoint_defect_check(sp, x, y, z, r=r, R=R)
-        checked += 1
-
-
-def test_midpoint_defect_precondition_errors():
-    x, y, z = Vector.dense([1.0, 0.0]), Vector.dense([0.0, 1.0]), Vector.zero()
-    with pytest.raises(SpaceError, match=r"\|\|x-z\|\| <= R"):
-        midpoint_defect_check(L2_2, x, y, z, r=1.0, R=0.5)  # ||x-z|| = 1 > R
-    with pytest.raises(SpaceError, match=r"\|\|x-y\|\| >= r"):
-        midpoint_defect_check(L2_2, x, y, z, r=1.9, R=1.0)  # ||x-y|| < 1.9
-    with pytest.raises(SpaceError, match="0 < r <= 2R"):
-        midpoint_defect_check(L2_2, x, y, z, r=3.0, R=1.0)
-    with pytest.raises(ModulusUnavailable):
-        midpoint_defect_check(NormedSpaceSpec("l1", "dense", 2), x, y, z,
-                              r=1.0, R=2.0)
 
 
 # ------------------------------------------------------------ row kernel
