@@ -21,7 +21,6 @@ from typing import Any, Callable
 
 from .certify import CERT_TOL, Certificate, certify, second_iterate_check, solve_and_certify
 from .iterate import (
-    TOL_STOP,
     StopRule,
     Trajectory,
     diagnose_cauchy,
@@ -50,9 +49,38 @@ class ConfigError(ValueError):
     pass
 
 
+def _fields(obj: Any, key: str, required: tuple = (), optional: tuple = ()) -> dict:
+    """obj, the JSON object at key, holding every required key and no key
+    that is neither required nor optional."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key} must be an object, got {obj!r}")
+    for k in obj:
+        if k not in required and k not in optional:
+            raise ConfigError(f"{key} takes no key {k!r}")
+    for k in required:
+        if k not in obj:
+            raise ConfigError(f"{key} needs key {k!r}")
+    return obj
+
+
+def _array(obj: Any, key: str, least: int = 0, exact: bool = False) -> list:
+    """obj, the JSON array at key, of least items if exact, else of least or more."""
+    if not isinstance(obj, list) or (len(obj) != least if exact else len(obj) < least):
+        size = f" of {least}{'' if exact else ' or more'} items" if exact or least else ""
+        raise ConfigError(f"{key} must be a list{size}, got {obj!r}")
+    return obj
+
+
+def _number(value: Any) -> float:
+    """A JSON number as a float; true, false and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _nonnegative(value: Any) -> float:
-    """A tolerance or eps: a finite float >= 0 (JSON NaN and Infinity load)."""
-    x = float(value)
+    """A tolerance or eps: a finite number >= 0 (JSON NaN and Infinity load)."""
+    x = _number(value)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"must be finite and >= 0, got {x!r}")
     return x
@@ -81,28 +109,27 @@ def _given(convert: Callable[[Any], Any], value: Any, key: str) -> Any:
     """convert(value), or a ConfigError naming key."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def parse_vector(obj: Any) -> Vector:
+def parse_vector(obj: Any, key: str) -> Vector:
+    """A sparse {"index": value} map, each index ASCII digits, or a dense list."""
     if isinstance(obj, dict):
-        try:
-            return Vector.from_map({int(k): float(v) for k, v in obj.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sparse vector {obj!r}: {exc}") from exc
-    if isinstance(obj, list):
-        try:
-            return Vector.dense([float(v) for v in obj])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad dense vector {obj!r}: {exc}") from exc
-    raise ConfigError(f"a vector must be an index->value map or a list, got {obj!r}")
+        if not all(k.isascii() and k.isdigit() for k in obj):
+            raise ConfigError(f"{key}: sparse indices must be ASCII digits, got {list(obj)!r}")
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        raise ConfigError(f"{key}: a vector must be an index->value map or a list, got {obj!r}")
+    return Vector.from_map({int(i): _given(_number, v, key) for i, v in items})
 
 
 def parse_point(obj: Any, key: str, space: NormedSpaceSpec) -> Vector:
     """parse_vector, with a non-finite coordinate or one outside space a
     ConfigError naming key."""
-    v = parse_vector(obj)
+    v = parse_vector(obj, key)
     if not all(math.isfinite(x) for _, x in v.coords):
         raise ConfigError(f"{key}: coordinates must be finite, got {obj!r}")
     _given(space.validate, v, key)
@@ -110,42 +137,44 @@ def parse_point(obj: Any, key: str, space: NormedSpaceSpec) -> Vector:
 
 
 def parse_pair(obj: Any, key: str, space: NormedSpaceSpec) -> tuple[Vector, Vector]:
-    if not (isinstance(obj, list) and len(obj) == 2):
-        raise ConfigError(f"a point pair must be a two-element list, got {obj!r}")
-    return parse_point(obj[0], f"{key}[0]", space), parse_point(obj[1], f"{key}[1]", space)
+    x, y = _array(obj, key, 2, exact=True)
+    return parse_point(x, f"{key}[0]", space), parse_point(y, f"{key}[1]", space)
 
 
-def parse_set(obj: Any) -> ConvexSet:
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ConfigError(f"a set needs a 'variant' key, got {obj!r}")
+def parse_set(obj: Any, key: str) -> ConvexSet:
+    """{"variant": "box", "lower": [...], "upper": [...]} or
+    {"variant": "hull", "vertices": [vector, ...]}."""
+    variant = obj.get("variant") if isinstance(obj, dict) else None
     try:
-        if obj["variant"] == "box":
-            return Box(tuple(float(v) for v in obj["lower"]),
-                       tuple(float(v) for v in obj["upper"]))
-        if obj["variant"] == "hull":
-            return Hull(tuple(parse_vector(v) for v in obj["vertices"]))
-    except (KeyError, TypeError, ValueError, SetsError) as exc:
+        if variant == "box":
+            box = _fields(obj, key, ("variant", "lower", "upper"))
+            return Box(*(tuple(_given(_number, v, f"{key}.{b}")
+                               for v in _array(box[b], f"{key}.{b}")) for b in ("lower", "upper")))
+        if variant == "hull":
+            hull = _fields(obj, key, ("variant", "vertices"))
+            return Hull(tuple(parse_vector(v, f"{key}.vertices[{i}]")
+                              for i, v in enumerate(_array(hull["vertices"], f"{key}.vertices"))))
+    except SetsError as exc:
         raise ConfigError(f"bad set definition: {exc}") from exc
-    raise ConfigError(
-        f"unknown set variant {obj['variant']!r} (declared sets are builtin-only)")
+    raise ConfigError(f"{key} must be a box or hull set (declared sets are builtin-only)")
 
 
-def parse_phi(obj: Any) -> PhiSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"phi must be an object, got {obj!r}")
+def parse_phi(obj: Any, key: str = "map.phi") -> PhiSpec:
+    """A linear gauge {"lambda": lam}, or {"variant": "custom", "table":
+    [[t, phi(t)], ...]}."""
+    custom = isinstance(obj, dict) and "variant" in obj
+    if custom and obj["variant"] != "custom":
+        raise ConfigError(f"{key}: unknown phi variant {obj['variant']!r}")
+    phi = _fields(obj, key, ("variant", "table") if custom else ("lambda",))
     try:
-        if set(obj) == {"lambda"}:
-            return PhiSpec.linear(float(obj["lambda"]))
-        variant = obj.get("variant")
-        if variant == "linear":
-            return PhiSpec.linear(float(obj["lambda"]))
-        if variant == "half":
-            return PhiSpec.half()
-        if variant == "custom":
-            return PhiSpec.custom([(float(t), float(f)) for t, f in obj["table"]])
-    except (KeyError, TypeError, ValueError, MapsError) as exc:
+        if custom:
+            rows = enumerate(_array(phi["table"], f"{key}.table"))
+            return PhiSpec.custom([[_given(_number, x, f"{key}.table[{i}]")
+                                    for x in _array(row, f"{key}.table[{i}]", 2, True)]
+                                   for i, row in rows])
+        return PhiSpec.linear(_given(_number, phi["lambda"], f"{key}.lambda"))
+    except MapsError as exc:
         raise ConfigError(f"bad phi spec: {exc}") from exc
-    raise ConfigError(f"unknown phi spec {obj!r}")
 
 
 @dataclass(frozen=True)
@@ -310,7 +339,7 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
     Check("even_gaps", True, {"tol": (_nonnegative, None)}, 0,
           _each_run(lambda t, p: diagnose_even_gaps(t, tol=p["tol"]))),
     Check("interleaved", True,
-          {"eps": (lambda v: tuple(map(_nonnegative, v)), (0.5, 0.1, 0.01)),
+          {"eps": (lambda v: tuple(map(_nonnegative, _array(v, "eps", 1))), (0.5, 0.1, 0.01)),
            "tol": (_nonnegative, CFG_TOL)}, 0,
           _each_run(lambda t, p: diagnose_interleaved(t, p["eps"], tol=p["tol"]))),
     Check("cauchy", True, {"k": (partial(_integer, least=2), 10), "tol": (_nonnegative, None)}, 0,
@@ -319,96 +348,61 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
 
 
 def _parse_checks(obj: Any) -> list[CheckSpec]:
-    if obj is None:
-        return []
-    if not isinstance(obj, list):
-        raise ConfigError("'checks' must be a list")
     out = []
-    for item in obj:
-        if isinstance(item, str):
-            name, params = item, {}
-        elif isinstance(item, dict) and "name" in item:
-            name = item["name"]
-            params = {k: v for k, v in item.items() if k != "name"}
-        else:
-            raise ConfigError(f"bad check entry {item!r}")
-        if name not in CHECKS:
+    for i, item in enumerate(_array(obj, "checks")):
+        name = item.get("name") if isinstance(item, dict) else item
+        if name not in sorted(CHECKS):  # compared by ==, so an unhashable name is refused too
             raise ConfigError(
-                f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}")
-        for k in params:
-            if k not in CHECKS[name].params:
-                raise ConfigError(f"check {name!r} takes no parameter {k!r}")
-            try:
-                params[k] = CHECKS[name].params[k][0](params[k])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"check {name!r}: bad parameter {k!r}: {exc}") from exc
-        out.append(CheckSpec(name, params))
+                f"checks[{i}]: unknown check {name!r}; available: {', '.join(sorted(CHECKS))}")
+        check = CHECKS[name]
+        given = (_fields(item, f"check {name!r}", ("name",), tuple(check.params))
+                 if isinstance(item, dict) else {})
+        out.append(CheckSpec(name, {
+            k: _given(check.params[k][0], v, f"check {name!r}: bad parameter {k!r}")
+            for k, v in given.items() if k != "name"}))
     return out
 
 
 def _parse_rule(obj: Any) -> StopRule:
-    if obj is None:
-        return StopRule()
-    if not isinstance(obj, dict):
-        raise ConfigError("'rule' must be an object")
-    known = {"max_iters", "t_tol", "gap_tol"}
-    for k in obj:
-        if k not in known:
-            raise ConfigError(f"rule takes no key {k!r}")
-    tols = {}
-    for k in ("t_tol", "gap_tol"):
-        v = obj.get(k, TOL_STOP)
-        tols[k] = None if v is None else _given(_nonnegative, v, f"rule.{k}")
-    max_iters = _given(_count, obj.get("max_iters", 1000), "rule.max_iters")
+    tol = lambda v: None if v is None else _nonnegative(v)  # null switches the trigger off
+    readers = {"max_iters": _count, "t_tol": tol, "gap_tol": tol}
+    given = {k: _given(readers[k], v, f"rule.{k}")
+             for k, v in _fields(obj, "rule", (), tuple(readers)).items()}
     try:
-        return StopRule(max_iters=max_iters, **tols)
+        return replace(StopRule(), **given)
     except ValueError as exc:
         raise ConfigError(f"bad stop rule: {exc}") from exc
 
 
 def _resolve_starts(obj: Any, T: CyclicMapSpec, default_seed: int) -> list[tuple[Vector, Vector]]:
-    if obj is None:
-        return []
+    """{"explicit": [pair, ...]}, or {"count": n} with an optional "seed"."""
     if isinstance(obj, dict) and "explicit" in obj:
-        return [parse_pair(p, f"starts.explicit[{i}]", T.space)
-                for i, p in enumerate(obj["explicit"])]
-    if isinstance(obj, dict) and "count" in obj:
-        n = _given(_count, obj["count"], "starts.count")
-        seed = _given(_integer, obj.get("seed", default_seed), "starts.seed")
-        xs = sample(T.A, T.space, n, seed=seed)
-        ys = sample(T.B, T.space, n, seed=seed + 1000003)
-        return list(zip(xs, ys))
-    raise ConfigError("'starts' needs either 'explicit' or 'count'")
+        pairs = _array(_fields(obj, "starts", ("explicit",))["explicit"], "starts.explicit", 1)
+        return [parse_pair(p, f"starts.explicit[{i}]", T.space) for i, p in enumerate(pairs)]
+    given = _fields(obj, "starts", ("count",), ("seed",))
+    n = _given(_count, given["count"], "starts.count")
+    seed = _given(_integer, given.get("seed", default_seed), "starts.seed")
+    xs = sample(T.A, T.space, n, seed=seed)
+    ys = sample(T.B, T.space, n, seed=seed + 1000003)
+    return list(zip(xs, ys))
 
 
 def parse_config(raw: dict, seed_override: int | None = None,
                  max_iters_override: int | None = None,
                  tol_override: float | None = None,
                  out_override: str | None = None) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("the configuration document must be a JSON object")
-    known = {"map", "starts", "candidates", "rule", "checks", "seed", "tol",
-             "cert_tol", "output"}
-    for k in raw:
-        if k not in known:
-            raise ConfigError(f"unknown configuration key {k!r}")
-
-    map_cfg = raw.get("map")
-    if not (isinstance(map_cfg, dict) and "builtin" in map_cfg):
-        raise ConfigError("'map' must be an object naming a 'builtin'")
-    for k in map_cfg:
-        if k not in {"builtin", "phi", "lambda", "sets", "dist"}:
-            raise ConfigError(f"map takes no key {k!r}")
+    _fields(raw, "the configuration document", ("map",),
+            ("starts", "candidates", "rule", "checks", "seed", "tol", "cert_tol", "output"))
+    map_cfg = _fields(raw["map"], "map", ("builtin",), ("phi", "lambda", "sets", "dist"))
     try:
         T = builtin(str(map_cfg["builtin"]))
     except MapsError as exc:
         raise ConfigError(str(exc)) from exc
 
     if "sets" in map_cfg:
-        pair = map_cfg["sets"]
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError("map.sets must be a two-element list")
-        T = replace(T, A=parse_set(pair[0]), B=parse_set(pair[1]))
+        A, B = (parse_set(s, f"map.sets[{i}]")
+                for i, s in enumerate(_array(map_cfg["sets"], "map.sets", 2, True)))
+        T = replace(T, A=A, B=B)
         try:
             for S in (T.A, T.B):
                 check_set(S, T.space)
@@ -417,41 +411,35 @@ def parse_config(raw: dict, seed_override: int | None = None,
     if "dist" in map_cfg:
         T = replace(T, declared_dist=_given(_nonnegative, map_cfg["dist"], "map.dist"))
 
-    phi = T.phi
-    if "phi" in map_cfg:
-        phi = parse_phi(map_cfg["phi"])
-    elif "lambda" in map_cfg:
-        phi = parse_phi({"lambda": map_cfg["lambda"]})
+    if "phi" in map_cfg and "lambda" in map_cfg:
+        raise ConfigError("map takes phi or lambda, not both")
+    phi = (parse_phi(map_cfg["phi"]) if "phi" in map_cfg
+           else parse_phi({"lambda": map_cfg["lambda"]}, "map") if "lambda" in map_cfg
+           else T.phi)
 
     seed = _given(_integer, raw.get("seed", 0), "seed") if seed_override is None else seed_override
-    rule = _parse_rule(raw.get("rule"))
+    rule = _parse_rule(raw.get("rule", {}))
     if max_iters_override is not None:
-        rule = StopRule(_given(_count, max_iters_override, "--max-iters"), rule.t_tol, rule.gap_tol)
+        rule = replace(rule, max_iters=_given(_count, max_iters_override, "--max-iters"))
     tol = (_given(_nonnegative, raw.get("tol", TOL_NUM), "tol") if tol_override is None
            else _given(_nonnegative, tol_override, "--tol"))
-    output = str(raw.get("output", "out")) if out_override is None else out_override
-
-    try:
-        starts = _resolve_starts(raw.get("starts"), T, seed)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad starts: {exc}") from exc
-    candidates = [parse_pair(p, f"candidates[{i}]", T.space)
-                  for i, p in enumerate(raw.get("candidates", []))]
+    output = raw.get("output", "out")
+    if not (isinstance(output, str) and output):
+        raise ConfigError(f"output must be a non-empty string, got {output!r}")
 
     return ExperimentConfig(
         map_name=str(map_cfg["builtin"]),
         T=T,
         phi=phi,
-        starts=starts,
-        candidates=candidates,
+        starts=_resolve_starts(raw["starts"], T, seed) if "starts" in raw else [],
+        candidates=[parse_pair(p, f"candidates[{i}]", T.space)
+                    for i, p in enumerate(_array(raw.get("candidates", []), "candidates"))],
         rule=rule,
-        checks=_parse_checks(raw.get("checks")),
+        checks=_parse_checks(raw.get("checks", [])),
         seed=seed,
         tol=tol,
         cert_tol=_given(_nonnegative, raw.get("cert_tol", CERT_TOL), "cert_tol"),
-        output=output,
+        output=output if out_override is None else out_override,
         raw=raw,
     )
 
@@ -462,6 +450,6 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, too many digits or brackets
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return parse_config(raw, **overrides)

@@ -59,9 +59,9 @@ class PhiSpec:
     """Strictly increasing gauge phi: [0, inf) -> [0, inf).
 
     variant "linear": phi(t) = (1 - lam) * t for a contraction constant
-    lam in [0, 1); half() is phi(t) = t / 2, linear(0.5).  variant "custom":
-    piecewise-linear interpolation of a strictly increasing breakpoint
-    table starting at t = 0, extrapolated with the final slope.
+    lam in [0, 1).  variant "custom": piecewise-linear interpolation of a
+    strictly increasing breakpoint table starting at t = 0, extrapolated
+    with the final slope.
     """
 
     variant: str
@@ -90,10 +90,6 @@ class PhiSpec:
     @staticmethod
     def linear(lam: float) -> "PhiSpec":
         return PhiSpec("linear", lam=lam)
-
-    @staticmethod
-    def half() -> "PhiSpec":
-        return PhiSpec.linear(0.5)
 
     @staticmethod
     def custom(table) -> "PhiSpec":

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from .certify import certify
 from .config import CHECKS, CheckContext, ConfigError, ExperimentConfig, parse_point
@@ -23,6 +24,15 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
 
+@contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """An OSError raised while writing path is a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _run_trajectories(cfg: ExperimentConfig, outdir: str,
                       say: Callable[[str], None]) -> list[Trajectory]:
     trajectories = []
@@ -32,7 +42,9 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: str,
         except DomainError as exc:
             raise ConfigError(f"start {i} is unusable: {exc}") from exc
         trajectories.append(traj)
-        trajectory_to_csv(traj, os.path.join(outdir, f"trace_{i:03d}.csv"))
+        path = os.path.join(outdir, f"trace_{i:03d}.csv")
+        with _writing(path):
+            trajectory_to_csv(traj, path)
         final_t = traj.t_series[-1] if traj.t_series else float("nan")
         say(f"run {i}: {traj.stop_reason} after {traj.n_points} points, "
             f"final t = {final_t!r}")
@@ -51,7 +63,8 @@ def execute(cfg: ExperimentConfig, mode: str,
         raise ConfigError(f"check {dynamic[0].name!r} needs starts")
 
     outdir = cfg.output
-    os.makedirs(outdir, exist_ok=True)
+    with _writing(outdir):
+        os.makedirs(outdir, exist_ok=True)
 
     trajectories = _run_trajectories(cfg, outdir, say) if mode == "run" else []
 
@@ -85,10 +98,11 @@ def execute(cfg: ExperimentConfig, mode: str,
         "certifications": ctx.certifications,
         "exit_code": exit_code,
     }
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
+    path = os.path.join(outdir, "summary.json")
+    with _writing(path), open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    say(f"summary written to {os.path.join(outdir, 'summary.json')}")
+    say(f"summary written to {path}")
     return exit_code, summary
 
 

@@ -313,6 +313,17 @@ def test_unparseable_json_is_a_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [b"\xff{}", b'{"seed": ' + b"1" * 5000 + b"}",
+                                     b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "integer-past-the-digit-limit", "nested-too-deep"])
+def test_an_undecodable_document_is_a_config_error(payload, tmp_path, capsys):
+    # json.load raises these as a ValueError or RecursionError, not a JSONDecodeError
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"configuration error: {path} is not valid JSON: " in capsys.readouterr().err
+
+
 def test_check_param_typo_is_a_config_error(tmp_path, capsys):
     cfg = dict(BASE, checks=[{"name": "monotone_t", "samples": 5}])
     assert bad_config_case(tmp_path, cfg) == 2
@@ -360,6 +371,8 @@ REFUSED_TOLERANCES = [
     ("tol-nan", dict(INTERVAL, tol=NAN), (), f"tol: {REFUSED} nan"),
     ("tol-negative", dict(INTERVAL, tol=-1e-9), (), f"tol: {REFUSED} -1e-09"),
     ("cert_tol-inf", dict(INTERVAL, cert_tol=INF), (), f"cert_tol: {REFUSED} inf"),
+    # float() raises OverflowError, not ValueError, for an integer past its range
+    ("tol-huge", dict(INTERVAL, tol=10 ** 400), (), "tol: int too large to convert to float"),
     ("--tol-nan", INTERVAL, ("--tol", "nan"), f"--tol: {REFUSED} nan"),
     ("--tol-negative", INTERVAL, ("--tol", "-1"), f"--tol: {REFUSED} -1.0"),
     ("rule.t_tol-nan", dict(INTERVAL, rule=dict(INTERVAL["rule"], t_tol=NAN)), (),
@@ -454,14 +467,13 @@ def with_map(name, **entries):
 
 REFUSED_MAP_VALUES = [
     ("dist-negative", with_map("interval.json", dist=-1), f"map.dist: {REFUSED} -1.0"),
-    ("dist-string", with_map("interval.json", dist="abc"),
-     "map.dist: could not convert string to float: 'abc'"),
+    ("dist-string", with_map("interval.json", dist="abc"), "map.dist: must be a number, got 'abc'"),
     ("dist-nan", with_map("l1_kannan.json", dist=NAN), f"map.dist: {REFUSED} nan"),
     ("dist-inf", with_map("interval.json", dist=INF), f"map.dist: {REFUSED} inf"),
     ("lambda-too-large", with_map("interval.json", **{"lambda": 1.5}),
      "bad phi spec: linear phi needs lam in [0, 1)"),
     ("lambda-string", with_map("interval.json", **{"lambda": "x"}),
-     "bad phi spec: could not convert string to float: 'x'"),
+     "map.lambda: must be a number, got 'x'"),
     # map.lambda is read as map.phi's {"lambda": ...} is
     ("phi-lambda-too-large", with_map("interval.json", phi={"lambda": 1.5}),
      "bad phi spec: linear phi needs lam in [0, 1)"),
@@ -505,6 +517,72 @@ def test_unknown_quantification_or_non_finite_set_or_phi_is_a_config_error(cfg, 
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"configuration error: {message}\n" in capsys.readouterr().err
+
+
+def base_map(**entries):
+    return dict(BASE, map={"builtin": "interval_contraction", **entries})
+
+
+def l1_candidate(index):
+    """An l1_kannan config whose one candidate has a sparse index written as index."""
+    return {"map": {"builtin": "l1_kannan"}, "candidates": [[{index: 1.0}, {"2": 1.0}]]}
+
+
+AVAILABLE = ", ".join(sorted(CHECKS))
+# documents the schema refuses; the loader must refuse each one too, naming its key
+MALFORMED = [
+    ("tol-true", dict(BASE, tol=True), "tol: must be a number, got True"),
+    ("dist-true", base_map(dist=True), "map.dist: must be a number, got True"),
+    ("check-tol-false", dict(BASE, checks=[{"name": "monotone_t", "tol": False}]),
+     "check 'monotone_t': bad parameter 'tol': must be a number, got False"),
+    ("coordinate-string", dict(BASE, starts={"explicit": [[["1.5"], [-1.5]]]}),
+     "starts.explicit[0][0]: must be a number, got '1.5'"),
+    ("box-bound-string", base_map(sets=[{"variant": "box", "lower": ["1"], "upper": [2.0]},
+                                        B_BOX]),
+     "map.sets[0].lower: must be a number, got '1'"),
+    ("starts-explicit-and-count", dict(BASE, starts={"explicit": [[[1.5], [-1.5]]], "count": 2}),
+     "starts takes no key 'count'"),
+    ("starts-unknown-key", dict(BASE, starts={"count": 2, "sed": 3}),
+     "starts takes no key 'sed'"),
+    ("set-unknown-key", base_map(sets=[{"variant": "box", "lower": [1.0], "upper": [2.0],
+                                        "color": "red"}, B_BOX]),
+     "map.sets[0] takes no key 'color'"),
+    ("custom-phi-lambda", base_map(phi={"variant": "custom", "table": [[0, 0], [1, 0.5]],
+                                        "lambda": 0.5}),
+     "map.phi takes no key 'lambda'"),
+    ("phi-half-lambda", base_map(phi={"variant": "half", "lambda": 0.9}),
+     "map.phi: unknown phi variant 'half'"),
+    ("phi-and-lambda", base_map(phi={"lambda": 0.5}, **{"lambda": 0.9}),
+     "map takes phi or lambda, not both"),
+    ("candidates-number", dict(BASE, candidates=5), "candidates must be a list, got 5"),
+    ("check-name-list", dict(BASE, checks=[{"name": []}]),
+     f"checks[0]: unknown check []; available: {AVAILABLE}"),
+    ("output-number", dict(BASE, output=5), "output must be a non-empty string, got 5"),
+    *((f"index-{name}", l1_candidate(index),
+       f"candidates[0][0]: sparse indices must be ASCII digits, got [{index!r}]")
+      for name, index in (("1_0", "1_0"), ("space-3", " 3"), ("plus-1", "+1"),
+                          ("arabic-indic-3", "\u0663"))),
+]
+
+
+@pytest.mark.parametrize("cfg,message", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
+def test_a_document_the_schema_refuses_is_a_config_error(cfg, message, tmp_path, capsys):
+    assert not CONFIG_VALIDATOR.is_valid(cfg)
+    assert bad_config_case(tmp_path, cfg) == 2
+    assert f"configuration error: {message}\n" in capsys.readouterr().err
+
+
+def test_an_unusable_output_path_is_a_config_error(tmp_path, capsys):
+    # a regular file where the output directory goes, then a directory where
+    # the first trace goes: each raises an OSError
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    trace = tmp_path / "out" / "trace_000.csv"
+    trace.mkdir(parents=True)
+    for out, path, reason in ((blocker, blocker, "File exists"),
+                              (trace.parent, trace, "Is a directory")):
+        assert main(["run", str(CONFIGS / "overlap.json"), "--out", str(out)]) == 2
+        assert f"configuration error: cannot write {path}: {reason}\n" in capsys.readouterr().err
 
 
 NON_FINITE = "coordinates must be finite, got"

@@ -38,7 +38,7 @@ from proxcycle import (
     sample,
 )
 from proxcycle import maps
-from proxcycle.config import parse_phi
+from proxcycle.config import ConfigError, parse_phi
 from proxcycle.maps import RowEvaluator, row_form
 from proxcycle.report import Violation, merge_reports, render_pair
 from proxcycle.sets import Box, Hull
@@ -493,9 +493,13 @@ def test_a_held_report_keeps_no_probe(monkeypatch):
     assert rep.violations[0].inputs[0] == "run 0"
 
 
-def test_half_phi_is_linear_one_half():
-    # 1.0 - 0.5 == 0.5 exactly, so linear(0.5) is t / 2 bit for bit
-    assert parse_phi({"variant": "half"}) == PhiSpec.half() == PhiSpec.linear(0.5)
+def test_half_phi_spelling_is_refused():
+    # a linear gauge is written {"lambda": lam}; the half and linear variants are gone
+    assert parse_phi({"lambda": 0.5}) == PhiSpec.linear(0.5)
+    for phi in ({"variant": "half"}, {"variant": "linear", "lambda": 0.5}):
+        with pytest.raises(ConfigError, match=f"map.phi: unknown phi variant '{phi['variant']}'"):
+            parse_phi(phi)
+    assert not hasattr(PhiSpec, "half")
 
 
 # ------------------------------------------------------------- one path

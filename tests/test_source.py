@@ -1,7 +1,8 @@
 """Source hygiene that needs only the standard library: no module of the
 package imports a name it never uses (__init__.py is left out, since its
-imports are the package's exports), and every private top-level function
-or class is named somewhere besides its definition."""
+imports are the package's exports), every private top-level function
+or class is named somewhere besides its definition, and the config loader
+converts a number to float only in its one number reader."""
 import ast
 import re
 from pathlib import Path
@@ -74,3 +75,25 @@ def test_the_check_finds_an_unused_private_definition():
 def test_every_private_definition_is_named_elsewhere_in_the_package():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unused_private_definitions(sources) == []
+
+
+def float_calls_outside(source: str, reader: str) -> list[int]:
+    """The lines of source that call float( outside the top-level function reader."""
+    tree = ast.parse(source)
+    allowed = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == reader
+               for n in ast.walk(f)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "float" and id(n) not in allowed)
+
+
+def test_the_check_finds_a_float_call_outside_the_reader():
+    source = ("def _number(v):\n    return float(v)\n\n"
+              "def parse(v: float) -> float:\n    return float(v) + _number(v)\n\n"
+              "X = [float(c) for c in '12']\n")
+    assert float_calls_outside(source, "_number") == [5, 7]
+
+
+def test_config_converts_numbers_only_in_its_number_reader():
+    # a key read with float() would take true, false and numeric strings
+    assert float_calls_outside((SRC / "config.py").read_text(), "_number") == []
