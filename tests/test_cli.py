@@ -561,7 +561,7 @@ MALFORMED = [
     *((f"index-{name}", l1_candidate(index),
        f"candidates[0][0]: sparse indices must be ASCII digits, got [{index!r}]")
       for name, index in (("1_0", "1_0"), ("space-3", " 3"), ("plus-1", "+1"),
-                          ("arabic-indic-3", "\u0663"))),
+                          ("arabic-indic-3", "\u0663"), ("trailing-newline", "3\n"))),
 ]
 
 
@@ -724,14 +724,12 @@ def test_python_dash_m_proxcycle_runs_the_cli(tmp_path):
 
 
 def test_a_run_without_hulls_or_interleaved_does_not_import_numpy(tmp_path):
-    # numpy's import is about half of a shipped run's wall time; only hull
-    # sets, the interleaved diagnostic and Trajectory.values need it
-    exits = dict(EXPECTED_EXITS)
+    # numpy's import is about half of a shipped run's wall time; only the
+    # sets solvers and space.pack need it, and no shipped config runs them
     code = "import sys\nfrom proxcycle.cli import main\n" + "".join(
         f"assert main(['run', {str(CONFIGS / name)!r}, '--out', "
-        f"{str(tmp_path / name)!r}]) == {exits[name]}\n"
-        for name in ("overlap.json", "l1_kannan.json", "flip_negative.json",
-                     "non_cyclic_negative.json")
+        f"{str(tmp_path / name)!r}]) == {exit_code}\n"
+        for name, exit_code in EXPECTED_EXITS
     ) + "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env(), cwd=str(ROOT))

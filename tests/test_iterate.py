@@ -359,6 +359,165 @@ def test_interleaved_matches_the_pairwise_reference_on_builtins(name):
     assert got == interleaved_reference(traj, eps_list, d, 1e-9).to_json()
 
 
+# one space per norm and mode; on the trajectories below the triangle bound
+# is loose or broken, so the walk computes columns exactly
+LOOSE_SPACES = [s for s in SPACES if s.dimension in (3, None)]
+
+
+def sphere_trajectory(space, seed, n_points):
+    """Odd points at 0, even points anywhere on the sphere of radius 0.4: no
+    tail settles, so the bound of every column exceeds the thresholds."""
+    rng = random.Random(seed)
+    indices = range(space.dimension) if space.mode == "dense" else range(7)
+    zero = ProductPoint(Vector.zero(), Vector.zero())
+
+    def on_sphere():
+        v = Vector.from_map({i: rng.gauss(0.0, 1.0) for i in indices
+                             if space.mode == "dense" or rng.random() < 0.6})
+        return v * (0.4 / norm(space, v)) if v.coords else on_sphere()
+
+    points = tuple(ProductPoint(on_sphere(), on_sphere()) if n % 2 == 0 else zero
+                   for n in range(n_points))
+    return Trajectory.from_points(space, points, *series(space, points), STOP_BUDGET,
+                                  StopRule(), 0.0)
+
+
+def boundary_eps(traj, d, tol, seed, eps_list):
+    """eps_list and the eps whose threshold equals a cross distance, or one
+    ulp above or below it."""
+    evens, odds = traj.points[0::2], traj.points[1::2]
+    rng = random.Random(seed)
+    out = list(eps_list)
+    for _ in range(8):
+        m = rng.randrange(1, len(evens))
+        target = pair_distance(traj.space, evens[m], odds[rng.randrange(min(m, len(odds)))])
+        for t in (target, math.nextafter(target, math.inf), math.nextafter(target, -math.inf)):
+            if (eps := eps_reaching(t, d, tol)) is not None:
+                out.append(eps)
+    return out
+
+
+@pytest.mark.parametrize("space", LOOSE_SPACES, ids=lambda s: f"{s.norm}-{s.mode}")
+@pytest.mark.parametrize("seed", range(2))
+def test_interleaved_matches_the_pairwise_reference_when_nothing_settles(space, seed):
+    traj = sphere_trajectory(space, seed, 40 + seed)
+    eps_list = boundary_eps(traj, 0.0, 1e-9, seed, [0.5, 0.45, 0.6, 0.3, 0.0])
+    got = diagnose_interleaved(traj, eps_list).to_json(len(eps_list))
+    assert got == interleaved_reference(traj, eps_list, 0.0, 1e-9).to_json(len(eps_list))
+
+
+def growing_map(space):
+    """Sends x to about -1.25 x, so the run grows until it leaves the ball
+    of radius 100 that A and B are."""
+    ball = DeclaredSet("ball", lambda v, tol: norm(space, v) <= 100.0 + tol,
+                       lambda rng: Vector.zero())
+
+    def ev(x, y, side):
+        xs, ys = dict(x.coords), dict(y.coords)
+        indices = (range(space.dimension) if space.mode == "dense"
+                   else SEQ_INDICES["B" if side == SIDE_AB else "A"])
+        return Vector.from_map({i: -1.25 * xs.get(i, 0.0) + 0.5 * math.sin(ys.get(i, 0.0) + i)
+                                for i in indices})
+
+    return CyclicMapSpec("growing", space, ball, ball, ev)
+
+
+@pytest.mark.parametrize("space", LOOSE_SPACES, ids=lambda s: f"{s.norm}-{s.mode}")
+def test_interleaved_matches_the_pairwise_reference_on_a_domain_error(space):
+    traj = run(growing_map(space), *wobble_start(space, 1.0, seed=2),
+               StopRule(max_iters=200, t_tol=None, gap_tol=None))
+    assert traj.stop_reason == STOP_DOMAIN_ERROR and traj.n_points > 12
+    evens, odds = traj.points[0::2], traj.points[1::2]
+    d = pair_distance(space, evens[-1], odds[-1])
+    eps_list = boundary_eps(traj, d, 1e-9, 0, [0.5, 0.1, 0.0, 5.0, 50.0])
+    got = diagnose_interleaved(replace(traj, dist_used=d), eps_list).to_json(len(eps_list))
+    assert got == interleaved_reference(traj, eps_list, d, 1e-9).to_json(len(eps_list))
+
+
+@pytest.mark.parametrize("space", LOOSE_SPACES, ids=lambda s: f"{s.norm}-{s.mode}")
+@pytest.mark.parametrize("where", [(6,), (9,), (6, 9), (40,)])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_interleaved_matches_the_pairwise_reference_with_a_non_finite_coordinate(space, where,
+                                                                                 value):
+    # an inf coordinate makes its distances inf, or nan in lp (inf / inf); a
+    # linf gap drops a nan that is not its first term
+    points = list(settling_trajectory(space, 0, 41, 2.5, STOP_CONVERGED_T).points)
+    for n in where:
+        sign = 1.0 if n % 2 == 0 else -1.0
+        points[n] = ProductPoint(points[n].first + Vector.from_map({1: sign * value}),
+                                 points[n].second)
+    traj = Trajectory.from_points(space, points, *series(space, points), STOP_CONVERGED_T,
+                                  StopRule(), None)
+    d = pair_distance(space, points[-1], points[-2])
+    eps_list = [0.5, 0.1, 0.01, 0.0, 1e300]
+    got = diagnose_interleaved(replace(traj, dist_used=d), eps_list).to_json(len(eps_list))
+    assert got == interleaved_reference(traj, eps_list, d, 1e-9).to_json(len(eps_list))
+
+
+def five_point_trajectory(space, even1, odd0, last):
+    """Points 0 to 4 with every x at 0 and y_0 = y_1 = odd0, y_2 = even1 and
+    y_3 = y_4 = last: column 0 holds the distances of points 2 and 4 to
+    point 1, and column 1 only that of point 4 to point 3."""
+    ys = (odd0, odd0, even1, last, last)
+    points = tuple(ProductPoint(Vector.zero(), Vector.from_map(dict(enumerate(y)))) for y in ys)
+    return Trajectory.from_points(space, points, *series(space, points), STOP_CONVERGED_T,
+                                  StopRule(), 0.0)
+
+
+@pytest.mark.parametrize("space", LOOSE_SPACES, ids=lambda s: f"{s.norm}-{s.mode}")
+def test_interleaved_matches_the_pairwise_reference_where_rounding_breaks_the_triangle(space):
+    # on a line, the rounded ||even1 - odd0|| can pass the rounded sum of
+    # ||last - odd0|| and ||even1 - last||, the bound of column 0
+    rng = random.Random(0)
+    for _ in range(1000):
+        odd0, last = ([rng.uniform(-3.0, 3.0) for _ in range(3)] for _ in "ol")
+        t = rng.uniform(0.1, 3.0)
+        traj = five_point_trajectory(space, [b + t * (b - a) for a, b in zip(odd0, last)],
+                                     odd0, last)
+        p = traj.points
+        entry = pair_distance(space, p[2], p[1])
+        if entry > pair_distance(space, p[4], p[1]) + pair_distance(space, p[2], p[4]):
+            break
+    else:
+        pytest.fail("no rounded triangle found")
+    eps_list = [eps_reaching(entry, 0.0, 1e-9), 0.5]
+    got = diagnose_interleaved(traj, eps_list).to_json()
+    assert got == interleaved_reference(traj, eps_list, 0.0, 1e-9).to_json()
+    assert got["detail"].startswith(f"tails eps={eps_list[0]}: N=1")
+
+
+@pytest.mark.parametrize("mode", ["dense", "sequence"])
+def test_interleaved_matches_the_pairwise_reference_when_linf_drops_a_nan(mode):
+    # the last point's nan is no first term of its linf gaps to the others,
+    # so they leave out coordinate 1, where ||even1 - odd0|| = 100 lies; its
+    # gap to itself, nan, is a y gap, which a product distance drops
+    space = NormedSpaceSpec("linf", mode, 2 if mode == "dense" else None)
+    traj = five_point_trajectory(space, [6.0, 100.0], [0.0, 0.0], [5.0, math.nan])
+    got = diagnose_interleaved(traj, [50.0]).to_json()
+    assert got == interleaved_reference(traj, [50.0], 0.0, 1e-9).to_json()
+    assert got["detail"] == "tails eps=50.0: N=1"
+
+
+@pytest.mark.parametrize("mode", ["dense", "sequence"])
+def test_interleaved_matches_the_pairwise_reference_when_an_lp_gap_overflows(mode):
+    # the last point's y differs from the others' by more than the largest
+    # float, so its lp gaps are inf / inf = nan, and a product distance
+    # keeps its x gap, 0: the bound of column 0 is 0, its entry 50
+    space = NormedSpaceSpec("lp", mode, 2 if mode == "dense" else None, 3.0)
+    traj = five_point_trajectory(space, [-1e308, 50.0], [-1e308, 0.0], [1e308, 0.0])
+    got = diagnose_interleaved(traj, [10.0]).to_json()
+    assert got == interleaved_reference(traj, [10.0], 0.0, 1e-9).to_json()
+    assert got["detail"] == "tails eps=10.0: N=1"
+
+
+@pytest.mark.parametrize("eps_list", [(), [math.nan], (0.5, math.nan)])
+def test_interleaved_refuses_an_empty_or_nan_eps(eps_list):
+    traj = run(INTERVAL, X0, Y0, StopRule(max_iters=50, t_tol=None, gap_tol=None))
+    assert traj.n_points == 51
+    with pytest.raises(ValueError, match="eps_list must be non-empty and hold no nan"):
+        diagnose_interleaved(traj, eps_list)
+
+
 def test_cauchy_tail_spread():
     traj = run(INTERVAL, X0, Y0, StopRule(max_iters=200, t_tol=1e-15, gap_tol=None))
     rep = diagnose_cauchy(traj, k=10)
@@ -513,7 +672,7 @@ def test_run_on_rows_matches_the_vector_path(name):
     rule = StopRule(max_iters=30, t_tol=None, gap_tol=None)
     got, want = run(T, *start, rule), run(vector_only, *start, rule)
     # bit for bit, zero signs included: flip writes 0.0 for -0.0
-    assert got.values.tobytes() == want.values.tobytes()
+    assert got.flat.tobytes() == want.flat.tobytes()
     assert got.index == want.index
     for field in ("t_series", "lag_gaps", "stop_reason", "error_index"):
         assert getattr(got, field) == getattr(want, field)
@@ -527,7 +686,7 @@ def test_points_is_a_lazy_read_only_view(monkeypatch):
     built = []
     real = iterate._point
     monkeypatch.setattr(iterate, "_point", lambda *a: built.append(a) or real(*a))
-    assert len(traj.points) == traj.n_points == 25 == len(traj.values)
+    assert len(traj.points) == traj.n_points == 25
     assert built == []
     assert traj.points[3] is traj.points[3] is traj.points[-22]
     assert len(built) == 1
@@ -535,11 +694,9 @@ def test_points_is_a_lazy_read_only_view(monkeypatch):
     assert traj.points[0::2] == tuple(ref[0::2])
     assert len(built) == 1 + 13  # point 3 and the 13 even points
     assert traj.final_even_point() is traj.points[24]
-    assert traj.index == (0, 1, 2) and traj.values.shape == (25, 2, 3)
+    assert traj.index == (0, 1, 2) and len(traj.flat) == 25 * 2 * 3
     with pytest.raises(TypeError):
         traj.points[0] = ref[0]
-    with pytest.raises(ValueError):
-        traj.values[0, 0, 0] = 0.0
     with pytest.raises(IndexError):
         traj.points[25]
 
@@ -551,13 +708,13 @@ def test_from_points_round_trips_sequence_supports():
     traj = Trajectory.from_points(space, points, *series(space, points), STOP_BUDGET, StopRule(),
                                   None)
     assert traj.index == (1, 4, 9)
-    assert traj.values.tolist() == [[[0.0, 1.5, 0.0], [0.0, 0.0, 0.0]],
-                                    [[-2.0, 0.25, 0.0], [0.0, 0.0, 3.0]]]
+    assert traj.flat.tolist() == [0.0, 1.5, 0.0, 0.0, 0.0, 0.0,
+                                  -2.0, 0.25, 0.0, 0.0, 0.0, 3.0]
     assert tuple(traj.points) == points
 
 
 TWO_MODES = [NormedSpaceSpec("l2", "dense", 3), NormedSpaceSpec("l1", "sequence", None)]
-# sha256 of values.tobytes() for the wobble runs below, pinned from the numpy
+# sha256 of flat.tobytes() for the wobble runs below, pinned from the numpy
 # array run built from its row list, so the buffer must hold the same floats
 VALUES_SHA256 = {
     "dense": "acb697c5e545804e4a6979cbeccae4aa2ef9b6a78adf324a7c6586ba73005975",
@@ -566,16 +723,10 @@ VALUES_SHA256 = {
 
 
 @pytest.mark.parametrize("space", TWO_MODES, ids=lambda s: s.mode)
-def test_values_is_a_read_only_view_of_the_flat_buffer(space):
+def test_flat_holds_the_pinned_floats(space):
     traj = run(wobble_map(space, 2.5), *wobble_start(space, 2.5, seed=1), WOBBLE)
-    values = traj.values
-    assert values is traj.values and values.shape == (25, 2, len(traj.index))
-    assert values.ctypes.data == traj.flat.buffer_info()[0]  # no copy
-    with pytest.raises(ValueError):
-        values[0, 0, 0] = 0.0
-    with pytest.raises(ValueError):
-        values.flags.writeable = True
-    assert hashlib.sha256(values.tobytes()).hexdigest() == VALUES_SHA256[space.mode]
+    assert len(traj.flat) == 25 * 2 * len(traj.index)
+    assert hashlib.sha256(traj.flat.tobytes()).hexdigest() == VALUES_SHA256[space.mode]
 
 
 def test_a_row_of_the_wrong_length_is_refused():
@@ -608,7 +759,8 @@ def test_a_read_trajectory_is_freed_without_the_cycle_collector(space):
     traj = run(wobble_map(space, 2.5), *wobble_start(space, 2.5, seed=1), WOBBLE)
     gc.disable()
     try:
-        traj.points[0], traj.final_even_point(), diagnose_cauchy(traj), traj.values
+        traj.points[0], traj.final_even_point(), diagnose_cauchy(traj)
+        diagnose_interleaved(traj)
         ref = weakref.ref(traj)
         del traj
         assert ref() is None

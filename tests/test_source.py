@@ -1,8 +1,9 @@
 """Source hygiene that needs only the standard library: no module of the
 package imports a name it never uses (__init__.py is left out, since its
 imports are the package's exports), every private top-level function
-or class is named somewhere besides its definition, and the config loader
-converts a number to float only in its one number reader."""
+or class is named somewhere besides its definition, the config loader
+converts a number to float only in its one number reader, and only the
+modules where linear algebra runs import numpy."""
 import ast
 import re
 from pathlib import Path
@@ -97,3 +98,30 @@ def test_the_check_finds_a_float_call_outside_the_reader():
 def test_config_converts_numbers_only_in_its_number_reader():
     # a key read with float() would take true, false and numeric strings
     assert float_calls_outside((SRC / "config.py").read_text(), "_number") == []
+
+
+NUMPY_MODULES = {"sets.py", "space.py"}
+
+
+def imports_numpy(source: str) -> bool:
+    """Whether source imports numpy or a submodule of it anywhere, in a
+    function or under TYPE_CHECKING too."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return any(name.partition(".")[0] == "numpy" for name in names)
+
+
+def test_the_check_finds_a_numpy_import():
+    assert imports_numpy("def f():\n    import numpy as np\n    return np\n")
+    assert imports_numpy("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+                         "    from numpy.linalg import lstsq\n")
+    assert not imports_numpy("import numpyro, math\nfrom .numpy_free import x\n"
+                             "s = 'import numpy'\n")
+
+
+def test_only_the_linear_algebra_modules_import_numpy():
+    assert {p.name for p in SRC.glob("*.py") if imports_numpy(p.read_text())} <= NUMPY_MODULES
