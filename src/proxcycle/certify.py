@@ -31,7 +31,7 @@ from .report import (
 )
 from .sets import ConvexSet, contains, dist as set_dist
 from .space import (TOL_NUM, ModulusUnavailable, NormedSpaceSpec, ProductPoint, Vector,
-                    pair_distance, row_kernel, row_vector)
+                    larger, pair_distance, row_kernel, row_vector)
 
 VERDICT_BPP = "coupled_bpp"
 VERDICT_FIXED = "coupled_fixed_point"
@@ -91,7 +91,7 @@ def certify(T: CyclicMapSpec, candidate: ProductPoint, tol: float = CERT_TOL) ->
     f, (row, gap) = row_map(T), row_kernel(T.space)
     x, y = row(candidate.first), row(candidate.second)
     rx, ry = map(gap, (x, y), coupled(f, x, y, SIDE_AB))
-    miss = max(abs(rx - d), abs(ry - d))
+    miss = larger(abs(rx - d), abs(ry - d))
     if miss <= tol:
         verdict = VERDICT_FIXED if d <= tol else VERDICT_BPP
         return Certificate(candidate, rx, ry, d, verdict, tol)
@@ -176,7 +176,7 @@ def solve_and_certify(
     worst = 0.0
     for i in range(len(found)):
         for j in range(i + 1, len(found)):
-            worst = max(worst, pair_distance(T.space, found[i], found[j]))
+            worst = larger(worst, pair_distance(T.space, found[i], found[j]))
     u_tol = 10.0 * (rule.t_tol if rule.t_tol is not None else TOL_STOP)
     report = UniquenessReport(
         starts=tuple(r.start for r in records),
@@ -208,7 +208,7 @@ def second_iterate_check(T: CyclicMapSpec, candidate: ProductPoint,
         Violation((render_pair(candidate), render_vector(vector(got))), err, tol,
                   note=f"second iterate moved the {label} component")
         for label, err, got in (("x", dx, x2), ("y", dy, y2))
-        if err > tol
+        if not err <= tol
     ]
     status = PASSED if not violations else FAILED
     return CheckReport("second_iterate", 2, tuple(violations), status,

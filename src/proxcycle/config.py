@@ -42,7 +42,7 @@ from .maps import (
 )
 from .report import INCONCLUSIVE, CheckReport, Violation, conclude, merge_reports
 from .sets import Box, ConvexSet, Hull, SetsError, check_set, sample
-from .space import TOL_NUM, NormedSpaceSpec, ProductPoint, SpaceError, Vector
+from .space import TOL_NUM, NormedSpaceSpec, ProductPoint, SpaceError, Vector, larger
 
 
 class ConfigError(ValueError):
@@ -202,13 +202,6 @@ class ExperimentConfig:
     output: str
     raw: dict
 
-    def require_phi(self) -> PhiSpec:
-        if self.phi is None:
-            raise ConfigError(
-                "no phi available: give map.phi in the config or pick a builtin "
-                "with a declared contraction gauge")
-        return self.phi
-
 
 # ---------------------------------------------------------------------------
 # the check table
@@ -259,10 +252,8 @@ def _certify(ctx: CheckContext, name: str, pool_attr: str, tol: float) -> CheckR
     """Solve and certify from cfg.candidates or cfg.starts, and record the
     certificates for the summary and for second_iterate.  The starts'
     limits come from the runs the runner made; candidates are iterated
-    here, at the experiment's tol."""
+    here, at the experiment's tol.  The runner has refused an empty pool."""
     pool = getattr(ctx.cfg, pool_attr)
-    if not pool:
-        raise ConfigError(f"check {name!r} needs {pool_attr}")
     runs = ctx.trajectories if pool_attr == "starts" else None
     records, uniq = solve_and_certify(ctx.cfg.T, pool, ctx.cfg.rule, tol, runs, ctx.cfg.tol)
     violations = []
@@ -274,8 +265,8 @@ def _certify(ctx: CheckContext, name: str, pool_attr: str, tol: float) -> CheckR
         elif cert.accepted:
             ctx.accepted.append(cert)
         else:  # a rejection on membership has no residuals to subtract
-            lhs, rhs = (1.0, 0.0) if cert.residual_x is None else (
-                max(abs(cert.residual_x - cert.dist_used), abs(cert.residual_y - cert.dist_used)),
+            lhs, rhs = (1.0, 0.0) if cert.residual_x is None else (larger(
+                abs(cert.residual_x - cert.dist_used), abs(cert.residual_y - cert.dist_used)),
                 cert.tolerance)
             violations.append(Violation((f"start {i}", cert.reason), lhs, rhs,
                                         note=f"verdict {cert.verdict}"))
@@ -320,7 +311,7 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
            "quantification": (_quantification, "all_cross_pairs"), "starts": (_count, 5),
            "steps": (_count, 20)}, 23,
           lambda ctx, _, p: check_phi_contraction(
-              ctx.cfg.T, ctx.cfg.require_phi(), p["samples"], p["seed"],
+              ctx.cfg.T, ctx.cfg.phi, p["samples"], p["seed"],
               p["quantification"], p["starts"], p["steps"], p["tol"])),
     Check("kannan", False, {"samples": (_count, 1000), "tol": (_nonnegative, CFG_TOL)}, 37,
           lambda ctx, _, p: check_kannan(ctx.cfg.T, p["samples"], p["seed"], p["tol"])),

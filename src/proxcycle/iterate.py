@@ -5,8 +5,8 @@ x_n = T(x_(n-1), y_(n-1)) and y_n = T(y_(n-1), x_(n-1)), so the pair
 alternates between A x B (even n) and B x A (odd n): point n lies on
 side n % 2 of maps.SIDES.  The recorded t-series is the product distance
 between consecutive pairs; for the maps this package targets it
-decreases to dist(A, B).  Every distance here is space.row_kernel's gap
-on rows of the flat buffer, bit for bit pair_distance; no numpy is used.
+decreases to dist(A, B).  Every distance here is space.larger of two
+row_kernel gaps on rows of the flat buffer, bit for bit pair_distance.
 
 Diagnostics never raise on mathematical failure: they return reports.
 A bound that fails on a budget-exhausted trajectory is inconclusive,
@@ -30,6 +30,7 @@ from .space import (
     NormedSpaceSpec,
     ProductPoint,
     Vector,
+    larger,
     pack_flat,
     row_kernel,
     unpack,
@@ -186,12 +187,11 @@ def run(T: CyclicMapSpec, x0: Vector, y0: Vector, rule: StopRule = StopRule(),
             stop_reason = STOP_DOMAIN_ERROR
             error_index = n
             break
-        (px, py), (qx, qy) = last, before
-        before, last = last, (rx, ry)
+        older, before, last = before, last, (rx, ry)
         keep(last)
-        t_series.append(max(gap(px, rx), gap(py, ry)))
+        t_series.append(larger(gap(before[0], rx), gap(before[1], ry)))
         if n >= 2:
-            lag_gaps.append(max(gap(rx, qx), gap(ry, qy)))
+            lag_gaps.append(larger(gap(rx, older[0]), gap(ry, older[1])))
 
         if rule.t_tol is not None and d is not None and abs(t_series[-1] - d) < rule.t_tol:
             stop_reason = STOP_CONVERGED_T
@@ -231,7 +231,7 @@ def diagnose_monotone_t(traj: Trajectory, tol: float = TOL_NUM) -> CheckReport:
     violations = []
     for k in range(len(traj.t_series) - 1):
         a, b = traj.t_series[k], traj.t_series[k + 1]
-        if b > a + tol:
+        if not b <= a + tol:
             violations.append(Violation(
                 (f"t[{k}]={a!r}", f"t[{k + 1}]={b!r}"), b, a,
                 note="t series increased",
@@ -282,7 +282,7 @@ def diagnose_even_gaps(traj: Trajectory, tol: float | None = None) -> CheckRepor
     detail = f"final even gap = {even[-1]!r}, final odd gap = {odd[-1]!r}"
     violations = []
     for label, series in (("even", even), ("odd", odd)):
-        if series[-1] >= tol:
+        if not series[-1] < tol:
             violations.append(Violation(
                 (f"final {label} gap",), series[-1], tol,
                 note="subsequence gap did not vanish",
@@ -306,7 +306,8 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
     column whose bound is below the threshold is skipped, one whose low[n]
     reaches it ends the walk, and any other is computed exactly, at most
     once per call.  Every distance is the row gap that run uses, bit for
-    bit pair_distance, so the verdicts are pair_distance's.
+    bit pair_distance, so the verdicts are pair_distance's.  A distance that
+    reads a nan or inf, or overflows, is not finite, nor is a bound it enters.
 
     On a settling trajectory this is O(n * d) plus a few columns.  On one
     that does not settle the bound stays loose and every column is
@@ -332,21 +333,13 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
     _, gap = row_kernel(traj.space)
 
     def dist(p, q) -> float:
-        return max(gap(p[0], q[0]), gap(p[1], q[1]))
+        return larger(gap(p[0], q[0]), gap(p[1], q[1]))
 
     n_even, n_odd = len(evens), len(odds)
     last_tail = min(n_even - 1, n_odd) - 1  # the last N with a pair m > n >= N
     last = evens[-1]
     low = [dist(last, q) for q in odds[:last_tail + 1]]
-    # hypot is nan with a nan coordinate, inf with an inf one, and else at
-    # least every |coordinate|: then no distance can overflow, and each is
-    # within rounding of a norm.  Otherwise the triangle inequality may fail
-    # (a linf gap drops a nan that is not its first term, a product distance
-    # a nan y gap), so no column is skipped
-    if 4 * k * math.hypot(*values) < math.inf:
-        reach = list(accumulate((dist(p, last) for p in evens[:0:-1]), max))[::-1]
-    else:
-        reach = [math.inf] * (n_even - 1)
+    reach = list(accumulate((dist(p, last) for p in evens[:0:-1]), larger))[::-1]
 
     @cache
     def column(n: int) -> float:
@@ -402,12 +395,12 @@ def diagnose_cauchy(traj: Trajectory, k: int = 10, tol: float | None = None) -> 
         for i, (xi, yi) in enumerate(tail):
             for xj, yj in tail[i + 1:]:
                 checked += 1
-                worst[label] = max(worst[label], max(gap(xi, xj), gap(yi, yj)))
+                worst[label] = larger(worst[label], larger(gap(xi, xj), gap(yi, yj)))
     detail = f"even spread = {worst['even']!r}, odd spread = {worst['odd']!r}"
     violations = [
         Violation((f"last-{k} {label} points",), spread, tol,
                   note="tail subsequence is not settling")
-        for label, spread in worst.items() if spread >= tol
+        for label, spread in worst.items() if not spread < tol
     ]
     if not violations:
         return CheckReport("cauchy", checked, (), PASSED, detail)

@@ -32,6 +32,7 @@ from .space import (
     ProductPoint,
     Vector,
     basis,
+    larger,
     pair_distance,
     row_kernel,
     row_vector,
@@ -262,7 +263,7 @@ class _Probe:
     def displacement(self, p: _Point) -> float:
         if p.disp is None:
             q = self.image(p)
-            p.disp = max(self.gap(p.rx, q.rx), self.gap(p.ry, q.ry))
+            p.disp = larger(self.gap(p.rx, q.rx), self.gap(p.ry, q.ry))
         return p.disp
 
 
@@ -298,13 +299,13 @@ def check_cyclic_invariance(T: CyclicMapSpec, n_samples: int = 200, seed: int = 
 def _phi_pair_violations(probe: _Probe, phi: PhiSpec, p: _Point, q: _Point, phi_d: float,
                          tol: float) -> list[Violation]:
     # q lies on the flipped side; both component images obey the same bound
-    delta = max(probe.gap(p.rx, q.rx), probe.gap(p.ry, q.ry))
+    delta = larger(probe.gap(p.rx, q.rx), probe.gap(p.ry, q.ry))
     rhs = delta - phi(delta) + phi_d
     img_p, img_q = probe.image(p), probe.image(q)
     out = []
     for a, b, component in ((img_p.rx, img_q.rx, "first"), (img_p.ry, img_q.ry, "second")):
         lhs = probe.gap(a, b)
-        if lhs > rhs + tol:
+        if not lhs <= rhs + tol:
             out.append(Violation(
                 probe.witness(p, q), lhs, rhs,
                 note=f"{component}-component image pair broke the phi bound",
@@ -377,7 +378,7 @@ def check_kannan(T: CyclicMapSpec, n_samples: int = 1000, seed: int = 0,
             lhs = probe.gap(probe.image(p).rx, probe.image(q).rx)
             rhs = 0.5 * (probe.displacement(p) + probe.displacement(q))
             checked += 1
-            if lhs > rhs + tol:
+            if not lhs <= rhs + tol:
                 violations.append(Violation(
                     probe.witness(p, q), lhs, rhs,
                     note=f"sides {SIDES[side1]}/{SIDES[side2]}",
@@ -403,7 +404,7 @@ def check_kannan_strict_hypothesis(T: CyclicMapSpec, n_samples: int = 500,
                 continue
             d1 = probe.displacement(probe.image(p))
             checked += 1
-            if d1 >= d0 - tol:
+            if not d1 < d0 - tol:
                 violations.append(Violation(
                     probe.witness(p), d1, d0,
                     note="coupled image displacement failed to decrease strictly",

@@ -61,6 +61,12 @@ def execute(cfg: ExperimentConfig, mode: str,
                           f"(use the run command)")
     if dynamic and not cfg.starts:
         raise ConfigError(f"check {dynamic[0].name!r} needs starts")
+    names = {c.name for c in cfg.checks}
+    if "certify_candidates" in names and not cfg.candidates:
+        raise ConfigError("check 'certify_candidates' needs candidates")
+    if "phi_contraction" in names and cfg.phi is None:
+        raise ConfigError("no phi available: give map.phi in the config or pick a builtin "
+                          "with a declared contraction gauge")
 
     outdir = cfg.output
     with _writing(outdir):

@@ -328,14 +328,14 @@ def _cone(kind: str, data) -> tuple[np.ndarray, np.ndarray]:
 def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     """l2 distance as one NNLS over both sets' weights, minimising
     |C_A z_A - C_B z_B|.  The witnesses are feasible and the value is
-    their distance."""
+    their distance in space's norm."""
     import numpy as np
     index, pa, pb = _prepare_pair(A, B, space)
     (Ca, ga), (Cb, gb) = _cone(*pa), _cone(*pb)
     *_, (z, _) = _nnls(np.hstack([Ca, -Cb]), np.concatenate([ga, gb + ga.max() + 1]))
-    a, b = Ca @ z[:len(ga)], Cb @ z[len(ga):]
-    value = float(np.linalg.norm(a - b))
-    return value, ProximalWitness(unpack(a.tolist(), index), unpack(b.tolist(), index), value)
+    a, b = (unpack(w.tolist(), index) for w in (Ca @ z[:len(ga)], Cb @ z[len(ga):]))
+    value = norm(space, a - b)
+    return value, ProximalWitness(a, b, value)
 
 
 def _project_simplex(W: np.ndarray) -> np.ndarray:

@@ -5,6 +5,10 @@ dimensional spaces and summable sequence spaces.  A space spec pins the norm,
 the mode (dense with a dimension bound, or unbounded sequence) and, for dense
 mode, the dimension.  This module alone converts between Vectors, rows
 (row_kernel, row_vector) and index arrays (pack_flat, pack, unpack).
+
+A norm or product distance that reads a nan or infinite term is never
+finite: linf keeps a nan wherever it stands, and the product distance of
+(x, y) and (u, v) is larger(||x - u||, ||y - v||), nan if either is.
 """
 from __future__ import annotations
 
@@ -172,8 +176,7 @@ def norm(space: NormedSpaceSpec, v: Vector) -> float:
 
 def _norm_values(space: NormedSpaceSpec, vals: list[float]) -> float:
     """The norm of a vector whose nonzero coordinates, in index order, are
-    vals.  A caller holding a dense row drops its zeros to get norm's value
-    bit for bit (with a nan among them, max would depend on their places)."""
+    vals.  A caller holding a dense row drops its zeros to get norm's value bit for bit."""
     if not vals:
         return 0.0
     if space.norm == "l1":
@@ -181,7 +184,7 @@ def _norm_values(space: NormedSpaceSpec, vals: list[float]) -> float:
     if space.norm == "l2":
         return math.hypot(*vals)
     if space.norm == "linf":
-        return float(max(map(abs, vals)))
+        return math.nan if any(map(math.isnan, vals)) else float(max(map(abs, vals)))
     # scale by the largest entry so x**p cannot under- or overflow
     m = max(map(abs, vals))
     if m == 0.0:
@@ -268,17 +271,21 @@ class ProductPoint:
     first: Vector
     second: Vector
 
-    def __sub__(self, other: "ProductPoint") -> "ProductPoint":
-        return ProductPoint(self.first - other.first, self.second - other.second)
+
+def larger(a: float, b: float) -> float:
+    """max(a, b), but nan if either is: the product distance of two gaps."""
+    return a if a >= b or a != a else b
 
 
 def product_norm(space: NormedSpaceSpec, pair: ProductPoint) -> float:
-    """Max norm on the product: max of the component norms."""
-    return max(norm(space, pair.first), norm(space, pair.second))
+    """Max norm on the product: the larger component norm."""
+    return larger(norm(space, pair.first), norm(space, pair.second))
 
 
 def pair_distance(space: NormedSpaceSpec, p: ProductPoint, q: ProductPoint) -> float:
-    return product_norm(space, p - q)
+    """The product distance of p and q, measured on row_kernel rows."""
+    row, gap = row_kernel(space)
+    return larger(gap(row(p.first), row(q.first)), gap(row(p.second), row(q.second)))
 
 
 def convexity_modulus(space: NormedSpaceSpec, eps: float) -> float:

@@ -366,6 +366,31 @@ def interval_with(check, **params):
         for c in INTERVAL["checks"]])
 
 
+L1_KANNAN = json.loads((CONFIGS / "l1_kannan.json").read_text())
+NO_PHI = ("no phi available: give map.phi in the config or pick a builtin "
+          "with a declared contraction gauge")
+
+
+@pytest.mark.parametrize("mode", ["run", "verify"])
+@pytest.mark.parametrize("cfg,message", [
+    ({k: v for k, v in INTERVAL.items() if k != "candidates"},
+     "check 'certify_candidates' needs candidates"),
+    (dict(L1_KANNAN, checks=[*L1_KANNAN["checks"][:3], "phi_contraction"]), NO_PHI),
+], ids=["certify_candidates-without-candidates", "phi_contraction-without-phi"])
+def test_a_check_without_its_input_is_refused_before_any_output(cfg, message, mode, tmp_path,
+                                                                capsys):
+    if mode == "verify":
+        cfg = dict(cfg, checks=[c for c in cfg["checks"]
+                                if not CHECKS[c if isinstance(c, str) else c["name"]]
+                                .needs_trajectories])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([mode, str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"configuration error: {message}\n" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 REFUSED = "must be finite and >= 0, got"
 REFUSED_TOLERANCES = [
     ("tol-nan", dict(INTERVAL, tol=NAN), (), f"tol: {REFUSED} nan"),

@@ -439,8 +439,8 @@ def test_interleaved_matches_the_pairwise_reference_on_a_domain_error(space):
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_interleaved_matches_the_pairwise_reference_with_a_non_finite_coordinate(space, where,
                                                                                  value):
-    # an inf coordinate makes its distances inf, or nan in lp (inf / inf); a
-    # linf gap drops a nan that is not its first term
+    # an inf coordinate makes its distances inf, or nan in lp (inf / inf),
+    # and a nan one makes them nan in every norm
     points = list(settling_trajectory(space, 0, 41, 2.5, STOP_CONVERGED_T).points)
     for n in where:
         sign = 1.0 if n % 2 == 0 else -1.0
@@ -489,8 +489,9 @@ def test_interleaved_matches_the_pairwise_reference_where_rounding_breaks_the_tr
 @pytest.mark.parametrize("mode", ["dense", "sequence"])
 def test_interleaved_matches_the_pairwise_reference_when_linf_drops_a_nan(mode):
     # the last point's nan is no first term of its linf gaps to the others,
-    # so they leave out coordinate 1, where ||even1 - odd0|| = 100 lies; its
-    # gap to itself, nan, is a y gap, which a product distance drops
+    # and its y gap to point 3, which has the same y, is nan: were either
+    # dropped, as builtin max drops a nan after first place, the bound of
+    # column 0 would miss coordinate 1, where ||even1 - odd0|| = 100 lies
     space = NormedSpaceSpec("linf", mode, 2 if mode == "dense" else None)
     traj = five_point_trajectory(space, [6.0, 100.0], [0.0, 0.0], [5.0, math.nan])
     got = diagnose_interleaved(traj, [50.0]).to_json()
@@ -501,8 +502,8 @@ def test_interleaved_matches_the_pairwise_reference_when_linf_drops_a_nan(mode):
 @pytest.mark.parametrize("mode", ["dense", "sequence"])
 def test_interleaved_matches_the_pairwise_reference_when_an_lp_gap_overflows(mode):
     # the last point's y differs from the others' by more than the largest
-    # float, so its lp gaps are inf / inf = nan, and a product distance
-    # keeps its x gap, 0: the bound of column 0 is 0, its entry 50
+    # float, so its lp gaps are inf / inf = nan; a product distance that kept
+    # its x gap, 0, would bound column 0 by 0, under its entry 50
     space = NormedSpaceSpec("lp", mode, 2 if mode == "dense" else None, 3.0)
     traj = five_point_trajectory(space, [-1e308, 50.0], [-1e308, 0.0], [1e308, 0.0])
     got = diagnose_interleaved(traj, [10.0]).to_json()

@@ -1,4 +1,5 @@
-"""Map evaluation and the sampled inequality checkers.
+"""Map evaluation, the sampled inequality checkers, and the nan rule of
+every bound a check tests.
 
 The interval family is small enough for an exhaustive grid oracle over
 cross quadruples, so the sampled checker is validated against a complete
@@ -16,6 +17,7 @@ from proxcycle import (
     SIDE_AB,
     SIDE_BA,
     SIDES,
+    STOP_CONVERGED_T,
     CyclicMapSpec,
     DomainError,
     TOL_NUM,
@@ -23,19 +25,27 @@ from proxcycle import (
     NormedSpaceSpec,
     PhiSpec,
     ProductPoint,
+    StopRule,
+    Trajectory,
     Vector,
     basis,
     builtin,
+    certify,
     check_cyclic_invariance,
     check_kannan,
     check_kannan_strict_hypothesis,
     check_phi_contraction,
     coupled_image,
+    diagnose_cauchy,
+    diagnose_even_gaps,
+    diagnose_monotone_t,
     displacement,
     eval_map,
     norm,
     pair_distance,
+    run,
     sample,
+    second_iterate_check,
 )
 from proxcycle import maps
 from proxcycle.config import ConfigError, parse_phi
@@ -534,3 +544,47 @@ def test_checkers_report_the_same_on_rows_and_on_vectors(name, check):
     assert got.checked > 0 or (name, check) == ("non_cyclic", "kannan_strict")
     # every violation, its rendered points included
     assert got.to_json(len(got.violations)) == want.to_json(len(want.violations))
+
+
+# ------------------------------------------------------------ nan bounds
+
+# interval_contraction whose image on side BA is nan, so every distance
+# from such an image is nan
+NAN_BA = replace(INTERVAL, evaluator=RowEvaluator(
+    lambda rx, ry, side: [math.nan] if side == SIDE_BA else INTERVAL.evaluator.rows(rx, ry, side),
+    1))
+PROXIMAL = ProductPoint(Vector.dense([1.0]), Vector.dense([-1.0]))
+
+
+def nan_tail_trajectory():
+    """An interval run of 61 points, settled so that every diagnostic
+    passes on it, with its last x made nan and the series run records:
+    its last t and lag gap are nan."""
+    traj = run(INTERVAL, Vector.dense([1.5]), Vector.dense([-1.5]),
+               StopRule(max_iters=60, t_tol=None, gap_tol=None))
+    points = [*traj.points[:-1], ProductPoint(Vector.dense([math.nan]), traj.points[-1].second)]
+    gaps = [tuple(pair_distance(INTERVAL.space, p, q) for p, q in zip(points, points[lag:]))
+            for lag in (1, 2)]
+    return Trajectory.from_points(INTERVAL.space, points, *gaps, STOP_CONVERGED_T, StopRule(),
+                                  2.0)
+
+
+NAN_CHECKS = {
+    "phi_contraction": lambda: check_phi_contraction(NAN_BA, HALF, 20),
+    "kannan": lambda: check_kannan(NAN_BA, 20),
+    "kannan_strict": lambda: check_kannan_strict_hypothesis(NAN_BA, 20),
+    "second_iterate": lambda: second_iterate_check(NAN_BA, PROXIMAL),
+    "certify": lambda: certify(NAN_BA, PROXIMAL),
+    "monotone_t": lambda: diagnose_monotone_t(nan_tail_trajectory()),
+    "even_gaps": lambda: diagnose_even_gaps(nan_tail_trajectory()),
+    "cauchy": lambda: diagnose_cauchy(nan_tail_trajectory()),
+}
+
+
+@pytest.mark.parametrize("check", sorted(NAN_CHECKS))
+def test_a_nan_distance_is_a_violation(check):
+    got = NAN_CHECKS[check]()
+    if check == "certify":
+        assert got.verdict == "rejected" and math.isnan(got.residual_y)
+    else:
+        assert got.status == "failed" and got.violations

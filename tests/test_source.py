@@ -2,8 +2,9 @@
 package imports a name it never uses (__init__.py is left out, since its
 imports are the package's exports), every private top-level function
 or class is named somewhere besides its definition, the config loader
-converts a number to float only in its one number reader, and only the
-modules where linear algebra runs import numpy."""
+converts a number to float only in its one number reader, only the
+modules where linear algebra runs import numpy, and only space writes a
+product distance."""
 import ast
 import re
 from pathlib import Path
@@ -125,3 +126,27 @@ def test_the_check_finds_a_numpy_import():
 
 def test_only_the_linear_algebra_modules_import_numpy():
     assert {p.name for p in SRC.glob("*.py") if imports_numpy(p.read_text())} <= NUMPY_MODULES
+
+
+def inline_product_distances(source: str) -> list[int]:
+    """The lines of source that call builtin max on two gap(...) calls, a
+    product distance written out; space.larger is the one that keeps a nan."""
+    def is_gap(node) -> bool:
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "gap"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "gap")
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "max" and len(n.args) == 2 and all(map(is_gap, n.args)))
+
+
+def test_the_check_finds_an_inline_product_distance():
+    source = ("a = max(gap(x, u), gap(y, v))\nb = larger(gap(x, u), gap(y, v))\n"
+              "c = max(gap(x, u), 0.0)\nd = max(\n    self.gap(x, u), probe.gap(y, v))\n"
+              "e = max(gap(p, q) for p in ps)\nf = max(w, max(gap(x, u), gap(y, v)))\n")
+    assert inline_product_distances(source) == [1, 4, 7]
+
+
+def test_only_space_writes_a_product_distance():
+    assert {name: lines for name in MODULES if name != "space.py"
+            if (lines := inline_product_distances((SRC / name).read_text()))} == {}

@@ -183,6 +183,20 @@ def kernel_vectors(rng, d, offset, n=40):
     return out
 
 
+def non_finite_vectors(vs, d):
+    """The finite vectors of vs with a nan, inf or -inf put at the first,
+    middle and last of their coordinates: range(d), or their support."""
+    out = []
+    for v in vs:
+        idx = list(range(d)) if d is not None else list(v.support())
+        if not idx or not all(math.isfinite(x) for _, x in v.coords):
+            continue
+        for value in (math.nan, math.inf, -math.inf):
+            for i in sorted({idx[0], idx[len(idx) // 2], idx[-1]}):
+                out.append(Vector.from_map({**dict(v.coords), i: value}))
+    return out
+
+
 @pytest.mark.parametrize("norm_name,p", [("l1", None), ("l2", None), ("lp", 3.0), ("linf", None)])
 @pytest.mark.parametrize("d", [1, 3, 12, None])
 @pytest.mark.parametrize("offset", [0.0, 2.5, 1000.0])
@@ -196,6 +210,16 @@ def test_row_kernel_gap_is_the_difference_norm(norm_name, p, d, offset):
         for v, rv in zip(vs, rows):
             want, got = norm(space, u - v), gap(ru, rv)
             assert got == want or (math.isnan(got) and math.isnan(want)), (u, v)
+    # a gap that reads a nan or infinite term is never finite, wherever the
+    # term stands and whichever side it is on
+    bad = non_finite_vectors(vs[:12], d)
+    assert len(bad) >= 9
+    for u in bad:
+        ru = row(u)
+        for v, rv in zip(vs, rows):
+            for want, got in ((norm(space, u - v), gap(ru, rv)), (norm(space, v - u), gap(rv, ru))):
+                assert got == want or (math.isnan(got) and math.isnan(want)), (u, v)
+                assert not math.isfinite(got), (u, v)
 
 
 def test_dense_row_refuses_an_index_past_the_dimension():
