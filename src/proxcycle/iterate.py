@@ -19,7 +19,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from itertools import accumulate
 
 from .maps import SIDES, CyclicMapSpec, DomainError, coupled, native_form
@@ -242,7 +242,7 @@ def diagnose_monotone_t(traj: Trajectory, tol: float = TOL_NUM) -> CheckReport:
 def diagnose_t_limit(traj: Trajectory, tol: float | None = None) -> CheckReport:
     """Final t value must sit within tol of dist(A, B), traj.dist_used.
 
-    Also verifies the floor: no t value may undercut dist - TOL_NUM.
+    Also verifies the floor: every t value, a nan failing, must reach dist - TOL_NUM.
     """
     d = traj.dist_used
     if d is None:
@@ -254,7 +254,7 @@ def diagnose_t_limit(traj: Trajectory, tol: float | None = None) -> CheckReport:
         tol = traj.rule.t_tol if traj.rule.t_tol is not None else TOL_STOP
     violations = []
     for k, t in enumerate(traj.t_series):
-        if t < d - TOL_NUM:
+        if not t >= d - TOL_NUM:
             violations.append(Violation(
                 (f"t[{k}]={t!r}",), d, t,
                 note="t value undercut the pair distance",
@@ -305,9 +305,9 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
     ||u_2m - u_e|| with m > n.  Walking n down from the last tail index, a
     column whose bound is below the threshold is skipped, one whose low[n]
     reaches it ends the walk, and any other is computed exactly, at most
-    once per call.  Every distance is the row gap that run uses, bit for
-    bit pair_distance, so the verdicts are pair_distance's.  A distance that
-    reads a nan or inf, or overflows, is not finite, nor is a bound it enters.
+    once per call.  Every distance is the row gap that run uses, bit for bit
+    pair_distance.  A distance that reads a nan or inf, or overflows, is not
+    finite, nor is a bound it enters, and a nan one reaches every threshold.
 
     On a settling trajectory this is O(n * d) plus a few columns.  On one
     that does not settle the bound stays loose and every column is
@@ -343,9 +343,9 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
 
     @cache
     def column(n: int) -> float:
-        """The largest cross distance with m > n; a nan reaches no threshold."""
+        """The largest cross distance with m > n, nan if any is nan."""
         q = odds[n]
-        return max((f for p in evens[n + 1:] if (f := dist(p, q)) == f), default=-math.inf)
+        return reduce(larger, (dist(p, q) for p in evens[n + 1:]), -math.inf)
 
     # each distance is within about (k + 6) half-ulps of the exact norm, so
     # a column entry can pass the computed bound by about (k + 7) ulps of
@@ -362,7 +362,7 @@ def diagnose_interleaved(traj: Trajectory, eps_list=(0.5, 0.1, 0.01),
         floor = thr - rel * max(1.0, abs(thr))
         N = 1 + next((n for n in range(last_tail, -1, -1)
                       if not low[n] + reach[n] < floor
-                      and (low[n] >= thr or column(n) >= thr)), -1)
+                      and not (low[n] < thr and column(n) < thr)), -1)
         if N <= last_tail:
             tails.append((eps, N))
         else:

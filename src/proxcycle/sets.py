@@ -2,10 +2,10 @@
 
 Three set variants: coordinate boxes, finitely generated hulls, and
 declared sets (membership predicate plus sampler, for sets that are not
-finitely generated).  dist picks its method from its inputs: a declared
-analytic value when one is given, else an exact non-negative least-squares
-(NNLS) solve for l2, else projected subgradient descent for l1/linf from
-starts advanced as one batch at seed 0, not converged.  lp is refused.
+finitely generated).  dist picks its method: a declared value when given,
+else an exact non-negative least-squares (NNLS) solve for l2, else projected
+subgradient descent for l1/linf from seed 0, not converged, its starts rows
+of one batch, measured on the rows and projected in one call.  lp is refused.
 
 Hull membership is the same NNLS solve, on vertices packed once per hull.
 A step is one least-squares solve with each sum-to-one constraint eliminated
@@ -353,45 +353,45 @@ def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: 
                       n_starts: int = 6, iters: int = 2500):
     """Projected subgradient descent on |a - b| over hull weights and box
     coordinates, its n_starts starts advanced together as rows.  Each start
-    keeps its best iterate; the first start with the least value wins."""
+    keeps its best iterate; the first start with the least value wins.  The
+    simplex projection works row by row, so two hulls of one size share it."""
     import numpy as np
     index, (ka, da), (kb, db) = _prepare_pair(A, B, space)
     rng = np.random.default_rng(seed)
+    shared = ka == kb == "hull" and len(da) == len(db)
 
     def init(kind, data):
-        if kind == "hull":
-            w = rng.random(len(data))
-            return w / w.sum()
-        lo, hi = data
-        return lo + rng.random(len(lo)) * (hi - lo)
+        w = rng.random(len(data) if kind == "hull" else len(data[0]))
+        return w / w.sum() if kind == "hull" else data[0] + w * (data[1] - data[0])
 
     def point(kind, data, P):
         return np.matmul(data.T, P[..., None])[..., 0] if kind == "hull" else P
 
     def move(kind, data, P, step, G):
         if kind == "hull":
-            return _project_simplex(P + step * np.matmul(data, G[..., None])[..., 0])
+            P = P + step * np.matmul(data, G[..., None])[..., 0]
+            return P if shared else _project_simplex(P)
         return np.clip(P + step * G, *data)
 
-    def subgrad(W):
+    def measure(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's norm, space.norm's bit for bit (a zero adds nothing), and a subgradient."""
         if space.norm == "linf":
-            top = np.arange(W.shape[1]) == np.argmax(np.abs(W), axis=1)[:, None]
-            return np.where(top, np.sign(W), 0.0)
-        return np.sign(W)  # l1
-
-    def values_of(W: np.ndarray) -> np.ndarray:
-        return np.array([norm(space, unpack(w, index)) for w in W.tolist()])
+            size = np.abs(W)
+            top = np.arange(W.shape[1]) == np.argmax(size, axis=1)[:, None]
+            return size.max(axis=1, initial=0.0), np.where(top, np.sign(W), 0.0)
+        return np.array([sum(map(abs, w)) for w in W.tolist()], dtype=float), np.sign(W)
 
     PA, PB = map(np.array, zip(*[(init(ka, da), init(kb, db)) for _ in range(n_starts)]))
     cur_a, cur_b = point(ka, da, PA), point(kb, db, PB)
-    best = values_of(cur_a - cur_b)
+    best, G = measure(cur_a - cur_b)
     best_a, best_b, spread = cur_a.copy(), cur_b.copy(), best + 1.0
     for k in range(1, iters + 1):
-        G = subgrad(cur_a - cur_b)
         step = (spread / math.sqrt(k))[:, None]
         PA, PB = move(ka, da, PA, -step, G), move(kb, db, PB, step, G)
+        if shared:
+            PA, PB = _project_simplex(np.concatenate([PA, PB])).reshape(2, *PA.shape)
         cur_a, cur_b = point(ka, da, PA), point(kb, db, PB)
-        val = values_of(cur_a - cur_b)
+        val, G = measure(cur_a - cur_b)
         up = val < best
         best[up], best_a[up], best_b[up] = val[up], cur_a[up], cur_b[up]
     i = int(np.argmin(best))

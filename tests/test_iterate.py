@@ -242,7 +242,7 @@ def interleaved_reference(traj, eps_list, d, tol):
         worst_n = -1
         for n, dist in cross:
             checked += 1
-            if dist >= d + eps + tol:
+            if not dist < d + eps + tol:  # a nan reaches every threshold
                 worst_n = max(worst_n, n)
         N = worst_n + 1
         if N + 1 < len(evens) and N < len(odds):
@@ -489,14 +489,15 @@ def test_interleaved_matches_the_pairwise_reference_where_rounding_breaks_the_tr
 @pytest.mark.parametrize("mode", ["dense", "sequence"])
 def test_interleaved_matches_the_pairwise_reference_when_linf_drops_a_nan(mode):
     # the last point's nan is no first term of its linf gaps to the others,
-    # and its y gap to point 3, which has the same y, is nan: were either
-    # dropped, as builtin max drops a nan after first place, the bound of
-    # column 0 would miss coordinate 1, where ||even1 - odd0|| = 100 lies
+    # and its y gap to point 3, which has the same y, is nan, so column 1
+    # reaches the threshold and no tail is found; were the nan dropped, as
+    # builtin max drops a nan after first place, column 1 would be 0 and the
+    # bound of column 0 would miss coordinate 1, where ||even1 - odd0|| = 100
     space = NormedSpaceSpec("linf", mode, 2 if mode == "dense" else None)
     traj = five_point_trajectory(space, [6.0, 100.0], [0.0, 0.0], [5.0, math.nan])
     got = diagnose_interleaved(traj, [50.0]).to_json()
     assert got == interleaved_reference(traj, [50.0], 0.0, 1e-9).to_json()
-    assert got["detail"] == "tails eps=50.0: N=1"
+    assert got["detail"] == "tails " and got["status"] == "failed"
 
 
 @pytest.mark.parametrize("mode", ["dense", "sequence"])
@@ -517,6 +518,23 @@ def test_interleaved_refuses_an_empty_or_nan_eps(eps_list):
     assert traj.n_points == 51
     with pytest.raises(ValueError, match="eps_list must be non-empty and hold no nan"):
         diagnose_interleaved(traj, eps_list)
+
+
+@pytest.mark.parametrize("diagnose, status, detail", [
+    (diagnose_t_limit, "failed", "final t = 2.0, dist = 2.0"),
+    (diagnose_interleaved, "passed", "tails eps=0.5: N=15, eps=0.1: N=15, eps=0.01: N=15")])
+def test_a_nan_point_counts_against_t_limit_and_interleaved(diagnose, status, detail):
+    # point 30's nan x makes t[29], t[30] and its cross distances nan: a nan
+    # t undercuts the floor, and a nan column reaches every threshold, so the
+    # tails start at 15, past every column that holds point 30 = u_(2 * 15)
+    traj = run(INTERVAL, X0, Y0, StopRule(max_iters=60, t_tol=None, gap_tol=None))
+    points = list(traj.points)
+    points[30] = ProductPoint(Vector.dense([math.nan]), points[30].second)
+    bad = Trajectory.from_points(traj.space, points, *series(traj.space, points),
+                                 traj.stop_reason, traj.rule, traj.dist_used)
+    assert bad.n_points == 61 and diagnose_monotone_t(bad).status == "failed"
+    report = diagnose(bad)
+    assert (report.status, report.detail) == (status, detail)
 
 
 def test_cauchy_tail_spread():

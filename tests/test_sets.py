@@ -416,6 +416,73 @@ def test_batched_subgradient_equals_the_loop_over_starts(norm_name, kinds, d, of
     assert got == subgrad_by_start(A, B, sp, seed, n_starts, iters=25)
 
 
+@pytest.mark.parametrize("norm_name", ["l1", "linf"])
+@pytest.mark.parametrize("d,k", [(1, 2), (3, 6), (8, 12), (20, 24)])
+@pytest.mark.parametrize("seed", range(2))
+def test_batched_subgradient_equals_the_loop_on_hulls_of_one_size(norm_name, d, k, seed):
+    # the hull_geometry shapes, whose two hulls share each simplex projection
+    rng = np.random.default_rng([seed, d])
+    A, B = (Hull(tuple(Vector.dense((off + rng.standard_normal(d)).tolist()) for _ in range(k)))
+            for off in (1.5, -1.5))
+    sp = NormedSpaceSpec(norm_name, "dense", d)
+    got = _subgrad_distance(A, B, sp, seed, 6, iters=25)
+    assert got == subgrad_by_start(A, B, sp, seed, 6, iters=25)
+
+
+def sequence_hull(k, offset, rng):
+    """A hull of k vertices, each on 1 to 4 of the coordinates 0 to 11."""
+    return Hull(tuple(Vector.from_map({int(j): offset + float(rng.standard_normal())
+                                       for j in rng.choice(12, rng.integers(1, 5), replace=False)})
+                      for _ in range(k)))
+
+
+@pytest.mark.parametrize("norm_name", ["l1", "linf"])
+@pytest.mark.parametrize("sizes", [(1, 1), (4, 4), (9, 9), (3, 7)])
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_subgradient_equals_the_loop_on_sequence_hulls(norm_name, sizes, seed):
+    rng = np.random.default_rng([seed, *sizes])
+    A, B = (sequence_hull(k, off, rng) for k, off in zip(sizes, (1.0, -1.0)))
+    sp = NormedSpaceSpec(norm_name, "sequence", None)
+    got = _subgrad_distance(A, B, sp, seed, 6, iters=25)
+    assert got == subgrad_by_start(A, B, sp, seed, 6, iters=25)
+
+
+@pytest.mark.parametrize("norm_name", ["l1", "linf"])
+@pytest.mark.parametrize("kinds", [("hull", "hull"), ("box", "box"), ("hull", "box"),
+                                   ("box", "hull")])
+def test_subgradient_value_is_the_norm_of_its_witnesses(norm_name, kinds):
+    rng = np.random.default_rng(len(norm_name))
+    A, B = (random_set(kind, 3, off, rng) for kind, off in zip(kinds, (4.0, -4.0)))
+    sp = NormedSpaceSpec(norm_name, "dense", 3)
+    res = dist(A, B, sp)
+    w = res.witness
+    assert res.value == norm(sp, w.a_star - w.b_star) == w.achieved
+    assert contains(A, sp, w.a_star, 1e-9) and contains(B, sp, w.b_star, 1e-9)
+
+
+@pytest.mark.parametrize("norm_name", ["l1", "linf"])
+def test_subgradient_builds_no_vector_per_iteration(norm_name, monkeypatch):
+    rng = np.random.default_rng(4)
+    A, B = (random_set("hull", 8, off, rng) for off in (2.0, -2.0))
+    sp = NormedSpaceSpec(norm_name, "dense", 8)
+    built = []
+    init = Vector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Vector, "__init__", counting_init)
+    counts = []
+    for iters in (5, 50):
+        built.clear()
+        _subgrad_distance(A, B, sp, 0, iters=iters)
+        counts.append(len(built))
+    built.clear()
+    dist(A, B, sp)
+    assert counts[0] == counts[1] == len(built) < 10
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_subgradient_keeps_the_first_of_equal_iterates(seed):
     # every point of A is at linf distance 2 from B, and the iterates drift
