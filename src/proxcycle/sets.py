@@ -3,9 +3,11 @@
 Three set variants: coordinate boxes, finitely generated hulls, and
 declared sets (membership predicate plus sampler, for sets that are not
 finitely generated).  dist picks its method: a declared value when given,
-else an exact non-negative least-squares (NNLS) solve for l2, else projected
-subgradient descent for l1/linf from seed 0, not converged, its starts rows
-of one batch, measured on the rows and projected in one call.  lp is refused.
+else an exact non-negative least-squares (NNLS) solve for l2, its columns
+scaled by a power of two, else projected subgradient descent for l1/linf
+from seed 0, not converged.  Its starts are the rows of one batch, and two
+sides of one kind and width advance as one batch over a side axis: each step
+moves, projects and measures both at once.  lp is refused.
 
 Hull membership is the same NNLS solve, on vertices packed once per hull.
 A step is one least-squares solve with each sum-to-one constraint eliminated
@@ -332,70 +334,82 @@ def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     import numpy as np
     index, pa, pb = _prepare_pair(A, B, space)
     (Ca, ga), (Cb, gb) = _cone(*pa), _cone(*pb)
-    *_, (z, _) = _nnls(np.hstack([Ca, -Cb]), np.concatenate([ga, gb + ga.max() + 1]))
+    C = np.hstack([Ca, -Cb])
+    # scaled by a power of two, so |C z|^2 neither overflows nor underflows to 0
+    C = np.ldexp(C, -math.frexp(np.abs(C).max())[1])
+    *_, (z, _) = _nnls(C, np.concatenate([ga, gb + ga.max() + 1]))
     a, b = (unpack(w.tolist(), index) for w in (Ca @ z[:len(ga)], Cb @ z[len(ga):]))
     value = norm(space, a - b)
     return value, ProximalWitness(a, b, value)
-
-
-def _project_simplex(W: np.ndarray) -> np.ndarray:
-    # Euclidean projection of each row onto the probability simplex (sort based)
-    import numpy as np
-    u = np.sort(W, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    cond = u - css / np.arange(1, W.shape[1] + 1) > 0
-    rho = W.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)  # last positive index per row
-    theta = css[np.arange(len(W)), rho] / (rho + 1.0)
-    return np.maximum(W - theta[:, None], 0.0)
 
 
 def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: int,
                       n_starts: int = 6, iters: int = 2500):
     """Projected subgradient descent on |a - b| over hull weights and box
     coordinates, its n_starts starts advanced together as rows.  Each start
-    keeps its best iterate; the first start with the least value wins.  The
-    simplex projection works row by row, so two hulls of one size share it."""
+    keeps its best iterate; the first start with the least value wins.  Two
+    sides of one kind and width form one batch over a leading side axis, so
+    each step moves, projects and places both at once; otherwise each side
+    is a batch of its own."""
     import numpy as np
     index, (ka, da), (kb, db) = _prepare_pair(A, B, space)
     rng = np.random.default_rng(seed)
-    shared = ka == kb == "hull" and len(da) == len(db)
 
     def init(kind, data):
         w = rng.random(len(data) if kind == "hull" else len(data[0]))
         return w / w.sum() if kind == "hull" else data[0] + w * (data[1] - data[0])
 
-    def point(kind, data, P):
-        return np.matmul(data.T, P[..., None])[..., 0] if kind == "hull" else P
+    def batch(kind, datas):
+        """move(P, step, G) and point(P) of sides of one kind, stacked on a leading axis."""
+        if kind == "box":
+            lo, hi = (np.stack(bound)[:, None] for bound in zip(*datas))
+            return lambda P, step, G: np.clip(P + step * G, lo, hi), lambda P: P
+        D = np.stack(datas)[:, None]  # C-contiguous items, which matmul hands to BLAS
+        Dt, width = D.swapaxes(-1, -2), D.shape[2]
+        ranks, at = np.arange(1.0, width + 1), np.ix_(range(len(D)), range(n_starts))
 
-    def move(kind, data, P, step, G):
-        if kind == "hull":
-            P = P + step * np.matmul(data, G[..., None])[..., 0]
-            return P if shared else _project_simplex(P)
-        return np.clip(P + step * G, *data)
+        def move(P, step, G):  # a step along D G, then each row's sort-based simplex projection
+            W = P + step * np.matmul(D, G[..., None])[..., 0]
+            u = np.sort(W)[..., ::-1]
+            css = u.cumsum(-1) - 1.0
+            rho = (width - 1) - (u - css / ranks > 0)[..., ::-1].argmax(-1)  # last positive index
+            return np.maximum(W - (css[(*at, rho)] / (rho + 1.0))[..., None], 0.0)
+
+        return move, lambda P: np.matmul(Dt, P[..., None])[..., 0]
+
+    def place(Ps):
+        pts = [point(P) for point, P in zip(points, Ps)]
+        return pts[0] if len(pts) == 1 else np.concatenate(pts)  # one batch: no copy
+
+    top = np.arange(len(index))
 
     def measure(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's norm, space.norm's bit for bit (a zero adds nothing), and a subgradient."""
         if space.norm == "linf":
             size = np.abs(W)
-            top = np.arange(W.shape[1]) == np.argmax(size, axis=1)[:, None]
-            return size.max(axis=1, initial=0.0), np.where(top, np.sign(W), 0.0)
+            return (size.max(axis=1, initial=0.0),
+                    np.where(top == size.argmax(axis=1)[:, None], np.sign(W), 0.0))
         return np.array([sum(map(abs, w)) for w in W.tolist()], dtype=float), np.sign(W)
 
     PA, PB = map(np.array, zip(*[(init(ka, da), init(kb, db)) for _ in range(n_starts)]))
-    cur_a, cur_b = point(ka, da, PA), point(kb, db, PB)
-    best, G = measure(cur_a - cur_b)
-    best_a, best_b, spread = cur_a.copy(), cur_b.copy(), best + 1.0
+    # a box's data is (lower, upper), so two boxes always form one batch
+    parts = [slice(0, 2)] if ka == kb and len(da) == len(db) else [slice(0, 1), slice(1, 2)]
+    moves, points = zip(*(batch((ka, kb)[s.start], (da, db)[s]) for s in parts))
+    Ps = [np.stack((PA, PB)[s]) for s in parts]
+    cur = place(Ps)
+    best, G = measure(cur[0] - cur[1])
+    best_pts, spread = cur.copy(), (best + 1.0)[:, None]
+    signed = np.stack([-spread, spread])
     for k in range(1, iters + 1):
-        step = (spread / math.sqrt(k))[:, None]
-        PA, PB = move(ka, da, PA, -step, G), move(kb, db, PB, step, G)
-        if shared:
-            PA, PB = _project_simplex(np.concatenate([PA, PB])).reshape(2, *PA.shape)
-        cur_a, cur_b = point(ka, da, PA), point(kb, db, PB)
-        val, G = measure(cur_a - cur_b)
+        step = signed / math.sqrt(k)
+        Ps = [move(P, step[s], G) for move, P, s in zip(moves, Ps, parts)]
+        cur = place(Ps)
+        val, G = measure(cur[0] - cur[1])
         up = val < best
-        best[up], best_a[up], best_b[up] = val[up], cur_a[up], cur_b[up]
-    i = int(np.argmin(best))
-    a, b = (unpack(P[i].tolist(), index) for P in (best_a, best_b))
+        np.copyto(best, val, where=up)
+        np.copyto(best_pts, cur, where=up[:, None])
+    i = int(best.argmin())
+    a, b = (unpack(P[i].tolist(), index) for P in best_pts)
     return float(best[i]), ProximalWitness(a, b, float(best[i]))
 
 

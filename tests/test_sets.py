@@ -3,6 +3,7 @@
 Distance oracles: 1-d problems have closed forms, 2-d polytope cases are
 checked against a dense grid over the convex-weight simplex.
 """
+import hashlib
 import itertools
 import math
 import os
@@ -492,6 +493,50 @@ def test_batched_subgradient_keeps_the_first_of_equal_iterates(seed):
     B = Hull((Vector.dense([-1.0, 0.5]),))
     got = _subgrad_distance(A, B, sp, seed, 6, iters=50)
     assert got == subgrad_by_start(A, B, sp, seed, 6, iters=50)
+
+
+# float.hex of the value, and the first 16 hex digits of the sha256 of the
+# witness coordinates' float.hex, at the default 2,500 steps
+SUBGRADIENT_PINS = {
+    ("l1", 1, 2): ("0x1.0041a559feb5dp+0", "4b4b52527c99c804"),
+    ("l1", 3, 6): ("0x1.437e42d506affp+2", "90c67a5162ead4d2"),
+    ("l1", 8, 12): ("0x1.ec5861af186f7p+3", "2b4c66e7938b6e0d"),
+    ("l1", 20, 24): ("0x1.5ae2f6446a348p+5", "9a61a795e094510d"),
+    ("linf", 1, 2): ("0x1.0041a559feb5dp+0", "4b4b52527c99c804"),
+    ("linf", 3, 6): ("0x1.f93bd249bba1ep+0", "769da0ae7bfdfbc0"),
+    ("linf", 8, 12): ("0x1.4e87974c815e2p+1", "dca66cd349ece6de"),
+    ("linf", 20, 24): ("0x1.98444ec86c536p+1", "dff343c08da2ba23"),
+}
+
+
+@pytest.mark.parametrize("norm_name,d,k", sorted(SUBGRADIENT_PINS))
+def test_default_length_subgradient_values_are_pinned(norm_name, d, k):
+    # the hull_geometry shapes; the loop references above run 25 to 50
+    # steps, too few to see every change of rounding in a full-length run
+    rng = np.random.default_rng([7, d])
+    A, B = (Hull(tuple(Vector.dense((off + rng.standard_normal(d)).tolist()) for _ in range(k)))
+            for off in (1.5, -1.5))
+    res = dist(A, B, NormedSpaceSpec(norm_name, "dense", d))
+    coords = [x.hex() for v in (res.witness.a_star, res.witness.b_star) for x in v.dense_values(d)]
+    digest = hashlib.sha256(" ".join(coords).encode()).hexdigest()[:16]
+    assert (res.value.hex(), digest) == SUBGRADIENT_PINS[norm_name, d, k]
+
+
+@pytest.mark.parametrize("e", [520, -540, 1000, -1000])
+@pytest.mark.parametrize("kind", ["box", "hull"])
+def test_l2_distance_at_extreme_scales(kind, e):
+    # |C z|^2 overflows above about 2^512 and underflows below about 2^-537,
+    # where an unscaled solve stops at its start, at distance 3s
+    s = math.ldexp(1.0, e)
+    if kind == "box":
+        A, B = Box((s, 0.0), (2 * s, s)), Box((-2 * s, 0.0), (-s, s))
+    else:
+        A = Hull((Vector.dense([2 * s, 0.0]), Vector.dense([s, 0.0])))
+        B = Hull((Vector.dense([-s, 0.0]),))
+    res = dist(A, B, R2)
+    assert res.method == "nnls"
+    assert res.value == 2 * s
+    assert (res.witness.a_star.value_at(0), res.witness.b_star.value_at(0)) == (s, -s)
 
 
 def test_declared_distance_wins_and_checks_witnesses():
