@@ -82,7 +82,6 @@ from .space import (
     convexity_modulus,
     norm,
     pair_distance,
-    product_norm,
 )
 
 __version__ = "0.1.0"

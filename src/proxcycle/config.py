@@ -30,7 +30,6 @@ from .iterate import (
     diagnose_t_limit,
 )
 from .maps import (
-    QUANTIFICATIONS,
     CyclicMapSpec,
     MapsError,
     PhiSpec,
@@ -96,13 +95,7 @@ def _integer(value: Any, least: float = -math.inf) -> int:
     return int(value)
 
 
-_count = partial(_integer, least=1)  # a sample, start, step or iteration count
-
-
-def _quantification(value: Any) -> str:
-    if value not in QUANTIFICATIONS:
-        raise ValueError(f"must be one of {', '.join(QUANTIFICATIONS)}, got {value!r}")
-    return value
+_count = partial(_integer, least=1)  # a sample, start or iteration count
 
 
 def _given(convert: Callable[[Any], Any], value: Any, key: str) -> Any:
@@ -306,13 +299,9 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
           {"samples": (_count, 200), "tol": (_nonnegative, CFG_TOL)}, 11,
           lambda ctx, _, p: check_cyclic_invariance(ctx.cfg.T, p["samples"], p["seed"],
                                                     p["tol"])),
-    Check("phi_contraction", False,
-          {"samples": (_count, 1000), "tol": (_nonnegative, CFG_TOL),
-           "quantification": (_quantification, "all_cross_pairs"), "starts": (_count, 5),
-           "steps": (_count, 20)}, 23,
-          lambda ctx, _, p: check_phi_contraction(
-              ctx.cfg.T, ctx.cfg.phi, p["samples"], p["seed"],
-              p["quantification"], p["starts"], p["steps"], p["tol"])),
+    Check("phi_contraction", False, {"samples": (_count, 1000), "tol": (_nonnegative, CFG_TOL)}, 23,
+          lambda ctx, _, p: check_phi_contraction(ctx.cfg.T, ctx.cfg.phi, p["samples"],
+                                                  p["seed"], p["tol"])),
     Check("kannan", False, {"samples": (_count, 1000), "tol": (_nonnegative, CFG_TOL)}, 37,
           lambda ctx, _, p: check_kannan(ctx.cfg.T, p["samples"], p["seed"], p["tol"])),
     Check("kannan_strict", False, {"samples": (_count, 500), "tol": (_nonnegative, CFG_TOL)}, 53,

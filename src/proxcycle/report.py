@@ -11,6 +11,8 @@ FAILED = "failed"
 INCONCLUSIVE = "inconclusive"
 NOT_APPLICABLE = "not_applicable"
 
+SHOWN_VIOLATIONS = 10  # to_json writes a report's first violations, this many
+
 # worst status wins when reports are merged
 _STATUS_RANK = {PASSED: 0, NOT_APPLICABLE: 1, INCONCLUSIVE: 2, FAILED: 3}
 
@@ -84,14 +86,14 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status == PASSED
 
-    def to_json(self, max_violations: int = 10) -> dict:
+    def to_json(self) -> dict:
         return {
             "name": self.name,
             "checked": self.checked,
             "status": self.status,
             "passed": self.passed,
             "n_violations": len(self.violations),
-            "violations": [v.to_json() for v in self.violations[:max_violations]],
+            "violations": [v.to_json() for v in self.violations[:SHOWN_VIOLATIONS]],
             "detail": self.detail,
         }
 

@@ -143,6 +143,14 @@ def check_set(S: ConvexSet, space: NormedSpaceSpec) -> None:
 # ---------------------------------------------------------------------------
 # non-negative least squares
 
+def _scaled(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """(M / 2^e, e) for e the binary exponent of M's largest |entry|: exact, and
+    the squares of an NNLS solve neither overflow nor underflow to 0."""
+    import numpy as np
+    e = math.frexp(np.abs(M).max())[1]
+    return np.ldexp(M, -e), e
+
+
 def _nnls(C: np.ndarray, group: np.ndarray):
     """Iterates of min ||C z|| over z >= 0 whose entries in each group sum
     to one, by the active-set method of Lawson and Hanson (Solving Least
@@ -208,7 +216,8 @@ def _in_hull(V: np.ndarray, x: np.ndarray, tol: float) -> bool:
     d.r > tol |r|, a hyperplane separating x from the hull by more than tol.
     """
     import numpy as np
-    D = V - x
+    D, e = _scaled(V - x)
+    tol = math.ldexp(tol, -e)
     for _, r in _nnls(D.T, np.zeros(len(D), dtype=np.intp)):
         gap = math.sqrt(r @ r)
         if gap <= tol:
@@ -334,9 +343,7 @@ def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     import numpy as np
     index, pa, pb = _prepare_pair(A, B, space)
     (Ca, ga), (Cb, gb) = _cone(*pa), _cone(*pb)
-    C = np.hstack([Ca, -Cb])
-    # scaled by a power of two, so |C z|^2 neither overflows nor underflows to 0
-    C = np.ldexp(C, -math.frexp(np.abs(C).max())[1])
+    C, _ = _scaled(np.hstack([Ca, -Cb]))
     *_, (z, _) = _nnls(C, np.concatenate([ga, gb + ga.max() + 1]))
     a, b = (unpack(w.tolist(), index) for w in (Ca @ z[:len(ga)], Cb @ z[len(ga):]))
     value = norm(space, a - b)

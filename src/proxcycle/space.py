@@ -277,11 +277,6 @@ def larger(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
-def product_norm(space: NormedSpaceSpec, pair: ProductPoint) -> float:
-    """Max norm on the product: the larger component norm."""
-    return larger(norm(space, pair.first), norm(space, pair.second))
-
-
 def pair_distance(space: NormedSpaceSpec, p: ProductPoint, q: ProductPoint) -> float:
     """The product distance of p and q, measured on row_kernel rows."""
     row, gap = row_kernel(space)

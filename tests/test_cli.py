@@ -55,9 +55,16 @@ def test_config_schema_gives_each_check_the_table_parameters():
     assert len(objects) == len(CHECKS)
     assert {o["name"]["const"]: set(o) - {"name"} for o in objects} == {
         name: set(check.params) for name, check in CHECKS.items()}
-    # the loader refuses a parameter another check takes; so must the schema
+    # the loader refuses a parameter another check takes, or no check takes;
+    # so must the schema
     assert not CONFIG_VALIDATOR.is_valid(
         {"map": {"builtin": "interval_contraction"}, "checks": [{"name": "kannan", "k": 3}]})
+    assert not CONFIG_VALIDATOR.is_valid(interval_with("phi_contraction", quantification="foo"))
+
+
+def test_the_checks_take_four_parameter_names():
+    # a new check parameter has to be a deliberate edit of this line
+    assert sorted({k for c in CHECKS.values() for k in c.params}) == ["eps", "k", "samples", "tol"]
 
 
 @pytest.mark.parametrize("name,expected", EXPECTED_EXITS)
@@ -456,10 +463,10 @@ REFUSED_INTEGERS = [
      "check 'phi_contraction': bad parameter 'samples': must be >= 1, got 0"),
     ("samples-bool", interval_with("phi_contraction", samples=True), (),
      "check 'phi_contraction': bad parameter 'samples': must be an integer, got True"),
-    ("steps-fractional", interval_with("phi_contraction", steps=2.5), (),
-     "check 'phi_contraction': bad parameter 'steps': must be an integer, got 2.5"),
-    ("starts-param-nan", interval_with("phi_contraction", starts=NAN), (),
-     "check 'phi_contraction': bad parameter 'starts': must be an integer, got nan"),
+    ("samples-fractional", interval_with("phi_contraction", samples=2.5), (),
+     "check 'phi_contraction': bad parameter 'samples': must be an integer, got 2.5"),
+    ("samples-nan", interval_with("phi_contraction", samples=NAN), (),
+     "check 'phi_contraction': bad parameter 'samples': must be an integer, got nan"),
     ("rule.max_iters-fractional", dict(INTERVAL, rule=dict(INTERVAL["rule"], max_iters=2.7)),
      (), "rule.max_iters: must be an integer, got 2.7"),
     ("rule.max_iters-inf", dict(INTERVAL, rule=dict(INTERVAL["rule"], max_iters=INF)), (),
@@ -517,8 +524,7 @@ def test_bad_map_dist_or_lambda_is_a_config_error(cfg, message, tmp_path, capsys
 B_BOX = {"variant": "box", "lower": [-2.0], "upper": [-1.0]}
 REFUSED_VALUES = [
     ("quantification-unknown", interval_with("phi_contraction", quantification="foo"),
-     "check 'phi_contraction': bad parameter 'quantification': "
-     "must be one of all_cross_pairs, consecutive_iterates, got 'foo'"),
+     "check 'phi_contraction' takes no key 'quantification'"),
     ("box-lower-nan", with_map("interval.json", sets=[
         {"variant": "box", "lower": [NAN], "upper": [2.0]}, B_BOX]),
      "bad set definition: box bounds must be finite, got [nan, 2.0]"),

@@ -105,9 +105,6 @@ def test_sampled_checker_agrees_with_grid_on_interval():
     rep = check_phi_contraction(INTERVAL, HALF, n_samples=1000, seed=3)
     assert rep.status == "passed"
     assert rep.checked == 2000
-    rep2 = check_phi_contraction(INTERVAL, HALF, n_samples=200, seed=3,
-                                 quantification="consecutive_iterates")
-    assert rep2.status == "passed"
 
 
 def test_flip_violates_phi_on_grid_with_known_witness():
@@ -258,11 +255,6 @@ def test_an_unknown_side_is_refused():
             eval_map(INTERVAL, x, y, side)
 
 
-def test_unknown_quantification_rejected():
-    with pytest.raises(MapsError):
-        check_phi_contraction(INTERVAL, HALF, quantification="everywhere")
-
-
 def test_unknown_builtin_rejected():
     with pytest.raises(MapsError):
         builtin("does_not_exist")
@@ -305,16 +297,13 @@ def reference_kannan(T, n, seed, tol=TOL_NUM):
     return out
 
 
-OTHER = {SIDE_AB: SIDE_BA, SIDE_BA: SIDE_AB}
-
-
 def reference_phi(T, phi, pairs, tol=TOL_NUM):
-    """check_phi_contraction's violations over (p, side, q) triples."""
+    """check_phi_contraction's violations over pairs (p, q), p in A x B and q in B x A."""
     out = []
-    for p, side, q in pairs:
+    for p, q in pairs:
         delta = pair_distance(T.space, p, q)
         rhs = delta - phi(delta) + phi(T.declared_dist)
-        ip, iq = coupled_image(T, p, side), coupled_image(T, q, OTHER[side])
+        ip, iq = coupled_image(T, p, SIDE_AB), coupled_image(T, q, SIDE_BA)
         for lhs in (norm(T.space, ip.first - iq.first), norm(T.space, ip.second - iq.second)):
             if lhs > rhs + tol:
                 out.append((lhs, rhs, (render_pair(p), render_pair(q))))
@@ -323,6 +312,11 @@ def reference_phi(T, phi, pairs, tol=TOL_NUM):
 
 def violations_of(report):
     return [(v.lhs, v.rhs, v.inputs) for v in report.violations]
+
+
+def every_violation(report):
+    """report.to_json(), with every violation rather than the first few."""
+    return {**report.to_json(), "violations": [v.to_json() for v in report.violations]}
 
 
 @pytest.mark.parametrize("name", ["l1_kannan", "non_cyclic", "overlap_contraction", "flip"])
@@ -337,20 +331,10 @@ def test_kannan_matches_the_pairwise_definition(name):
 def test_phi_contraction_matches_the_pairwise_definition(name):
     T, seed = builtin(name), 6
     rep = check_phi_contraction(T, HALF, 120, seed=seed)
+    assert rep.checked == 240
     pairs = zip(reference_side(T, SIDE_AB, 120, seed),
                 reference_side(T, SIDE_BA, 120, seed + 104729))
-    assert violations_of(rep) == reference_phi(T, HALF, [(p, SIDE_AB, q) for p, q in pairs])
-    chain, side = [], SIDE_AB
-    for p in reference_side(T, SIDE_AB, 3, seed):
-        for _ in range(7):
-            q = coupled_image(T, p, side)
-            chain.append((p, side, q))
-            p, side = q, OTHER[side]
-        side = SIDE_AB
-    rep = check_phi_contraction(T, HALF, seed=seed, quantification="consecutive_iterates",
-                                n_starts=3, n_steps=7)
-    assert rep.checked == 42
-    assert violations_of(rep) == reference_phi(T, HALF, chain)
+    assert violations_of(rep) == reference_phi(T, HALF, pairs)
 
 
 def counting(T):
@@ -528,8 +512,6 @@ ONE_PATH_MAPS = {
 ONE_PATH_CHECKS = {
     "cyclic_invariance": lambda T: check_cyclic_invariance(T, 80, seed=3),
     "phi_contraction": lambda T: check_phi_contraction(T, HALF, 80, seed=3),
-    "phi_contraction-consecutive": lambda T: check_phi_contraction(
-        T, HALF, seed=3, quantification="consecutive_iterates", n_starts=4, n_steps=9),
     "kannan": lambda T: check_kannan(T, 80, seed=3),
     "kannan_strict": lambda T: check_kannan_strict_hypothesis(T, 80, seed=3),
 }
@@ -543,7 +525,7 @@ def test_checkers_report_the_same_on_rows_and_on_vectors(name, check):
     # non_cyclic moves no point, so kannan_strict counts none
     assert got.checked > 0 or (name, check) == ("non_cyclic", "kannan_strict")
     # every violation, its rendered points included
-    assert got.to_json(len(got.violations)) == want.to_json(len(want.violations))
+    assert every_violation(got) == every_violation(want)
 
 
 # ------------------------------------------------------------ nan bounds
@@ -588,3 +570,16 @@ def test_a_nan_distance_is_a_violation(check):
         assert got.verdict == "rejected" and math.isnan(got.residual_y)
     else:
         assert got.status == "failed" and got.violations
+
+
+PHI_VARIANTS = {"linear": HALF, "custom": PhiSpec.custom([[0, 0], [1, 0.5], [4, 2]])}
+
+
+@pytest.mark.parametrize("variant", sorted(PHI_VARIANTS))
+def test_a_nan_declared_distance_fails_phi_contraction(variant):
+    # phi(dist(A, B)) is nan, so every bound is nan and none may pass
+    phi = PHI_VARIANTS[variant]
+    assert math.isnan(phi(math.nan))
+    rep = check_phi_contraction(replace(INTERVAL, declared_dist=math.nan), phi, 200, seed=1)
+    assert rep.status == "failed"
+    assert (rep.checked, len(rep.violations)) == (400, 400)

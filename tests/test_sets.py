@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -537,6 +538,33 @@ def test_l2_distance_at_extreme_scales(kind, e):
     assert res.method == "nnls"
     assert res.value == 2 * s
     assert (res.witness.a_star.value_at(0), res.witness.b_star.value_at(0)) == (s, -s)
+
+
+def scaled_hull(s):
+    return Hull(tuple(Vector.dense(v) for v in ([2 * s, 0.0, 0.0], [s, 0.0, 0.0], [s, s, 0.0])))
+
+
+@pytest.mark.parametrize("e", [520, 1000])
+def test_hull_membership_at_extreme_scales(e):
+    # the squares of V - x overflowed above about 2^512; scaled by a power of
+    # two, the solve is the one at s = 1
+    s, R3 = math.ldexp(1.0, e), NormedSpaceSpec("l2", "dense", 3)
+    H = scaled_hull(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert contains(H, R3, Vector.dense([1.5 * s, 0.0, 0.0]))
+        assert not contains(H, R3, Vector.dense([-s, 0.0, 0.0]))
+        assert not contains(H, R3, Vector.dense([1.5 * s, 0.0, s]))
+        assert isinstance(contains(H, R3, Vector.dense([1.25 * s, 0.25 * s, 0.0])), bool)
+
+
+@pytest.mark.xfail(strict=True, reason="the absolute tol is below the solve's rounding, "
+                                       "about 2^-55 s; what a tolerance means is still open")
+@pytest.mark.parametrize("e", [40, 520, 1000])
+def test_an_exact_hull_member_at_a_large_scale_is_accepted(e):
+    s = math.ldexp(1.0, e)
+    assert contains(scaled_hull(s), NormedSpaceSpec("l2", "dense", 3),
+                    Vector.dense([1.25 * s, 0.25 * s, 0.0]))
 
 
 def test_declared_distance_wins_and_checks_witnesses():

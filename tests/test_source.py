@@ -1,10 +1,10 @@
 """Source hygiene that needs only the standard library: no module of the
 package imports a name it never uses (__init__.py is left out, since its
-imports are the package's exports), every private top-level function
-or class is named somewhere besides its definition, the config loader
-converts a number to float only in its one number reader, only the
-modules where linear algebra runs import numpy, and only space writes a
-product distance."""
+imports are the package's exports), every top-level function, class or
+assigned name is exported or named somewhere besides its definition, the
+config loader converts a number to float only in its one number reader,
+only the modules where linear algebra runs import numpy, and only space
+writes a product distance."""
 import ast
 import re
 from pathlib import Path
@@ -49,34 +49,50 @@ def test_no_module_imports_a_name_it_never_uses(name):
     assert unused_imports((SRC / name).read_text()) == []
 
 
-def unused_private_definitions(sources: dict[str, str]) -> list[str]:
-    """The _-prefixed top-level functions and classes of each source, as
-    module:name, that no other line of any source names."""
+def top_level_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each function, class and assigned name a module defines at top level,
+    but dunders, with its line."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(n.id, node.lineno) for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)]
+    return [(name, line) for name, line in out if not name.startswith("__")]
+
+
+def orphaned_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level names of each source, as module:name, that no other
+    line of any source names.  Sources include __init__.py, so a public name
+    it exports is named there."""
     lines = [(mod, n, line) for mod, source in sources.items()
              for n, line in enumerate(source.splitlines(), 1)]
     unused = []
     for mod, source in sources.items():
-        for node in ast.parse(source).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")):
-                word = re.compile(rf"\b{re.escape(node.name)}\b")
-                if not any(word.search(line) for m, n, line in lines
-                           if (m, n) != (mod, node.lineno)):
-                    unused.append(f"{mod}:{node.name}")
+        for name, lineno in top_level_names(ast.parse(source)):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(line) for m, n, line in lines if (m, n) != (mod, lineno)):
+                unused.append(f"{mod}:{name}")
     return unused
 
 
-def test_the_check_finds_an_unused_private_definition():
+def test_the_check_finds_an_orphaned_definition():
     sources = {"a.py": ("def _used():\n    pass\n\ndef _lone():\n    pass\n\n"
                         "def _lone_twin():\n    pass\n\nclass _Exported:\n    pass\n\n"
-                        "def public():\n    return _used(), _lone_twin()\n"),
-               "b.py": "from .a import _Exported as E\n"}
-    assert unused_private_definitions(sources) == ["a.py:_lone"]
+                        "def public():\n    return _used(), _lone_twin()\n\n"
+                        "def orphan():\n    pass\n\nREAD, ORPHANS = 1, ('x',)\n"
+                        "LONE: tuple = ()\n__version__ = '1'\ntotal = READ\n"),
+               "b.py": "from .a import _Exported as E\n",
+               "__init__.py": "from .a import public\n"}
+    assert orphaned_definitions(sources) == [
+        "a.py:_lone", "a.py:orphan", "a.py:ORPHANS", "a.py:LONE", "a.py:total"]
 
 
-def test_every_private_definition_is_named_elsewhere_in_the_package():
+def test_every_definition_is_exported_or_named_elsewhere_in_the_package():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unused_private_definitions(sources) == []
+    assert orphaned_definitions(sources) == []
 
 
 def float_calls_outside(source: str, reader: str) -> list[int]:

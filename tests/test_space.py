@@ -20,7 +20,6 @@ from proxcycle import (
     convexity_modulus,
     norm,
     pair_distance,
-    product_norm,
 )
 from proxcycle.space import pack, row_kernel, row_vector, unpack
 
@@ -112,11 +111,12 @@ def test_norm_order_l_inf_below_l2_below_l1(v, w):
 
 # ---------------------------------------------------------- product space
 
-def test_product_norm_is_max_of_components():
+def test_pair_distance_from_the_origin_is_the_larger_component_norm():
+    origin = ProductPoint(Vector.zero(), Vector.zero())
     p = ProductPoint(Vector.dense([3.0, 4.0]), Vector.dense([1.0, 1.0]))
-    assert product_norm(L2_2, p) == 5.0
+    assert pair_distance(L2_2, p, origin) == 5.0
     q = ProductPoint(Vector.dense([0.0, 0.0]), Vector.dense([0.0, 7.0]))
-    assert product_norm(L2_2, q) == 7.0
+    assert pair_distance(L2_2, q, origin) == 7.0
 
 
 def test_pair_distance_matches_difference_norm():
