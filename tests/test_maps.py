@@ -512,6 +512,9 @@ ONE_PATH_MAPS = {
 ONE_PATH_CHECKS = {
     "cyclic_invariance": lambda T: check_cyclic_invariance(T, 80, seed=3),
     "phi_contraction": lambda T: check_phi_contraction(T, HALF, 80, seed=3),
+    # a piecewise phi, past its last breakpoint on the larger distances
+    "phi_contraction-custom": lambda T: check_phi_contraction(
+        T, PhiSpec.custom([[0, 0], [0.5, 0.1], [1, 0.5]]), 80, seed=3),
     "kannan": lambda T: check_kannan(T, 80, seed=3),
     "kannan_strict": lambda T: check_kannan_strict_hypothesis(T, 80, seed=3),
 }
