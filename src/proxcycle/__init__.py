@@ -51,14 +51,11 @@ from .maps import (
     check_kannan_strict_hypothesis,
     check_phi_contraction,
     coupled,
-    coupled_image,
-    displacement,
     eval_map,
 )
 from .report import CheckReport, Violation
 from .sets import (
     Box,
-    DeclaredDistance,
     DeclaredSet,
     DistResult,
     Hull,

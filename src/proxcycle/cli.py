@@ -31,6 +31,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("config", help="path to a JSON experiment configuration")
+        if name == "certify":
+            sp.add_argument("--x", required=True,
+                            help='candidate x as JSON, e.g. \'{"1": 1, "2": 1}\'')
+            sp.add_argument("--y", required=True,
+                            help='candidate y as JSON, e.g. \'{"2": 1, "3": 1}\'')
+            continue
         sp.add_argument("--seed", type=int, default=None,
                         help="override the configured sampling seed")
         sp.add_argument("--max-iters", type=int, default=None,
@@ -39,17 +45,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the global inequality slack")
         sp.add_argument("--out", default=None,
                         help="override the output directory")
-        if name == "certify":
-            sp.add_argument("--x", required=True,
-                            help='candidate x as JSON, e.g. \'{"1": 1, "2": 1}\'')
-            sp.add_argument("--y", required=True,
-                            help='candidate y as JSON, e.g. \'{"2": 1, "3": 1}\'')
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "certify":
+            cfg = load_config(args.config)
+            try:
+                x = json.loads(args.x)
+                y = json.loads(args.y)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"candidate vectors must be JSON: {exc}") from exc
+            return run_certify_command(cfg, x, y)
         cfg = load_config(
             args.config,
             seed_override=args.seed,
@@ -57,13 +66,6 @@ def main(argv=None) -> int:
             tol_override=args.tol,
             out_override=args.out,
         )
-        if args.command == "certify":
-            try:
-                x = json.loads(args.x)
-                y = json.loads(args.y)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"candidate vectors must be JSON: {exc}") from exc
-            return run_certify_command(cfg, x, y)
         return execute(cfg, args.command)[0]
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

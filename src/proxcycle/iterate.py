@@ -21,6 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 from itertools import accumulate
+from numbers import Integral
 
 from .maps import SIDES, CyclicMapSpec, DomainError, coupled, native_form
 from .report import FAILED, INCONCLUSIVE, PASSED, CheckReport, Violation, conclude
@@ -57,8 +58,9 @@ class StopRule:
     gap_tol: float | None = TOL_STOP
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {n!r}")
         for label, tol in (("t_tol", self.t_tol), ("gap_tol", self.gap_tol)):
             if tol is not None and not 0.0 < tol < math.inf:
                 raise ValueError(f"{label} must be positive and finite when given")

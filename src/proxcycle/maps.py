@@ -14,8 +14,7 @@ carry printable witnesses.  The phi bound holds for every cross-side pair
 T is evaluated one way, native_form: a RowEvaluator runs on coordinate
 rows, any other evaluator on Vectors, each image becoming a row once.  run
 takes it as it is; the checkers and certify take row_map, T on rows.
-eval_map (domain-checked), coupled_image and displacement are the public
-Vector API, for callers and tests.
+eval_map is T on Vectors with its domain checked, for callers.
 """
 from __future__ import annotations
 
@@ -35,7 +34,6 @@ from .space import (
     Vector,
     basis,
     larger,
-    pair_distance,
     row_kernel,
     row_vector,
 )
@@ -166,21 +164,15 @@ def eval_map(T: CyclicMapSpec, x: Vector, y: Vector, side: int,
     return T.evaluator(x, y, side)
 
 
-def row_form(T: CyclicMapSpec) -> Callable[[list, list, int], list] | None:
-    """The row function of T's evaluator if it is a RowEvaluator of T's space,
-    else None."""
-    ev = T.evaluator
-    return ev.rows if isinstance(ev, RowEvaluator) and ev.dimension == T.space.dimension else None
-
-
 def native_form(T: CyclicMapSpec) -> tuple[Callable, Callable[[Vector], list] | None]:
-    """(f, to_row): row_form(T) if given, else T's evaluator on Vectors, and the
-    map from an image of f to its row_kernel row, None when the images are
-    rows already (a row function's, or a Vector in sequence mode)."""
-    rows = row_form(T)
-    if rows is not None:
-        return rows, None
-    return T.evaluator, None if T.space.mode == "sequence" else row_kernel(T.space)[0]
+    """(f, to_row): the row function of T's evaluator if it is a RowEvaluator of
+    T's space, else T's evaluator on Vectors, and the map from an image of f to
+    its row_kernel row, None when the images are rows already (a row
+    function's, or a Vector in sequence mode)."""
+    ev = T.evaluator
+    if isinstance(ev, RowEvaluator) and ev.dimension == T.space.dimension:
+        return ev.rows, None
+    return ev, None if T.space.mode == "sequence" else row_kernel(T.space)[0]
 
 
 def row_map(T: CyclicMapSpec) -> Callable[[Any, Any, int], Any]:
@@ -188,16 +180,6 @@ def row_map(T: CyclicMapSpec) -> Callable[[Any, Any, int], Any]:
     rows already, else the Vector evaluator wrapped once."""
     (f, to_row), vector = native_form(T), row_vector(T.space)
     return f if to_row is None else lambda rx, ry, side: to_row(f(vector(rx), vector(ry), side))
-
-
-def coupled_image(T: CyclicMapSpec, p: ProductPoint, side: int) -> ProductPoint:
-    """(T(x, y), T(y, x)) for p = (x, y) on the given side."""
-    return ProductPoint(*coupled(T.evaluator, p.first, p.second, side))
-
-
-def displacement(T: CyclicMapSpec, p: ProductPoint, side: int) -> float:
-    """Product distance from p to its coupled image."""
-    return pair_distance(T.space, p, coupled_image(T, p, side))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +356,8 @@ def check_kannan_strict_hypothesis(T: CyclicMapSpec, n_samples: int = 500,
     probe = _Probe(T)
     violations: list[Violation] = []
     checked = 0
-    for side in (SIDE_AB, SIDE_BA):
-        for p in probe.points(side, n_samples // 2, seed):
+    for side in (SIDE_AB, SIDE_BA):  # n - n // 2 points on AB and n // 2 on BA
+        for p in probe.points(side, (n_samples + 1 - side) // 2, seed):
             d0 = probe.displacement(p)
             if d0 <= d + tol:
                 continue
@@ -424,7 +406,7 @@ def l1_kannan() -> CyclicMapSpec:
     Kannan-type nonexpansive; its best proximity points are not unique.
     """
     space = NormedSpaceSpec(norm="l1", mode="sequence", dimension=None)
-    A, B, _declared = l1_example_sets()
+    A, B = l1_example_sets()
     to_b = basis(2) + basis(3)
     to_a = basis(1) + basis(2)
 

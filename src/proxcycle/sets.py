@@ -2,12 +2,13 @@
 
 Three set variants: coordinate boxes, finitely generated hulls, and
 declared sets (membership predicate plus sampler, for sets that are not
-finitely generated).  dist picks its method: a declared value when given,
-else an exact non-negative least-squares (NNLS) solve for l2, its columns
-scaled by a power of two, else projected subgradient descent for l1/linf
-from seed 0, not converged.  Its starts are the rows of one batch, and two
-sides of one kind and width advance as one batch over a side axis: each step
-moves, projects and measures both at once.  lp is refused.
+finitely generated).  dist picks its method from the norm: an exact
+non-negative least-squares (NNLS) solve for l2, its columns scaled by a
+power of two, else projected subgradient descent for l1/linf from seed 0,
+not converged.  Its starts are the rows of one batch, and two sides of one
+kind and width advance as one batch over a side axis: each step moves,
+projects and measures both at once.  lp is refused; a map declares the
+distance of sets dist cannot solve (CyclicMapSpec.declared_dist).
 
 Hull membership is the same NNLS solve, on vertices packed once per hull.
 A step is one least-squares solve with each sum-to-one constraint eliminated
@@ -24,13 +25,10 @@ from functools import cached_property
 from operator import le
 from typing import TYPE_CHECKING, Any, Callable
 
-from .space import TOL_NUM, NormedSpaceSpec, Vector, basis, norm, pack, row_vector, unpack
+from .space import TOL_NUM, NormedSpaceSpec, Vector, norm, pack, row_vector, unpack
 
 if TYPE_CHECKING:
     import numpy as np
-
-# witness must achieve the reported distance this tightly
-TOL_DIST = 1e-8
 
 
 class SetsError(ValueError):
@@ -102,21 +100,6 @@ ConvexSet = Box | Hull | DeclaredSet
 class ProximalWitness:
     a_star: Vector
     b_star: Vector
-    achieved: float
-
-
-@dataclass(frozen=True)
-class DeclaredDistance:
-    """Trusted analytic distance with at least one achieving witness pair."""
-
-    value: float
-    witnesses: tuple[tuple[Vector, Vector], ...]
-
-    def __post_init__(self):
-        if not self.witnesses:
-            raise SetsError("a declared distance needs at least one witness pair")
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise SetsError(f"a declared distance must be finite and >= 0, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -319,7 +302,7 @@ def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
         if isinstance(S, Box):
             check_set(S, space)
             return "box", (np.array(S.lower, dtype=float), np.array(S.upper, dtype=float))
-        raise SetsError("dist needs box or hull sets, or a declared distance")
+        raise SetsError("dist needs box or hull sets")
 
     return index, prepare(A), prepare(B)
 
@@ -346,8 +329,7 @@ def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     C, _ = _scaled(np.hstack([Ca, -Cb]))
     *_, (z, _) = _nnls(C, np.concatenate([ga, gb + ga.max() + 1]))
     a, b = (unpack(w.tolist(), index) for w in (Ca @ z[:len(ga)], Cb @ z[len(ga):]))
-    value = norm(space, a - b)
-    return value, ProximalWitness(a, b, value)
+    return norm(space, a - b), ProximalWitness(a, b)
 
 
 def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: int,
@@ -417,29 +399,20 @@ def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: 
         np.copyto(best_pts, cur, where=up[:, None])
     i = int(best.argmin())
     a, b = (unpack(P[i].tolist(), index) for P in best_pts)
-    return float(best[i]), ProximalWitness(a, b, float(best[i]))
+    return float(best[i]), ProximalWitness(a, b)
 
 
-def dist(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec,
-         declared: DeclaredDistance | None = None) -> DistResult:
+def dist(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec) -> DistResult:
     """Distance between A and B with an achieving (or near-achieving) witness.
 
-    The method follows from the inputs: "declared" when declared is given
-    (every witness pair must achieve its value), else "nnls" for l2 over
-    box/hull pairs (exact), else "subgradient" for l1/linf over box/hull
-    pairs (multi start from seed 0, never converged).  lp is refused.
+    The method follows from the norm: "nnls" for l2 over box/hull pairs
+    (exact), else "subgradient" for l1/linf over box/hull pairs (multi start
+    from seed 0, never converged).  lp is refused.
     """
-    if declared is not None:
-        achieved = [norm(space, a - b) for a, b in declared.witnesses]
-        for got in achieved:
-            if not abs(got - declared.value) <= TOL_DIST:
-                raise SetsError(f"declared witness achieves {got}, not {declared.value}")
-        return DistResult(declared.value, ProximalWitness(*declared.witnesses[0], achieved[0]),
-                          "declared", True)
     if space.norm == "l2":
         return DistResult(*_nnls_distance(A, B, space), "nnls", True)
     if space.norm == "lp":
-        raise SetsError("dist has no solver for lp; declare the distance")
+        raise SetsError("dist has no solver for lp; declare the distance on the map")
     return DistResult(*_subgrad_distance(A, B, space, 0), "subgradient", False)
 
 
@@ -520,11 +493,6 @@ def paired_block_hull(offset: int, label: str) -> DeclaredSet:
     return DeclaredSet(label, _paired_block_member(offset), _paired_block_sampler(offset))
 
 
-def l1_example_sets() -> tuple[DeclaredSet, DeclaredSet, DeclaredDistance]:
+def l1_example_sets() -> tuple[DeclaredSet, DeclaredSet]:
     """The two paired-block hulls in the l1 sequence space, distance 2."""
-    A = paired_block_hull(1, "paired-blocks-odd")
-    B = paired_block_hull(2, "paired-blocks-even")
-    e = basis
-    w1 = (e(1) + e(2), e(2) + e(3))
-    w2 = ((e(1) + e(2)).scale(0.5) + (e(3) + e(4)).scale(0.5), e(2) + e(3))
-    return A, B, DeclaredDistance(2.0, (w1, w2))
+    return paired_block_hull(1, "paired-blocks-odd"), paired_block_hull(2, "paired-blocks-even")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from numbers import Integral
 from operator import itemgetter, methodcaller, sub
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
@@ -143,8 +144,9 @@ class NormedSpaceSpec:
         if self.mode not in MODES:
             raise SpaceError(f"unknown mode {self.mode!r}")
         if self.mode == "dense":
-            if self.dimension is None or self.dimension < 1:
-                raise SpaceError("dense mode needs dimension >= 1")
+            d = self.dimension
+            if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
+                raise SpaceError(f"dense mode needs an integer dimension >= 1, got {d!r}")
         elif self.dimension is not None:
             raise SpaceError("sequence mode takes no dimension bound")
         if self.norm == "lp":

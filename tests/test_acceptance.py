@@ -27,12 +27,12 @@ from proxcycle import (
     check_cyclic_invariance,
     check_kannan,
     check_phi_contraction,
+    contains,
     diagnose_cauchy,
     diagnose_even_gaps,
     diagnose_interleaved,
     diagnose_monotone_t,
     diagnose_t_limit,
-    dist,
     l1_example_sets,
     norm,
     proximal_squeeze_check,
@@ -72,12 +72,11 @@ TIGHT = StopRule(max_iters=200, t_tol=1e-15, gap_tol=None)
 
 def test_criterion_1_l1_kannan_example():
     t0 = time.perf_counter()
-    A, B, declared = l1_example_sets()
-    assert declared.value == 2.0
-    res = dist(A, B, L1.space, declared=declared)
-    assert res.value == 2.0
-    for a, b in declared.witnesses:
-        assert abs(norm(L1.space, a - b) - 2.0) <= 1e-12
+    A, B = l1_example_sets()
+    assert L1.declared_dist == 2.0
+    for cand in L1_CANDIDATES:  # each candidate pair achieves the distance
+        assert contains(A, L1.space, cand.first) and contains(B, L1.space, cand.second)
+        assert abs(norm(L1.space, cand.first - cand.second) - 2.0) <= 1e-12
 
     for cand in L1_CANDIDATES:
         cert = certify(L1, cand)

@@ -26,7 +26,6 @@ from proxcycle import (
     basis,
     builtin,
     certify,
-    coupled_image,
     norm,
     proximal_squeeze_check,
     second_iterate_check,
@@ -36,6 +35,7 @@ from proxcycle.certify import CERT_TOL, Certificate
 from proxcycle.maps import RowEvaluator, native_form
 from proxcycle.report import CheckReport, Violation, render_pair, render_vector
 from proxcycle.sets import DeclaredSet
+from vector_reference import coupled_image
 
 INTERVAL = builtin("interval_contraction")
 OVERLAP = builtin("overlap_contraction")

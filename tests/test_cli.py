@@ -270,14 +270,26 @@ def test_verify_passes_on_static_subset(tmp_path):
     assert summary["runs"] == []
 
 
-def test_certify_subcommand_accepts_and_rejects(tmp_path, capsys):
+def test_certify_subcommand_accepts_and_rejects(capsys):
     cfg = str(CONFIGS / "interval.json")
-    out = str(tmp_path / "c")
-    assert main(["certify", cfg, "--x", "[1.0]", "--y", "[-1.0]", "--out", out]) == 0
+    assert main(["certify", cfg, "--x", "[1.0]", "--y", "[-1.0]"]) == 0
     assert "coupled_bpp" in capsys.readouterr().out
-    assert main(["certify", cfg, "--x", "[2.0]", "--y", "[-2.0]", "--out", out]) == 1
+    assert main(["certify", cfg, "--x", "[2.0]", "--y", "[-2.0]"]) == 1
     assert "rejected" in capsys.readouterr().out
-    assert main(["certify", cfg, "--x", "{oops", "--y", "[-1.0]", "--out", out]) == 2
+    assert main(["certify", cfg, "--x", "{oops", "--y", "[-1.0]"]) == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "0"), ("--max-iters", "5"), ("--tol", "0.5"),
+                                        ("--out", "out")])
+def test_certify_refuses_the_run_overrides(flag, value, capsys):
+    # certify reads none of them: its tolerance is the config's cert_tol
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", str(CONFIGS / "interval.json"), "--x", "[1.0]", "--y", "[-1.0]",
+              flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +650,8 @@ def test_non_finite_start_or_candidate_is_a_config_error(cfg, extra, message, tm
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     command = "certify" if extra else "run"
-    assert main([command, str(path), "--out", str(tmp_path / "out"), *extra]) == 2
+    out = () if extra else ("--out", str(tmp_path / "out"))  # certify writes no files
+    assert main([command, str(path), *out, *extra]) == 2
     captured = capsys.readouterr()
     assert f"configuration error: {message}\n" in captured.err
     assert "NaN" not in captured.out
@@ -662,7 +675,8 @@ def test_point_outside_the_dense_space_is_a_config_error(cfg, extra, message, tm
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     command = "certify" if extra else "run"
-    assert main([command, str(path), "--out", str(tmp_path / "out"), *extra]) == 2
+    out = () if extra else ("--out", str(tmp_path / "out"))  # certify writes no files
+    assert main([command, str(path), *out, *extra]) == 2
     assert f"configuration error: {message}\n" in capsys.readouterr().err
 
 

@@ -48,7 +48,7 @@ from proxcycle import (
     trajectory_to_csv,
 )
 from proxcycle import iterate
-from proxcycle.maps import RowEvaluator, row_form
+from proxcycle.maps import RowEvaluator, native_form
 from proxcycle.report import CheckReport, Violation
 
 INTERVAL = builtin("interval_contraction")
@@ -132,8 +132,9 @@ def test_mid_run_escape_stops_with_domain_error():
 
 
 def test_stop_rule_validation():
-    with pytest.raises(ValueError):
-        StopRule(max_iters=0)
+    for bad in (0, 2.5, 2.0, True):  # a float budget would raise TypeError in run
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            StopRule(max_iters=bad)
     with pytest.raises(ValueError):
         StopRule(t_tol=0.0)
     with pytest.raises(ValueError):
@@ -691,7 +692,7 @@ ROW_RUNS = {
 def test_run_on_rows_matches_the_vector_path(name):
     T, x0, y0 = ROW_RUNS[name]
     vector_only = replace(T, evaluator=lambda x, y, side: T.evaluator(x, y, side))
-    assert row_form(T) is not None and row_form(vector_only) is None
+    assert native_form(T)[1] is None and native_form(vector_only)[1] is not None
     start = Vector.dense([x0]), Vector.dense([y0])
     rule = StopRule(max_iters=30, t_tol=None, gap_tol=None)
     got, want = run(T, *start, rule), run(vector_only, *start, rule)

@@ -35,11 +35,9 @@ from proxcycle import (
     check_kannan,
     check_kannan_strict_hypothesis,
     check_phi_contraction,
-    coupled_image,
     diagnose_cauchy,
     diagnose_even_gaps,
     diagnose_monotone_t,
-    displacement,
     eval_map,
     norm,
     pair_distance,
@@ -49,9 +47,10 @@ from proxcycle import (
 )
 from proxcycle import maps
 from proxcycle.config import ConfigError, parse_phi
-from proxcycle.maps import RowEvaluator, row_form
+from proxcycle.maps import RowEvaluator, native_form
 from proxcycle.report import Violation, merge_reports, render_pair
 from proxcycle.sets import Box, Hull
+from vector_reference import coupled_image, displacement
 
 INTERVAL = builtin("interval_contraction")
 FLIP = builtin("flip")
@@ -366,6 +365,15 @@ def test_kannan_strict_makes_four_calls_per_counted_point():
     assert 0 < rep.checked and len(calls) == 2 * 400 + 2 * rep.checked
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_kannan_strict_draws_as_many_points_as_asked(n):
+    # every point's displacement exceeds 0, so each drawn point is counted:
+    # n - n // 2 on AB and n // 2 on BA, as check_kannan splits its pairs
+    T, calls = counting(replace(INTERVAL, declared_dist=0.0))
+    assert check_kannan_strict_hypothesis(T, n, seed=2).checked == n
+    assert len(calls) == 4 * n
+
+
 def test_phi_contraction_makes_four_calls_per_pair():
     T, calls = counting(INTERVAL)
     assert check_phi_contraction(T, HALF, 200, seed=1).checked == 400
@@ -401,7 +409,7 @@ def signed(row):
 @pytest.mark.parametrize("name", sorted(VECTOR_FORMS))
 def test_row_form_equals_the_vector_form(name):
     T = builtin(name)
-    assert isinstance(T.evaluator, RowEvaluator) and row_form(T) is T.evaluator.rows
+    assert isinstance(T.evaluator, RowEvaluator) and native_form(T) == (T.evaluator.rows, None)
     us = [v.value_at(0) for S in (T.A, T.B) for v in sample(S, T.space, 40, seed=5)]
     us += [c for S in (T.A, T.B) for c in S.lower + S.upper] + [0.0, -0.0, 0.25, -0.25]
     for u in us:
@@ -415,12 +423,14 @@ def test_row_form_equals_the_vector_form(name):
 
 
 def test_vector_evaluators_have_no_row_form():
-    assert row_form(builtin("l1_kannan")) is None
+    T = builtin("l1_kannan")
+    assert native_form(T) == (T.evaluator, None)  # a sequence row is the Vector itself
     # a replaced evaluator is Vector-only, even one that wraps a row form
-    assert row_form(replace(INTERVAL, evaluator=INTERVAL.evaluator.__call__)) is None
+    vector_only = INTERVAL.evaluator.__call__
+    assert native_form(replace(INTERVAL, evaluator=vector_only))[0] is vector_only
     # a row form of another dimension is not used on rows
     wide = replace(INTERVAL, space=NormedSpaceSpec(norm="l2", mode="dense", dimension=2))
-    assert row_form(wide) is None
+    assert native_form(wide)[0] is INTERVAL.evaluator
 
 
 def test_phi_contraction_on_rows_builds_almost_no_vectors(monkeypatch):

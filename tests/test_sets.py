@@ -25,6 +25,7 @@ from proxcycle import (
     StopRule,
     Vector,
     basis,
+    builtin,
     contains,
     dist,
     l1_example_sets,
@@ -33,8 +34,9 @@ from proxcycle import (
     run,
     sample,
 )
-from proxcycle.sets import (Box, DeclaredDistance, Hull, ProximalWitness, _cone, _nnls,
-                            _prepare_pair, _simplex_weights, _subgrad_distance, member_test)
+from proxcycle.config import load_config
+from proxcycle.sets import (Box, Hull, ProximalWitness, _cone, _nnls, _prepare_pair,
+                            _simplex_weights, _subgrad_distance, member_test)
 from proxcycle.space import TOL_NUM, pack, pack_flat, row_kernel, unpack
 
 L1_SEQ = NormedSpaceSpec("l1", "sequence", None)
@@ -390,7 +392,7 @@ def subgrad_by_start(A, B, space, seed, n_starts, iters):
         if loc_val < best_val:
             best_val, best_pair = loc_val, loc_pair
     a, b = (unpack(p.tolist(), index) for p in best_pair)
-    return best_val, ProximalWitness(a, b, best_val)
+    return best_val, ProximalWitness(a, b)
 
 
 def random_set(kind, d, offset, rng):
@@ -458,7 +460,7 @@ def test_subgradient_value_is_the_norm_of_its_witnesses(norm_name, kinds):
     sp = NormedSpaceSpec(norm_name, "dense", 3)
     res = dist(A, B, sp)
     w = res.witness
-    assert res.value == norm(sp, w.a_star - w.b_star) == w.achieved
+    assert res.value == norm(sp, w.a_star - w.b_star)
     assert contains(A, sp, w.a_star, 1e-9) and contains(B, sp, w.b_star, 1e-9)
 
 
@@ -567,38 +569,6 @@ def test_an_exact_hull_member_at_a_large_scale_is_accepted(e):
                     Vector.dense([1.25 * s, 0.25 * s, 0.0]))
 
 
-def test_declared_distance_wins_and_checks_witnesses():
-    pair = (Vector.dense([1.0]), Vector.dense([-1.0]))
-    res = dist(A_BOX, B_BOX, R1, declared=DeclaredDistance(2.0, (pair,)))
-    assert res.method == "declared"
-    assert res.value == 2.0 and res.converged
-
-    bad = (Vector.dense([1.5]), Vector.dense([-1.0]))  # achieves 2.5, not 2
-    with pytest.raises(SetsError):
-        dist(A_BOX, B_BOX, R1, declared=DeclaredDistance(2.0, (bad,)))
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-def test_declared_distance_must_be_finite_and_non_negative(value):
-    pair = (Vector.dense([1.0]), Vector.dense([-1.0]))
-    with pytest.raises(SetsError, match="finite and >= 0"):
-        DeclaredDistance(value, (pair,))
-
-
-def test_declared_distance_needs_a_witness():
-    with pytest.raises(SetsError, match="at least one witness"):
-        DeclaredDistance(2.0, ())
-
-
-@pytest.mark.parametrize("bad", [(Vector.dense([1.5]), Vector.dense([-1.0])),
-                                 (Vector.dense([math.nan]), Vector.dense([-1.0]))],
-                         ids=["achieves-2.5", "achieves-nan"])
-def test_dist_checks_every_declared_witness(bad):
-    good = (Vector.dense([1.0]), Vector.dense([-1.0]))
-    with pytest.raises(SetsError, match="declared witness achieves"):
-        dist(A_BOX, B_BOX, R1, declared=DeclaredDistance(2.0, (good, bad)))
-
-
 def test_lp_distance_is_refused():
     sp = NormedSpaceSpec("lp", "dense", 1, p=3.0)
     with pytest.raises(SetsError, match="lp"):
@@ -627,24 +597,26 @@ def test_paired_block_membership_refuses_nan():
     assert not contains(A, L1_SEQ, Vector(((1, math.nan), (2, 1.0))))
 
 
+# the pairs that achieve the l1 example's distance 2: configs/l1_kannan.json's candidates
+L1_NAMED_PAIRS = [
+    (basis(1) + basis(2), basis(2) + basis(3)),
+    ((basis(1) + basis(2)).scale(0.5) + (basis(3) + basis(4)).scale(0.5), basis(2) + basis(3)),
+]
+
+
 def test_l1_example_sets_declared_distance():
-    A, B, declared = l1_example_sets()
-    assert declared.value == 2.0
-    for a, b in declared.witnesses:
+    A, B = l1_example_sets()
+    d = builtin("l1_kannan").declared_dist
+    assert d == 2.0
+    for a, b in L1_NAMED_PAIRS:
         assert contains(A, L1_SEQ, a)
         assert contains(B, L1_SEQ, b)
-        assert norm(L1_SEQ, a - b) == 2.0
-    res = dist(A, B, L1_SEQ, declared=declared)
-    assert res.value == 2.0 and res.method == "declared"
+        assert norm(L1_SEQ, a - b) == d
 
 
 def test_l1_example_witnesses_are_the_named_pairs():
-    _, _, declared = l1_example_sets()
-    (a1, b1), (a2, b2) = declared.witnesses
-    assert a1 == basis(1) + basis(2)
-    assert b1 == basis(2) + basis(3)
-    assert a2 == (basis(1) + basis(2)).scale(0.5) + (basis(3) + basis(4)).scale(0.5)
-    assert b2 == basis(2) + basis(3)
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "l1_kannan.json"))
+    assert cfg.candidates == L1_NAMED_PAIRS
 
 
 def test_paired_block_sample_members():

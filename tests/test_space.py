@@ -75,6 +75,13 @@ def test_dense_mode_rejects_out_of_range_support():
         norm(L2_2, basis(7))
 
 
+@pytest.mark.parametrize("dimension", [2.0, 2.5, True, None, 0])
+def test_a_dense_dimension_must_be_a_positive_integer(dimension):
+    # otherwise 2.0 loads and contains raises TypeError making a dense row
+    with pytest.raises(SpaceError, match="integer dimension >= 1"):
+        NormedSpaceSpec("l2", "dense", dimension)
+
+
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 sparse = st.dictionaries(st.integers(min_value=0, max_value=40), coord, max_size=8).map(
     Vector.from_map)
