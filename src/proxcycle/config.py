@@ -107,10 +107,14 @@ def _given(convert: Callable[[Any], Any], value: Any, key: str) -> Any:
 
 
 def parse_vector(obj: Any, key: str) -> Vector:
-    """A sparse {"index": value} map, each index ASCII digits, or a dense list."""
+    """A sparse {"index": value} map, each index ASCII digits with no leading
+    zero, or a dense list."""
     if isinstance(obj, dict):
         if not all(k.isascii() and k.isdigit() for k in obj):
             raise ConfigError(f"{key}: sparse indices must be ASCII digits, got {list(obj)!r}")
+        for k in obj:
+            if k != "0" and k.startswith("0"):  # "01" and "1" would name one coordinate
+                raise ConfigError(f"{key}: sparse index {k!r} has a leading zero")
         items = obj.items()
     elif isinstance(obj, list):
         items = enumerate(obj)

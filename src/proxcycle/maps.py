@@ -25,8 +25,7 @@ from itertools import chain, repeat
 from typing import Any, Callable
 
 from .report import CheckReport, Violation, conclude, render_pair, render_vector
-from .sets import (Box, ConvexSet, box_rows, check_set, contains, l1_example_sets, member_test,
-                   sample)
+from .sets import Box, ConvexSet, contains, l1_example_sets, member_test, sample_rows
 from .space import (
     TOL_NUM,
     NormedSpaceSpec,
@@ -204,7 +203,7 @@ class _Probe:
 
     def __init__(self, T: CyclicMapSpec):
         self.T = T
-        self.row, self.gap = row_kernel(T.space)
+        self.gap = row_kernel(T.space)[1]
         self.vector = row_vector(T.space)
         self.f = row_map(T)
         self._streams: dict[tuple[int, int], list] = {}
@@ -214,12 +213,7 @@ class _Probe:
         """The rows of n points drawn from S at seed."""
         got = self._streams.get((id(S), seed))
         if got is None or len(got) < n:
-            if isinstance(S, Box):
-                check_set(S, self.T.space)
-                got = box_rows(S, n, seed)
-            else:
-                got = list(map(self.row, sample(S, self.T.space, n, seed=seed)))
-            self._streams[id(S), seed] = got
+            got = self._streams[id(S), seed] = sample_rows(S, self.T.space, n, seed)
         return got
 
     def points(self, side: int, n: int, seed: int) -> list[_Point]:

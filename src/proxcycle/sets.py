@@ -14,7 +14,13 @@ Hull membership is the same NNLS solve, on vertices packed once per hull.
 A step is one least-squares solve with each sum-to-one constraint eliminated
 at a reference column, and the residual is measured directly, not through a
 Gram matrix.  Containment in a hull is norm independent, so it is always
-decided in l2 coordinates.  Only the solvers import numpy.
+decided in l2 coordinates; a point with a nan or infinite coordinate is in
+no hull.  Only the solvers import numpy.
+
+Every set kind is drawn (sample_rows) and tested (member_test) on
+space.row_kernel rows, and space converts rows and Vectors: contains is
+member_test on a Vector's row, sample is sample_rows' draw as Vectors.
+Only this module tells the set kinds apart.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from functools import cached_property
 from operator import le
 from typing import TYPE_CHECKING, Any, Callable
 
-from .space import TOL_NUM, NormedSpaceSpec, Vector, norm, pack, row_vector, unpack
+from .space import TOL_NUM, NormedSpaceSpec, Vector, norm, pack, row_kernel, row_vector, unpack
 
 if TYPE_CHECKING:
     import numpy as np
@@ -191,15 +197,18 @@ def _nnls(C: np.ndarray, group: np.ndarray):
 # ---------------------------------------------------------------------------
 # containment
 
-def _in_hull(V: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    """Whether x is within l2 distance tol of the hull of the rows of V.
+def _in_hull(V: np.ndarray, x: list[float], tol: float) -> bool:
+    """Whether x is within l2 distance tol of the hull of the rows of V; a
+    point with a nan or infinite coordinate is in no hull.
 
     With D = V - x, measures the gap r = D^T w of each weight iterate w
     directly.  Accepts once |r| <= tol; rejects once every row d of D has
     d.r > tol |r|, a hyperplane separating x from the hull by more than tol.
     """
+    if not all(map(math.isfinite, x)):
+        return False
     import numpy as np
-    D, e = _scaled(V - x)
+    D, e = _scaled(V - np.array(x))
     tol = math.ldexp(tol, -e)
     for _, r in _nnls(D.T, np.zeros(len(D), dtype=np.intp)):
         gap = math.sqrt(r @ r)
@@ -212,9 +221,7 @@ def _in_hull(V: np.ndarray, x: np.ndarray, tol: float) -> bool:
 
 def contains(S: ConvexSet, space: NormedSpaceSpec, v: Vector, tol: float = TOL_NUM) -> bool:
     """Membership of v in S within slack tol."""
-    space.validate(v)
-    return member_test(S, space, tol)(v.dense_values(space.dimension) if space.mode == "dense"
-                                      else v)
+    return member_test(S, space, tol)(row_kernel(space)[0](v))
 
 
 def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[Any], bool]:
@@ -222,8 +229,8 @@ def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[A
     (space.row_kernel), as contains decides it.  Off a hull's vertex support,
     a row's coordinates are one direction orthogonal to the hull: their norm
     is one more coordinate, 0 at every vertex."""
+    vector = row_vector(space)
     if isinstance(S, DeclaredSet):
-        vector = row_vector(space)
         return lambda r: bool(S.member(vector(r), tol))
     if isinstance(S, Box):
         check_set(S, space)
@@ -231,14 +238,14 @@ def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[A
         return lambda r: all(map(le, lo, r)) and all(map(le, r, hi))
     import numpy as np
     V, index = S._packed_in(space)
-    if space.mode == "dense" and len(index) == space.dimension:
-        return lambda r: _in_hull(V, np.array(r), tol)
+    if len(index) == space.dimension:  # a sequence space has no dimension
+        return lambda r: _in_hull(V, r, tol)
     V = np.hstack([V, np.zeros((len(V), 1))])
 
     def test(r) -> bool:
-        rest = dict(enumerate(r) if space.mode == "dense" else r.coords)
+        rest = dict(vector(r).coords)
         x = [rest.pop(j, 0.0) for j in index]
-        return _in_hull(V, np.array([*x, math.hypot(*rest.values())]), tol)
+        return _in_hull(V, [*x, math.hypot(*rest.values())], tol)
 
     return test
 
@@ -260,26 +267,26 @@ def _simplex_weights(rng: random.Random, k: int) -> list[float]:
     return out
 
 
-def box_rows(S: Box, n: int, seed: int = 0) -> list[list[float]]:
-    """The coordinate rows of sample's draw of n points of the box S."""
+def sample_rows(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list:
+    """The space.row_kernel rows of n elements of S, deterministic per seed;
+    a draw of k < n is its prefix.  A box is drawn as rows, a hull as
+    weighted sums of its vertices and a declared set by its sampler."""
     rng = random.Random(f"sample:{seed}")
-    spans = [(lo, hi - lo) for lo, hi in zip(S.lower, S.upper)]
-    return [[lo + rng.random() * w for lo, w in spans] for _ in range(n)]
+    if isinstance(S, Box):
+        check_set(S, space)
+        spans = [(lo, hi - lo) for lo, hi in zip(S.lower, S.upper)]
+        return [[lo + rng.random() * w for lo, w in spans] for _ in range(n)]
+    if isinstance(S, Hull):
+        draws = (sum(map(Vector.scale, S.vertices, _simplex_weights(rng, len(S.vertices))),
+                     Vector.zero()) for _ in range(n))
+    else:
+        draws = (S.sampler(rng) for _ in range(n))
+    return list(map(row_kernel(space)[0], draws))
 
 
 def sample(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list[Vector]:
-    """Draw n elements of S, deterministic per seed; a draw of k < n is its prefix."""
-    rng = random.Random(f"sample:{seed}")
-    if isinstance(S, Box):
-        out = list(map(Vector.dense, box_rows(S, n, seed)))
-    elif isinstance(S, Hull):
-        out = [sum(map(Vector.scale, S.vertices, _simplex_weights(rng, len(S.vertices))),
-                   Vector.zero()) for _ in range(n)]
-    else:
-        out = [S.sampler(rng) for _ in range(n)]
-    for v in out:
-        space.validate(v)
-    return out
+    """sample_rows' draw of n elements of S as Vectors."""
+    return list(map(row_vector(space), sample_rows(S, space, n, seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -605,6 +605,11 @@ MALFORMED = [
        f"candidates[0][0]: sparse indices must be ASCII digits, got [{index!r}]")
       for name, index in (("1_0", "1_0"), ("space-3", " 3"), ("plus-1", "+1"),
                           ("arabic-indic-3", "\u0663"), ("trailing-newline", "3\n"))),
+    # a leading zero would let two keys name one coordinate, the later value winning
+    *((f"index-{name}", {"map": {"builtin": "l1_kannan"},
+                         "candidates": [[{"1": 1.0, index: value}, {"2": 1.0}]]},
+       f"candidates[0][0]: sparse index {index!r} has a leading zero")
+      for name, index, value in (("01", "01", 2.0), ("001", "001", 0.0))),
 ]
 
 

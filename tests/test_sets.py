@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from proxcycle import (
     Vector,
     basis,
     builtin,
+    check_cyclic_invariance,
     contains,
     dist,
     l1_example_sets,
@@ -35,8 +37,9 @@ from proxcycle import (
     sample,
 )
 from proxcycle.config import load_config
+from proxcycle.maps import RowEvaluator, _Probe
 from proxcycle.sets import (Box, Hull, ProximalWitness, _cone, _nnls, _prepare_pair,
-                            _simplex_weights, _subgrad_distance, member_test)
+                            _simplex_weights, _subgrad_distance, member_test, sample_rows)
 from proxcycle.space import TOL_NUM, pack, pack_flat, row_kernel, unpack
 
 L1_SEQ = NormedSpaceSpec("l1", "sequence", None)
@@ -221,6 +224,70 @@ def test_a_shorter_draw_is_a_prefix_of_a_longer_one(S, space):
         assert len(full) == 40 and all(contains(S, space, v) for v in full)
         for k in (0, 1, 13, 39):
             assert sample(S, space, k, seed=seed) == full[:k]
+
+
+def test_sample_refuses_a_box_where_contains_does():
+    box = Box((1.0,), (2.0,))
+    for space in (NormedSpaceSpec("l2", "sequence", None), NormedSpaceSpec("l2", "dense", 3)):
+        for draw in (sample, sample_rows):
+            with pytest.raises(SetsError):
+                draw(box, space, 2, seed=1)
+        with pytest.raises(SetsError):
+            contains(box, space, Vector.dense([1.5]))
+
+
+def reference_sample(S, space, n, seed):
+    """sample's draw as it was made before sample_rows: a box's coordinate
+    rows as Vectors, a hull's weighted vertex sums, a declared set's sampler."""
+    rng = random.Random(f"sample:{seed}")
+    if isinstance(S, Box):
+        out = [Vector.dense([lo + rng.random() * (hi - lo) for lo, hi in zip(S.lower, S.upper)])
+               for _ in range(n)]
+    elif isinstance(S, Hull):
+        out = [sum(map(Vector.scale, S.vertices, _simplex_weights(rng, len(S.vertices))),
+                   Vector.zero()) for _ in range(n)]
+    else:
+        out = [S.sampler(rng) for _ in range(n)]
+    for v in out:
+        space.validate(v)
+    return out
+
+
+@st.composite
+def sets_in_spaces(draw):
+    """A box in a dense space, or a hull or paired-block set in a dense or
+    sequence space."""
+    kind, mode = draw(st.sampled_from([("box", "dense"), ("hull", "dense"), ("hull", "sequence"),
+                                       ("blocks", "dense"), ("blocks", "sequence")]))
+    norm_name = draw(st.sampled_from(["l1", "l2", "linf"]))
+    if kind == "blocks":
+        dimension = 14 if mode == "dense" else None  # the largest draw index is 13
+        return paired_block_hull(draw(st.integers(1, 2)), "S"), NormedSpaceSpec(
+            norm_name, mode, dimension)
+    d = draw(st.integers(1, 4))
+    space = NormedSpaceSpec(norm_name, mode, d if mode == "dense" else None)
+    coordinate = st.floats(-4.0, 4.0)
+    if kind == "box":
+        lower = draw(st.lists(coordinate, min_size=d, max_size=d))
+        widths = draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d))
+        return Box(tuple(lower), tuple(map(float.__add__, lower, widths))), space
+    index = st.integers(0, d - 1 if mode == "dense" else 12)
+    vertices = st.dictionaries(index, coordinate, max_size=d).map(Vector.from_map)
+    return Hull(tuple(draw(st.lists(vertices, min_size=1, max_size=5)))), space
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sets_in_spaces(), n=st.integers(0, 12), seed=st.integers(0, 2 ** 32))
+def test_sample_and_the_probe_draw_as_before(case, n, seed):
+    # one row draw serves every set kind: sample's Vectors and the probe's
+    # rows are the draws each made before, a box's rows included
+    S, space = case
+    want = reference_sample(S, space, n, seed)
+    assert sample(S, space, n, seed=seed) == want
+    row, _ = row_kernel(space)
+    assert sample_rows(S, space, n, seed) == [row(v) for v in want]
+    probe = _Probe(replace(builtin("interval_contraction"), space=space, A=S, B=S))
+    assert probe._stream(S, n, seed) == [row(v) for v in want]
 
 
 # ------------------------------------------------------------- distances
@@ -678,6 +745,36 @@ def test_member_test_on_rows_is_contains(name):
         want = k <= 1.0 if inward_in else abs(k) <= 1.0
         assert contains(S, space, v, MEMBER_TOL) is want, k
         assert inside(row(v)) is want, k
+
+
+def test_a_point_with_a_non_finite_coordinate_is_in_no_hull(capfd):
+    # refused before any least-squares solve, which LAPACK cannot run on a
+    # nan or an infinity
+    for point in ([math.nan, 0.5], [math.inf, 0.5], [0.5, -math.inf]):
+        assert contains(HULL_EDGE, R2, Vector.dense(point)) is False, point
+        assert member_test(HULL_EDGE, R2, TOL_NUM)(point) is False, point
+    # in a sequence space, on the vertex support and off it
+    seq = NormedSpaceSpec("l2", "sequence", None)
+    for coords in ({0: math.nan, 1: 0.5}, {0: 0.5, 5: math.nan}, {0: 0.5, 5: math.inf},
+                   {0: 0.5, 5: math.nan, 6: -math.inf}):
+        assert contains(HULL_EDGE, seq, Vector.from_map(coords)) is False, coords
+    assert capfd.readouterr().err == ""
+
+
+def test_a_nan_image_leaves_a_box_and_a_hull_alike():
+    # the interval pair as boxes and as hulls of their end points: a map
+    # whose image is nan leaves either pair the same way
+    nan_map = RowEvaluator(lambda rx, ry, side: [math.nan], 1)
+    hulls = tuple(Hull(tuple(map(Vector.dense, ends))) for ends in
+                  (([1.0], [2.0]), ([-2.0], [-1.0])))
+    seen = []
+    for A, B in ((A_BOX, B_BOX), hulls):
+        T = replace(builtin("interval_contraction"), A=A, B=B, evaluator=nan_map)
+        traj = run(T, Vector.dense([1.5]), Vector.dense([-1.5]), StopRule(max_iters=10))
+        rep = check_cyclic_invariance(T, 20, seed=3)
+        seen.append((traj.stop_reason, traj.error_index, traj.n_points,
+                     rep.status, rep.checked, len(rep.violations)))
+    assert seen[0] == seen[1] == ("domain_error", 1, 1, "failed", 40, 40)
 
 
 @pytest.mark.parametrize("mode,off", [("sequence", 7), ("dense", 0)])

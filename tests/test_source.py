@@ -4,8 +4,8 @@ imports are the package's exports), every top-level function, class or
 assigned name is exported or named somewhere besides its definition, every
 exported function is read by package code or listed with its reason, the
 config loader converts a number to float only in its one number reader,
-only the modules where linear algebra runs import numpy, and only space
-writes a product distance."""
+only the modules where linear algebra runs import numpy, only space
+writes a product distance, and only sets tells the set kinds apart."""
 import ast
 import re
 from pathlib import Path
@@ -207,3 +207,32 @@ def test_the_check_finds_an_inline_product_distance():
 def test_only_space_writes_a_product_distance():
     assert {name: lines for name in MODULES if name != "space.py"
             if (lines := inline_product_distances((SRC / name).read_text()))} == {}
+
+
+SET_KINDS = {"Box", "Hull", "DeclaredSet", "ConvexSet"}
+
+
+def set_kind_tests(source: str) -> list[int]:
+    """The lines of source that call isinstance with a set class, by name or
+    as an attribute, alone or in a tuple."""
+    def kinds(node) -> set[str]:
+        parts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {p.id if isinstance(p, ast.Name) else p.attr for p in parts
+                if isinstance(p, (ast.Name, ast.Attribute))}
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "isinstance" and len(n.args) == 2
+                  and kinds(n.args[1]) & SET_KINDS)
+
+
+def test_the_check_finds_a_set_kind_test():
+    source = ("a = isinstance(S, Box)\nb = isinstance(S, (int, sets.Hull))\n"
+              "c = isinstance(ev, RowEvaluator)\nd = Box((1.0,), (2.0,))\n"
+              "e = isinstance(\n    S, ConvexSet)\nf = isinstance(S, (DeclaredSet,))\n")
+    assert set_kind_tests(source) == [1, 2, 5, 7]
+
+
+def test_only_sets_tells_the_set_kinds_apart():
+    # a module that needs a set-kind decision asks sets for it
+    assert {name: lines for name in MODULES if name != "sets.py"
+            if (lines := set_kind_tests((SRC / name).read_text()))} == {}
