@@ -59,7 +59,6 @@ from .sets import (
     DeclaredSet,
     DistResult,
     Hull,
-    ProximalWitness,
     SetsError,
     contains,
     dist,

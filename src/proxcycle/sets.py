@@ -2,25 +2,29 @@
 
 Three set variants: coordinate boxes, finitely generated hulls, and
 declared sets (membership predicate plus sampler, for sets that are not
-finitely generated).  dist picks its method from the norm: an exact
-non-negative least-squares (NNLS) solve for l2, its columns scaled by a
-power of two, else projected subgradient descent for l1/linf from seed 0,
-not converged.  Its starts are the rows of one batch, and two sides of one
-kind and width advance as one batch over a side axis: each step moves,
-projects and measures both at once.  lp is refused; a map declares the
-distance of sets dist cannot solve (CyclicMapSpec.declared_dist).
+finitely generated).  check_set is the one test of a set against a space.
+dist returns its witnesses as a space.ProductPoint and picks its method
+from the norm: an exact non-negative least-squares (NNLS) solve for l2, its
+columns scaled by a power of two, else projected subgradient descent for
+l1/linf from seed 0, not converged.  Its starts are the rows of one batch,
+and two sides of one kind and width advance as one batch over a side axis:
+each step moves, projects and measures both at once.  lp is refused; a map
+declares the distance of sets dist cannot solve (CyclicMapSpec.declared_dist).
 
 Hull membership is the same NNLS solve, on vertices packed once per hull.
 A step is one least-squares solve with each sum-to-one constraint eliminated
 at a reference column, and the residual is measured directly, not through a
 Gram matrix.  Containment in a hull is norm independent, so it is always
-decided in l2 coordinates; a point with a nan or infinite coordinate is in
-no hull.  Only the solvers import numpy.
+decided in l2 coordinates, on half of V - x so that it cannot overflow;
+a point with a nan or infinite coordinate is in no hull.  Only the solvers
+import numpy.
 
 Every set kind is drawn (sample_rows) and tested (member_test) on
 space.row_kernel rows, and space converts rows and Vectors: contains is
-member_test on a Vector's row, sample is sample_rows' draw as Vectors.
-Only this module tells the set kinds apart.
+member_test on a Vector's row, sample is sample_rows' draw as Vectors.  In
+a dense space a row whose length is not the dimension is in no box and no
+hull.  Hull and paired-block draws take their weights from the one
+_simplex_weights.  Only this module tells the set kinds apart.
 """
 from __future__ import annotations
 
@@ -31,7 +35,8 @@ from functools import cached_property
 from operator import le
 from typing import TYPE_CHECKING, Any, Callable
 
-from .space import TOL_NUM, NormedSpaceSpec, Vector, norm, pack, row_kernel, row_vector, unpack
+from .space import (TOL_NUM, NormedSpaceSpec, ProductPoint, Vector, l1_sum, norm, pack,
+                    row_kernel, row_vector, unpack)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,12 +83,10 @@ class Hull:
         """space.pack of the vertices over their own support, once per hull."""
         return pack(self.vertices, NormedSpaceSpec(mode="sequence", dimension=None))
 
-    def _packed_in(self, space: NormedSpaceSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-        """packed, refusing a vertex outside a dense space (DimensionMismatch)."""
-        V, index = self.packed
-        if space.mode == "dense" and index and index[-1] >= space.dimension:
-            check_set(self, space)
-        return V, index
+    @cached_property
+    def halved(self) -> np.ndarray:
+        """packed's vertex rows halved, as hull membership reads them (_in_hull)."""
+        return 0.5 * self.packed[0]
 
 
 @dataclass(frozen=True)
@@ -103,30 +106,27 @@ ConvexSet = Box | Hull | DeclaredSet
 
 
 @dataclass(frozen=True)
-class ProximalWitness:
-    a_star: Vector
-    b_star: Vector
-
-
-@dataclass(frozen=True)
 class DistResult:
     value: float
-    witness: ProximalWitness
+    witness: ProductPoint
     method: str
     converged: bool
 
 
 def check_set(S: ConvexSet, space: NormedSpaceSpec) -> None:
     """Raise unless S can live in space: a box needs a dense space of its
-    dimension, and every hull vertex must lie in the space."""
+    dimension, and every hull vertex must lie in the space (DimensionMismatch,
+    read off Hull.packed's index)."""
     if isinstance(S, Box):
         if space.mode != "dense":
             raise SetsError("box sets need a dense space")
         if len(S.lower) != space.dimension:
             raise SetsError("box dimension does not match the space")
-    elif isinstance(S, Hull):
-        for v in S.vertices:
-            space.validate(v)
+    elif isinstance(S, Hull) and space.mode == "dense":
+        index = S.packed[1]
+        if index and index[-1] >= space.dimension:
+            for v in S.vertices:
+                space.validate(v)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +197,21 @@ def _nnls(C: np.ndarray, group: np.ndarray):
 # ---------------------------------------------------------------------------
 # containment
 
-def _in_hull(V: np.ndarray, x: list[float], tol: float) -> bool:
-    """Whether x is within l2 distance tol of the hull of the rows of V; a
-    point with a nan or infinite coordinate is in no hull.
+def _in_hull(half: np.ndarray, x: list[float], tol: float) -> bool:
+    """Whether x is within l2 distance tol of the hull of the rows of V = 2 half;
+    a point with a nan or infinite coordinate is in no hull.
 
-    With D = V - x, measures the gap r = D^T w of each weight iterate w
-    directly.  Accepts once |r| <= tol; rejects once every row d of D has
-    d.r > tol |r|, a hyperplane separating x from the hull by more than tol.
+    D = half - x / 2 cannot overflow, and above 2^-1021 it is (V - x) / 2
+    exactly, so D scaled by a power of two is V - x scaled.  Measures the gap
+    r = D^T w of each weight iterate w directly.  Accepts once |r| <= tol;
+    rejects once every row d of D has d.r > tol |r|, a hyperplane separating
+    x from the hull by more than tol.
     """
     if not all(map(math.isfinite, x)):
         return False
     import numpy as np
-    D, e = _scaled(V - np.array(x))
-    tol = math.ldexp(tol, -e)
+    D, e = _scaled(half - [0.5 * c for c in x])
+    tol = math.ldexp(tol, -e - 1)
     for _, r in _nnls(D.T, np.zeros(len(D), dtype=np.intp)):
         gap = math.sqrt(r @ r)
         if gap <= tol:
@@ -226,26 +228,31 @@ def contains(S: ConvexSet, space: NormedSpaceSpec, v: Vector, tol: float = TOL_N
 
 def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[Any], bool]:
     """Membership in S within tol of the vector with the given row
-    (space.row_kernel), as contains decides it.  Off a hull's vertex support,
-    a row's coordinates are one direction orthogonal to the hull: their norm
-    is one more coordinate, 0 at every vertex."""
+    (space.row_kernel), as contains decides it.  In a dense space a row whose
+    length is not the dimension is in no box and no hull.  Off a hull's vertex
+    support, a row's coordinates are one direction orthogonal to the hull:
+    their norm is one more coordinate, 0 at every vertex."""
     vector = row_vector(space)
+    check_set(S, space)
     if isinstance(S, DeclaredSet):
         return lambda r: bool(S.member(vector(r), tol))
     if isinstance(S, Box):
-        check_set(S, space)
         lo, hi = [a - tol for a in S.lower], [b + tol for b in S.upper]
-        return lambda r: all(map(le, lo, r)) and all(map(le, r, hi))
+        n = len(lo)
+        return lambda r: len(r) == n and all(map(le, lo, r)) and all(map(le, r, hi))
     import numpy as np
-    V, index = S._packed_in(space)
-    if len(index) == space.dimension:  # a sequence space has no dimension
-        return lambda r: _in_hull(V, r, tol)
-    V = np.hstack([V, np.zeros((len(V), 1))])
+    half, index = S.halved, S.packed[1]
+    n = space.dimension  # None in a sequence space, whose rows are Vectors
+    if len(index) == n:
+        return lambda r: len(r) == n and _in_hull(half, r, tol)
+    half = np.hstack([half, np.zeros((len(half), 1))])
 
     def test(r) -> bool:
+        if n is not None and len(r) != n:
+            return False
         rest = dict(vector(r).coords)
         x = [rest.pop(j, 0.0) for j in index]
-        return _in_hull(V, [*x, math.hypot(*rest.values())], tol)
+        return _in_hull(half, [*x, math.hypot(*rest.values())], tol)
 
     return test
 
@@ -254,17 +261,10 @@ def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[A
 # sampling
 
 def _simplex_weights(rng: random.Random, k: int) -> list[float]:
-    # spacings of sorted uniforms: uniform on the simplex
-    if k == 1:
-        return [1.0]
-    cuts = sorted(rng.random() for _ in range(k - 1))
-    prev = 0.0
-    out = []
-    for c in cuts:
-        out.append(c - prev)
-        prev = c
-    out.append(1.0 - prev)
-    return out
+    """k weights uniform on the simplex: the spacings of k - 1 sorted rng.random() cuts."""
+    at = sorted([rng.random() for _ in range(k - 1)])
+    at.append(1.0)
+    return [at[0], *map(float.__sub__, at[1:], at)]
 
 
 def sample_rows(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list:
@@ -296,7 +296,9 @@ def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     """The coordinate index over both sets' support, and each set as
     (kind, data): a hull's packed vertices over it or a box's (lower, upper)."""
     import numpy as np
-    supports = [S._packed_in(space)[1] for S in (A, B) if isinstance(S, Hull)]
+    for S in (A, B):
+        check_set(S, space)
+    supports = [S.packed[1] for S in (A, B) if isinstance(S, Hull)]
     index = set(range(space.dimension)) if space.mode == "dense" else set()
     index = tuple(sorted(index.union(*supports)))
 
@@ -307,7 +309,6 @@ def _prepare_pair(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
             data[:, np.searchsorted(index, own)] = V
             return "hull", data
         if isinstance(S, Box):
-            check_set(S, space)
             return "box", (np.array(S.lower, dtype=float), np.array(S.upper, dtype=float))
         raise SetsError("dist needs box or hull sets")
 
@@ -336,7 +337,7 @@ def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     C, _ = _scaled(np.hstack([Ca, -Cb]))
     *_, (z, _) = _nnls(C, np.concatenate([ga, gb + ga.max() + 1]))
     a, b = (unpack(w.tolist(), index) for w in (Ca @ z[:len(ga)], Cb @ z[len(ga):]))
-    return norm(space, a - b), ProximalWitness(a, b)
+    return norm(space, a - b), ProductPoint(a, b)
 
 
 def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: int,
@@ -385,7 +386,7 @@ def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: 
             size = np.abs(W)
             return (size.max(axis=1, initial=0.0),
                     np.where(top == size.argmax(axis=1)[:, None], np.sign(W), 0.0))
-        return np.array([sum(map(abs, w)) for w in W.tolist()], dtype=float), np.sign(W)
+        return np.array([l1_sum(w) for w in W.tolist()], dtype=float), np.sign(W)
 
     PA, PB = map(np.array, zip(*[(init(ka, da), init(kb, db)) for _ in range(n_starts)]))
     # a box's data is (lower, upper), so two boxes always form one batch
@@ -406,7 +407,7 @@ def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: 
         np.copyto(best_pts, cur, where=up[:, None])
     i = int(best.argmin())
     a, b = (unpack(P[i].tolist(), index) for P in best_pts)
-    return float(best[i]), ProximalWitness(a, b)
+    return float(best[i]), ProductPoint(a, b)
 
 
 def dist(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec) -> DistResult:
@@ -455,9 +456,9 @@ def _paired_block_sampler(offset: int) -> Callable[[random.Random], Vector]:
     uniform on the simplex, weight w putting w at 2n - 2 + offset and
     2n - 1 + offset.  A draw of k blocks consumes rng as randint(1, 4),
     sample(range(1, MAX_BLOCK + 1), k) and _simplex_weights(rng, k) would in
-    turn, and gives their values, but calls getrandbits and random directly:
-    randint and sample's pool swaps draw below n by taking n.bit_length()
-    bits until they are below n."""
+    turn, and gives their values.  It calls _simplex_weights itself, but
+    getrandbits for randint and sample's pool swaps: each draws below n by
+    taking n.bit_length() bits until they are below n."""
     swaps = [(n, n.bit_length()) for n in range(MAX_BLOCK, 0, -1)]
     blocks_in_order = list(range(1, MAX_BLOCK + 1))
 
@@ -473,16 +474,8 @@ def _paired_block_sampler(offset: int) -> Callable[[random.Random], Vector]:
                 j = bits(b)
             blocks.append(pool[j])
             pool[j] = pool[n - 1]
-        if cuts:  # the spacings of the sorted cuts, as _simplex_weights gives them
-            uniform = rng.random
-            at = sorted([uniform() for _ in range(cuts)])
-            at.append(1.0)
-            weights = [at[0]]
-            weights += map(float.__sub__, at[1:], at)
-        else:
-            weights = [1.0]
         coords = []  # the blocks are distinct, so in block order the indices ascend
-        for n, w in sorted(zip(blocks, weights)):
+        for n, w in sorted(zip(blocks, _simplex_weights(rng, cuts + 1))):
             if w != 0.0:
                 coords += ((2 * n - 2 + offset, w), (2 * n - 1 + offset, w))
         return Vector(tuple(coords))

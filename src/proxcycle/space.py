@@ -176,13 +176,23 @@ def norm(space: NormedSpaceSpec, v: Vector) -> float:
     return _norm_values(space, [x for _, x in v.coords])
 
 
+def l1_sum(vals: Iterable[float]) -> float:
+    """The sum of |x| over vals, added left to right from 0.0.  That is builtin
+    sum before CPython 3.12 (which compensates it), on every Python version."""
+    total = 0.0
+    for x in vals:
+        total += abs(x)
+    return total
+
+
 def _norm_values(space: NormedSpaceSpec, vals: list[float]) -> float:
     """The norm of a vector whose nonzero coordinates, in index order, are
-    vals.  A caller holding a dense row drops its zeros to get norm's value bit for bit."""
+    vals.  A caller holding a dense row drops its zeros to get norm's value bit for bit.
+    l1 and lp add their terms left to right (l1_sum)."""
     if not vals:
         return 0.0
     if space.norm == "l1":
-        return float(sum(map(abs, vals)))
+        return l1_sum(vals)
     if space.norm == "l2":
         return math.hypot(*vals)
     if space.norm == "linf":
@@ -191,7 +201,10 @@ def _norm_values(space: NormedSpaceSpec, vals: list[float]) -> float:
     m = max(map(abs, vals))
     if m == 0.0:
         return 0.0
-    return float(m * sum((abs(x) / m) ** space.p for x in vals) ** (1.0 / space.p))
+    total = 0.0
+    for x in vals:
+        total += (abs(x) / m) ** space.p
+    return float(m * total ** (1.0 / space.p))
 
 
 def row_kernel(space: NormedSpaceSpec) -> tuple[Callable[[Vector], Any], Callable[..., float]]:
@@ -202,7 +215,13 @@ def row_kernel(space: NormedSpaceSpec) -> tuple[Callable[[Vector], Any], Callabl
         row = methodcaller("dense_values", space.dimension)
         if space.norm == "l2":
             return row, math.dist
-        return row, lambda a, b: _norm_values(space, [z for z in map(sub, a, b) if z != 0.0])
+
+        def dense_gap(a: list[float], b: list[float]) -> float:
+            if len(a) != len(b):  # as math.dist refuses them
+                raise ValueError("both points must have the same number of dimensions")
+            return _norm_values(space, [z for z in map(sub, a, b) if z != 0.0])
+
+        return row, dense_gap
 
     def gap(a: Vector, b: Vector) -> float:
         # one merge of the two sorted coordinate tuples, in index order; a

@@ -8,6 +8,7 @@ across interpreter hash seeds.
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -796,6 +797,44 @@ def test_outputs_identical_across_hash_seeds(name, tmp_path):
     # stdout matches too, once the output path it echoes is masked
     scrub = lambda s: [ln for ln in s.splitlines() if not ln.startswith("summary written")]
     assert scrub(p1.stdout) == scrub(p2.stdout)
+
+
+def other_interpreters():
+    """The python3.10 .. python3.13 on PATH that start and are not this interpreter."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or (3, minor) == sys.version_info[:2]:
+            continue
+        check = f"import sys; assert sys.version_info[:2] == (3, {minor})"
+        probe = subprocess.run([exe, "-c", check], capture_output=True)
+        if probe.returncode == 0:
+            found.append(exe)
+    return found
+
+
+def run_shipped_configs(python, outdir):
+    """Run the five shipped configs in one child of python; each config's stdout
+    less its summary path, exit code, summary.json and traces."""
+    code = "import sys\nfrom proxcycle.cli import main\n" + "".join(
+        f"print('== {name}')\nprint('exit', main(['run', {str(CONFIGS / name)!r}, '--out', "
+        f"{str(outdir / name)!r}]))\n" for name, _ in EXPECTED_EXITS)
+    proc = subprocess.run([python, "-c", code], capture_output=True, text=True,
+                          env=child_env(), cwd=str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+    stdout = [ln for ln in proc.stdout.splitlines() if not ln.startswith("summary written")]
+    return stdout, {name: dir_bytes(outdir / name) for name, _ in EXPECTED_EXITS}
+
+
+def test_outputs_identical_across_python_versions(tmp_path):
+    # CPython 3.12 made builtin sum of floats compensated; the norms add left
+    # to right, so every version writes the same bytes
+    others = other_interpreters()
+    if not others:
+        pytest.skip("no other python3.10 .. python3.13 on PATH")
+    want = run_shipped_configs(sys.executable, tmp_path / "this")
+    for k, python in enumerate(others):
+        assert run_shipped_configs(python, tmp_path / f"other{k}") == want, python
 
 
 def test_seed_override_changes_sampled_starts(tmp_path):

@@ -755,13 +755,18 @@ def test_flat_holds_the_pinned_floats(space):
 
 
 def test_a_row_of_the_wrong_length_is_refused():
-    # a row form that drops a coordinate would shift every later row of the buffer
+    # a row form that drops a coordinate would shift every later row of the
+    # buffer: the short row is in neither box, so run stops before keeping it,
+    # and a buffer short of a row is refused when the trajectory is built
     space = NormedSpaceSpec("l1", "dense", 2)
     T = CyclicMapSpec("short_rows", space, Box((1.0, 1.0), (2.0, 2.0)),
                       Box((-2.0, -2.0), (-1.0, -1.0)),
                       RowEvaluator(lambda rx, ry, side: [1.5 if side == SIDE_BA else -1.5], 2))
+    traj = run(T, Vector.dense([1.5, 1.5]), Vector.dense([-1.5, -1.5]), WOBBLE)
+    assert (traj.stop_reason, traj.error_index, traj.n_points) == (STOP_DOMAIN_ERROR, 1, 1)
+    assert traj.flat.tolist() == [1.5, 1.5, -1.5, -1.5]
     with pytest.raises(ValueError, match="two rows of len\\(index\\) floats per point"):
-        run(T, Vector.dense([1.5, 1.5]), Vector.dense([-1.5, -1.5]), WOBBLE)
+        Trajectory(space, traj.flat[:-1], traj.index, 1, (), (), STOP_BUDGET, StopRule(), None)
 
 
 def test_series_of_the_wrong_length_are_refused(tmp_path):

@@ -22,6 +22,7 @@ from proxcycle import (
     CyclicMapSpec,
     DimensionMismatch,
     NormedSpaceSpec,
+    ProductPoint,
     SetsError,
     StopRule,
     Vector,
@@ -36,10 +37,11 @@ from proxcycle import (
     run,
     sample,
 )
+from proxcycle import sets
 from proxcycle.config import load_config
-from proxcycle.maps import RowEvaluator, _Probe
-from proxcycle.sets import (Box, Hull, ProximalWitness, _cone, _nnls, _prepare_pair,
-                            _simplex_weights, _subgrad_distance, member_test, sample_rows)
+from proxcycle.maps import SIDE_BA, RowEvaluator, _Probe
+from proxcycle.sets import (Box, Hull, _cone, _nnls, _prepare_pair, _simplex_weights,
+                            _subgrad_distance, member_test, sample_rows)
 from proxcycle.space import TOL_NUM, pack, pack_flat, row_kernel, unpack
 
 L1_SEQ = NormedSpaceSpec("l1", "sequence", None)
@@ -297,8 +299,8 @@ def test_interval_distance_closed_form():
     res = dist(A_BOX, B_BOX, R1)
     assert res.value == pytest.approx(2.0, abs=1e-9)
     assert res.method == "nnls" and res.converged
-    assert res.witness.a_star.value_at(0) == pytest.approx(1.0, abs=1e-7)
-    assert res.witness.b_star.value_at(0) == pytest.approx(-1.0, abs=1e-7)
+    assert res.witness.first.value_at(0) == pytest.approx(1.0, abs=1e-7)
+    assert res.witness.second.value_at(0) == pytest.approx(-1.0, abs=1e-7)
 
 
 def test_triangle_segment_distance_hand_value():
@@ -335,9 +337,9 @@ def test_nnls_matches_grid_oracle():
     assert res.value <= best + 1e-9
     assert res.value == pytest.approx(best, abs=2e-2)
     # solver witnesses must be feasible and consistent with the value
-    assert contains(P, R2, res.witness.a_star, tol=1e-6)
-    assert contains(Q, R2, res.witness.b_star, tol=1e-6)
-    assert norm(R2, res.witness.a_star - res.witness.b_star) == pytest.approx(
+    assert contains(P, R2, res.witness.first, tol=1e-6)
+    assert contains(Q, R2, res.witness.second, tol=1e-6)
+    assert norm(R2, res.witness.first - res.witness.second) == pytest.approx(
         res.value, abs=1e-8)
 
 
@@ -361,8 +363,8 @@ def test_l2_hull_pair_with_a_facet_optimum():
     B = Hull((Vector.dense([-1.0, 0.2, 0.3]), Vector.dense([-3.0, 0.5, -0.5])))
     res = dist(A, B, R3)
     assert res.value == pytest.approx(2.0, abs=1e-12)
-    for wit, want in ((res.witness.a_star, (1.0, 0.2, 0.3)),
-                      (res.witness.b_star, (-1.0, 0.2, 0.3))):
+    for wit, want in ((res.witness.first, (1.0, 0.2, 0.3)),
+                      (res.witness.second, (-1.0, 0.2, 0.3))):
         assert [wit.value_at(i) for i in range(3)] == pytest.approx(want, abs=1e-12)
 
 
@@ -459,7 +461,7 @@ def subgrad_by_start(A, B, space, seed, n_starts, iters):
         if loc_val < best_val:
             best_val, best_pair = loc_val, loc_pair
     a, b = (unpack(p.tolist(), index) for p in best_pair)
-    return best_val, ProximalWitness(a, b)
+    return best_val, ProductPoint(a, b)
 
 
 def random_set(kind, d, offset, rng):
@@ -527,8 +529,8 @@ def test_subgradient_value_is_the_norm_of_its_witnesses(norm_name, kinds):
     sp = NormedSpaceSpec(norm_name, "dense", 3)
     res = dist(A, B, sp)
     w = res.witness
-    assert res.value == norm(sp, w.a_star - w.b_star)
-    assert contains(A, sp, w.a_star, 1e-9) and contains(B, sp, w.b_star, 1e-9)
+    assert res.value == norm(sp, w.first - w.second)
+    assert contains(A, sp, w.first, 1e-9) and contains(B, sp, w.second, 1e-9)
 
 
 @pytest.mark.parametrize("norm_name", ["l1", "linf"])
@@ -587,7 +589,7 @@ def test_default_length_subgradient_values_are_pinned(norm_name, d, k):
     A, B = (Hull(tuple(Vector.dense((off + rng.standard_normal(d)).tolist()) for _ in range(k)))
             for off in (1.5, -1.5))
     res = dist(A, B, NormedSpaceSpec(norm_name, "dense", d))
-    coords = [x.hex() for v in (res.witness.a_star, res.witness.b_star) for x in v.dense_values(d)]
+    coords = [x.hex() for v in (res.witness.first, res.witness.second) for x in v.dense_values(d)]
     digest = hashlib.sha256(" ".join(coords).encode()).hexdigest()[:16]
     assert (res.value.hex(), digest) == SUBGRADIENT_PINS[norm_name, d, k]
 
@@ -606,7 +608,7 @@ def test_l2_distance_at_extreme_scales(kind, e):
     res = dist(A, B, R2)
     assert res.method == "nnls"
     assert res.value == 2 * s
-    assert (res.witness.a_star.value_at(0), res.witness.b_star.value_at(0)) == (s, -s)
+    assert (res.witness.first.value_at(0), res.witness.second.value_at(0)) == (s, -s)
 
 
 def scaled_hull(s):
@@ -625,6 +627,65 @@ def test_hull_membership_at_extreme_scales(e):
         assert not contains(H, R3, Vector.dense([-s, 0.0, 0.0]))
         assert not contains(H, R3, Vector.dense([1.5 * s, 0.0, s]))
         assert isinstance(contains(H, R3, Vector.dense([1.25 * s, 0.25 * s, 0.0])), bool)
+
+
+def test_hull_membership_at_the_top_of_the_float_range(capfd):
+    # V - x is inf for the hull of -1e308 and 1e308 unless V and x are
+    # halved before the difference is taken
+    R1 = NormedSpaceSpec("l2", "dense", 1)
+    line = Hull((Vector.dense([-1e308]), Vector.dense([1e308])))
+    flat = Hull((Vector.dense([-1e308, 0.0]), Vector.dense([1e308, 0.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e308, -1e308, 0.0, 5e307):
+            assert contains(line, R1, Vector.dense([x])), x
+        assert contains(flat, R2, Vector.dense([1e308, 0.0]))
+        assert not contains(flat, R2, Vector.dense([1e308, 1e300]))
+        assert not contains(flat, R2, Vector.dense([0.0, -1e300]))
+    assert capfd.readouterr().err == ""
+
+
+def in_hull_reference(V, x, tol):
+    """sets._in_hull as it was before it halved V and x ahead of V - x."""
+    if not all(map(math.isfinite, x)):
+        return False
+    D, e = sets._scaled(V - np.array(x))
+    tol = math.ldexp(tol, -e)
+    for _, r in _nnls(D.T, np.zeros(len(D), dtype=np.intp)):
+        gap = math.sqrt(r @ r)
+        if gap <= tol:
+            return True
+        if (D @ r).min() > tol * gap:
+            return False
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 6), d=st.integers(1, 5), e=st.integers(-60, 60),
+       seed=st.integers(0, 2 ** 32))
+def test_halving_ahead_of_the_difference_keeps_the_solve(k, d, e, seed):
+    # at ordinary scales the solve sees the same scaled V - x, bit for bit,
+    # and decides as before
+    rng = np.random.default_rng(seed)
+    V = np.ldexp(rng.uniform(-1.0, 1.0, (k, d)), e)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, d), e).tolist()
+    if rng.random() < 0.5:  # a point of the hull, or near it
+        w = rng.dirichlet(np.ones(k))
+        x = (w @ V + np.ldexp(rng.uniform(-1.0, 1.0, d), e - 30)).tolist()
+    seen = []
+
+    def nnls(C, group):
+        seen.append(C.copy())
+        return _nnls(C, group)
+
+    sets._nnls = nnls
+    try:
+        got = sets._in_hull(0.5 * V, x, 1e-9 * 2.0 ** e)
+    finally:
+        sets._nnls = _nnls
+    D, _ = sets._scaled(V - np.array(x))
+    assert seen[0].tobytes() == D.T.tobytes()
+    assert got is in_hull_reference(V, x, 1e-9 * 2.0 ** e)
 
 
 @pytest.mark.xfail(strict=True, reason="the absolute tol is below the solve's rounding, "
@@ -775,6 +836,50 @@ def test_a_nan_image_leaves_a_box_and_a_hull_alike():
         seen.append((traj.stop_reason, traj.error_index, traj.n_points,
                      rep.status, rep.checked, len(rep.violations)))
     assert seen[0] == seen[1] == ("domain_error", 1, 1, "failed", 40, 40)
+
+
+def short_row_map(space):
+    """The 2-D boxes [1,2]x[0,1] and [-2,-1]x[0,1] under a row form that
+    returns one coordinate: [-1.5] into B, [1.5] into A."""
+    rows = RowEvaluator(lambda rx, ry, side: [1.5 if side == SIDE_BA else -1.5], 2)
+    return CyclicMapSpec("short_rows", space, Box((1.0, 0.0), (2.0, 1.0)),
+                         Box((-2.0, 0.0), (-1.0, 1.0)), rows)
+
+
+@pytest.mark.parametrize("norm_name", ["l2", "l1"])
+def test_a_row_of_the_wrong_length_leaves_every_box(norm_name):
+    # map stops at the shorter argument: the box test must compare lengths
+    T = short_row_map(NormedSpaceSpec(norm_name, "dense", 2))
+    traj = run(T, Vector.dense([1.5, 0.5]), Vector.dense([-1.5, 0.5]), StopRule(max_iters=10))
+    assert (traj.stop_reason, traj.error_index, traj.n_points) == ("domain_error", 1, 1)
+    rep = check_cyclic_invariance(T, 20, seed=3)
+    assert (rep.status, rep.checked, len(rep.violations)) == ("failed", 40, 40)
+    inside = member_test(T.A, T.space, TOL_NUM)
+    assert inside([1.5, 0.5]) and not inside([1.5]) and not inside([1.5, 0.5, 0.0])
+
+
+def test_a_row_of_the_wrong_length_is_in_no_hull():
+    # numpy would broadcast a short row against every vertex
+    R3 = NormedSpaceSpec("l2", "dense", 3)
+    simplex = Hull((Vector.zero(), *(basis(i) * 2.0 for i in range(3))))
+    inside = member_test(simplex, R3, TOL_NUM)
+    assert inside([0.5, 0.5, 0.5])
+    assert not inside([0.5]) and not inside([0.5, 0.5]) and not inside([0.5, 0.5, 0.5, 0.0])
+    # a hull off part of the space pads the row's Vector, which dropped the missing coordinate
+    edge = member_test(Hull((basis(0), basis(1))), R3, TOL_NUM)
+    assert edge([0.5, 0.5, 0.0]) and not edge([0.5, 0.5])
+
+
+@pytest.mark.parametrize("space", [NormedSpaceSpec("l1", "dense", 2),
+                                   NormedSpaceSpec("linf", "dense", 2),
+                                   NormedSpaceSpec("lp", "dense", 2, p=3.0),
+                                   NormedSpaceSpec("l2", "dense", 2)], ids=lambda s: s.norm)
+def test_a_dense_gap_refuses_rows_of_unequal_length(space):
+    _, gap = row_kernel(space)
+    assert gap([1.0, 2.0], [1.0, 0.0]) == norm(space, Vector.dense([0.0, 2.0]))
+    for a, b in (([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]), ([], [1.0])):
+        with pytest.raises(ValueError, match="same number of dimensions"):
+            gap(a, b)
 
 
 @pytest.mark.parametrize("mode,off", [("sequence", 7), ("dense", 0)])
