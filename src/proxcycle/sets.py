@@ -11,13 +11,18 @@ and two sides of one kind and width advance as one batch over a side axis:
 each step moves, projects and measures both at once.  lp is refused; a map
 declares the distance of sets dist cannot solve (CyclicMapSpec.declared_dist).
 
-Hull membership is the same NNLS solve, on vertices packed once per hull.
-A step is one least-squares solve with each sum-to-one constraint eliminated
-at a reference column, and the residual is measured directly, not through a
-Gram matrix.  Containment in a hull is norm independent, so it is always
-decided in l2 coordinates, on half of V - x so that it cannot overflow;
-a point with a nan or infinite coordinate is in no hull.  Only the solvers
-import numpy.
+Hull membership is the same NNLS solve, on vertices packed once per hull,
+after the vertex centroid: the centroid's gap to x is tried first with the
+solve's two certificates (within tol, or a separating hyperplane), which
+turns most outside points away before any solve and costs a member one
+matrix-vector product; a correct map's run, cyclic invariance and certify
+ask only about members, so they pay it.  A step is one least-squares solve with each
+sum-to-one constraint eliminated at a reference column, and the residual is
+measured directly, not through a Gram matrix; its length is taken by
+math.hypot, so a gap far below the vertices' scale does not underflow to 0.
+Containment in a hull is norm independent, so it is always decided in l2
+coordinates, on half of V - x so that it cannot overflow; a point with a
+nan or infinite coordinate is in no hull.  Only the solvers import numpy.
 
 Every set kind is drawn (sample_rows) and tested (member_test) on
 space.row_kernel rows, and space converts rows and Vectors: contains is
@@ -32,6 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import le
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -203,17 +209,21 @@ def _in_hull(half: np.ndarray, x: list[float], tol: float) -> bool:
 
     D = half - x / 2 cannot overflow, and above 2^-1021 it is (V - x) / 2
     exactly, so D scaled by a power of two is V - x scaled.  Measures the gap
-    r = D^T w of each weight iterate w directly.  Accepts once |r| <= tol;
-    rejects once every row d of D has d.r > tol |r|, a hyperplane separating
-    x from the hull by more than tol.
+    r = D^T w of the centroid's weights, then of each _nnls iterate w,
+    directly, and its length by math.hypot, which does not underflow.
+    Accepts once |r| <= tol; rejects once every row d of D has d.r > tol |r|,
+    a hyperplane separating x from the hull by more than tol.  Either holds
+    for any weights; the centroid's separates most outside points without a
+    solve, at one matrix-vector product's cost to a member.
     """
     if not all(map(math.isfinite, x)):
         return False
     import numpy as np
     D, e = _scaled(half - [0.5 * c for c in x])
     tol = math.ldexp(tol, -e - 1)
-    for _, r in _nnls(D.T, np.zeros(len(D), dtype=np.intp)):
-        gap = math.sqrt(r @ r)
+    centroid = D.sum(axis=0) / len(D)
+    for _, r in chain([(None, centroid)], _nnls(D.T, np.zeros(len(D), dtype=np.intp))):
+        gap = math.hypot(*r.tolist())
         if gap <= tol:
             return True
         if (D @ r).min() > tol * gap:

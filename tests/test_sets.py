@@ -75,6 +75,20 @@ def test_hull_membership():
     assert not contains(tri, R2, Vector.dense([-0.1, 0.0]))
 
 
+def test_the_vertex_centroid_separates_without_a_solve(monkeypatch):
+    # the first _nnls iterate, vertex (0, 0), separates nothing here, so the
+    # solve alone takes a least-squares step before it rejects
+    tri = Hull((Vector.dense([0.0, 0.0]), Vector.dense([4.0, 0.0]),
+                Vector.dense([0.0, 4.0])))
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    assert not contains(tri, R2, Vector.dense([-1.0, 2.0]))
+    assert calls == []
+    assert contains(tri, R2, Vector.dense([1.0, 2.0]))
+    assert calls
+
+
 def test_sampled_points_are_members():
     tri = Hull((Vector.dense([0.0, 0.0]), Vector.dense([1.0, 0.0]),
                 Vector.dense([0.0, 1.0])))
@@ -97,7 +111,8 @@ def assert_feasible_descent(C, group):
 
 def assert_membership_verdicts(V, rng):
     """Members, one with a weight of 1e-3, are accepted; points pushed 10 tol
-    and 0.1 past a supporting hyperplane are not; _nnls stays feasible."""
+    and 0.1 past a supporting hyperplane are not, each as the solve alone
+    decides it; _nnls stays feasible."""
     k, d = V.shape
     hull = Hull(tuple(Vector.dense(v) for v in V))
     sp = NormedSpaceSpec("l2", "dense", d)
@@ -114,6 +129,7 @@ def assert_membership_verdicts(V, rng):
             outside.append(base + (float(np.max(V @ z)) - float(base @ z) + push) * z)
     for x, want in [(x, True) for x in members] + [(x, False) for x in outside]:
         assert contains(hull, sp, Vector.dense(x)) is want, (x, want)
+        assert in_hull_reference(V, x.tolist(), TOL_NUM) is want, (x, want)
         assert_feasible_descent((V - x).T, np.zeros(k, dtype=np.intp))
 
 
@@ -645,8 +661,19 @@ def test_hull_membership_at_the_top_of_the_float_range(capfd):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("s, x", [(2.0 ** 1000, (0.0, 1.0)), (1e308, (0.0, 1.0)),
+                                  (1e308, (-1e308, -1.0))])
+def test_a_gap_far_below_the_hull_scale_does_not_underflow(s, x):
+    # the scaled gap is about 1 / s; its square underflowed to 0, which
+    # accepted a point at distance 1 from the segment
+    segment = Hull((Vector.dense([-s, 0.0]), Vector.dense([s, 0.0])))
+    assert not contains(segment, R2, Vector.dense(list(x)))
+
+
 def in_hull_reference(V, x, tol):
-    """sets._in_hull as it was before it halved V and x ahead of V - x."""
+    """sets._in_hull as it was before it halved V and x ahead of V - x, tried
+    the vertex centroid ahead of the _nnls iterates and took the gap by
+    math.hypot."""
     if not all(map(math.isfinite, x)):
         return False
     D, e = sets._scaled(V - np.array(x))
