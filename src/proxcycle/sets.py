@@ -16,20 +16,23 @@ after the vertex centroid: the centroid's gap to x is tried first with the
 solve's two certificates (within tol, or a separating hyperplane), which
 turns most outside points away before any solve and costs a member one
 matrix-vector product; a correct map's run, cyclic invariance and certify
-ask only about members, so they pay it.  A step is one least-squares solve with each
-sum-to-one constraint eliminated at a reference column, and the residual is
-measured directly, not through a Gram matrix; its length is taken by
-math.hypot, so a gap far below the vertices' scale does not underflow to 0.
-Containment in a hull is norm independent, so it is always decided in l2
-coordinates, on half of V - x so that it cannot overflow; a point with a
-nan or infinite coordinate is in no hull.  Only the solvers import numpy.
+ask only about members, so they pay it.  A step is one least-squares solve
+with each sum-to-one constraint eliminated at a reference column, and the
+residual is measured directly, not through a Gram matrix; its length is
+taken by math.hypot, so a gap far below the vertices' scale does not
+underflow to 0.  Containment in a hull is norm independent, so it is always
+decided in l2 coordinates, on half of V - x so that it cannot overflow; a
+point with a nan or infinite coordinate is in no hull.  Only the solvers
+and hull draws import numpy.
 
 Every set kind is drawn (sample_rows) and tested (member_test) on
 space.row_kernel rows, and space converts rows and Vectors: contains is
-member_test on a Vector's row, sample is sample_rows' draw as Vectors.  In
-a dense space a row whose length is not the dimension is in no box and no
-hull.  Hull and paired-block draws take their weights from the one
-_simplex_weights.  Only this module tells the set kinds apart.
+member_test on a Vector's row, sample is sample_rows' draw as Vectors.  A
+hull is drawn from its packed rows, added vertex by vertex so that each
+coordinate sums left to right.  In a dense space a row whose length is not
+the dimension is in no box and no hull.  Hull and paired-block draws take
+their weights from the one _simplex_weights.  Only this module tells the
+set kinds apart; it does no Vector arithmetic.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from itertools import chain
 from operator import le
 from typing import TYPE_CHECKING, Any, Callable
 
-from .space import (TOL_NUM, NormedSpaceSpec, ProductPoint, Vector, l1_sum, norm, pack,
+from .space import (TOL_NUM, NormedSpaceSpec, ProductPoint, Vector, l1_sum, pack,
                     row_kernel, row_vector, unpack)
 
 if TYPE_CHECKING:
@@ -279,16 +282,22 @@ def _simplex_weights(rng: random.Random, k: int) -> list[float]:
 
 def sample_rows(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> list:
     """The space.row_kernel rows of n elements of S, deterministic per seed;
-    a draw of k < n is its prefix.  A box is drawn as rows, a hull as
-    weighted sums of its vertices and a declared set by its sampler."""
+    a draw of k < n is its prefix.  A hull's draws add its packed, weighted
+    vertex rows vertex by vertex, so each coordinate sums left to right from
+    0.0, bit for bit the sum of the scaled vertex Vectors."""
     rng = random.Random(f"sample:{seed}")
     if isinstance(S, Box):
         check_set(S, space)
         spans = [(lo, hi - lo) for lo, hi in zip(S.lower, S.upper)]
         return [[lo + rng.random() * w for lo, w in spans] for _ in range(n)]
     if isinstance(S, Hull):
-        draws = (sum(map(Vector.scale, S.vertices, _simplex_weights(rng, len(S.vertices))),
-                     Vector.zero()) for _ in range(n))
+        import numpy as np
+        V, index = S.packed
+        W = np.array([_simplex_weights(rng, len(V)) for _ in range(n)])
+        X = np.zeros((n, len(index)))
+        for w, v in zip(W.T, V):  # not @ or np.add.reduce, which reorder the sum
+            X += w[:, None] * v
+        draws = (unpack(x, index) for x in X.tolist())
     else:
         draws = (S.sampler(rng) for _ in range(n))
     return list(map(row_kernel(space)[0], draws))
@@ -340,14 +349,15 @@ def _cone(kind: str, data) -> tuple[np.ndarray, np.ndarray]:
 def _nnls_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec):
     """l2 distance as one NNLS over both sets' weights, minimising
     |C_A z_A - C_B z_B|.  The witnesses are feasible and the value is
-    their distance in space's norm."""
+    their distance in space's norm, row_kernel's gap on their rows."""
     import numpy as np
     index, pa, pb = _prepare_pair(A, B, space)
     (Ca, ga), (Cb, gb) = _cone(*pa), _cone(*pb)
     C, _ = _scaled(np.hstack([Ca, -Cb]))
     *_, (z, _) = _nnls(C, np.concatenate([ga, gb + ga.max() + 1]))
     a, b = (unpack(w.tolist(), index) for w in (Ca @ z[:len(ga)], Cb @ z[len(ga):]))
-    return norm(space, a - b), ProductPoint(a, b)
+    row, gap = row_kernel(space)
+    return gap(row(a), row(b)), ProductPoint(a, b)
 
 
 def _subgrad_distance(A: ConvexSet, B: ConvexSet, space: NormedSpaceSpec, seed: int,

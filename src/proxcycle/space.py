@@ -71,10 +71,6 @@ class Vector:
         # (falsy) values; nan is truthy, as nan != 0.0
         return Vector(tuple(filter(itemgetter(1), enumerate(map(float, values)))))
 
-    @staticmethod
-    def zero() -> "Vector":
-        return Vector(())
-
     def value_at(self, i: int) -> float:
         for j, v in self.coords:
             if j == i:
@@ -114,14 +110,6 @@ class Vector:
 
     def scale(self, c: float) -> "Vector":
         return Vector(_clean((i, c * v) for i, v in self.coords))
-
-    def __mul__(self, c: float) -> "Vector":
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vector":
-        return self.scale(-1.0)
 
 
 def basis(i: int) -> Vector:

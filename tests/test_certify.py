@@ -301,7 +301,7 @@ def reference_second_iterate(T, cand, tol=CERT_TOL):
 
 KINDS = ("row", "vector", "sequence")
 NORMS = (("l1", None), ("l2", None), ("linf", None), ("lp", 3.0))
-EVERYWHERE = DeclaredSet("everywhere", lambda v, tol: True, lambda rng: Vector.zero())
+EVERYWHERE = DeclaredSet("everywhere", lambda v, tol: True, lambda rng: Vector())
 
 
 def affine_case(kind, norm_p, a, b, rows, c_scale):

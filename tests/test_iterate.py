@@ -345,7 +345,7 @@ def test_interleaved_matches_the_pairwise_reference_past_squares_overflow(norm):
 def test_interleaved_matches_the_pairwise_reference_on_zero_vectors(norm):
     # in sequence mode the zero vector has no coordinates at all
     space = NormedSpaceSpec(norm, "sequence", None, 3.0 if norm == "lp" else None)
-    zero = ProductPoint(Vector.zero(), Vector.zero())
+    zero = ProductPoint(Vector(), Vector())
     points = (zero,) * 7
     traj = Trajectory.from_points(space, points, *series(space, points), STOP_BUDGET, StopRule(),
                                   None)
@@ -375,12 +375,12 @@ def sphere_trajectory(space, seed, n_points):
     tail settles, so the bound of every column exceeds the thresholds."""
     rng = random.Random(seed)
     indices = range(space.dimension) if space.mode == "dense" else range(7)
-    zero = ProductPoint(Vector.zero(), Vector.zero())
+    zero = ProductPoint(Vector(), Vector())
 
     def on_sphere():
         v = Vector.from_map({i: rng.gauss(0.0, 1.0) for i in indices
                              if space.mode == "dense" or rng.random() < 0.6})
-        return v * (0.4 / norm(space, v)) if v.coords else on_sphere()
+        return v.scale(0.4 / norm(space, v)) if v.coords else on_sphere()
 
     points = tuple(ProductPoint(on_sphere(), on_sphere()) if n % 2 == 0 else zero
                    for n in range(n_points))
@@ -416,7 +416,7 @@ def growing_map(space):
     """Sends x to about -1.25 x, so the run grows until it leaves the ball
     of radius 100 that A and B are."""
     ball = DeclaredSet("ball", lambda v, tol: norm(space, v) <= 100.0 + tol,
-                       lambda rng: Vector.zero())
+                       lambda rng: Vector())
 
     def ev(x, y, side):
         xs, ys = dict(x.coords), dict(y.coords)
@@ -465,7 +465,7 @@ def five_point_trajectory(space, even1, odd0, last):
     y_3 = y_4 = last: column 0 holds the distances of points 2 and 4 to
     point 1, and column 1 only that of point 4 to point 3."""
     ys = (odd0, odd0, even1, last, last)
-    points = tuple(ProductPoint(Vector.zero(), Vector.from_map(dict(enumerate(y)))) for y in ys)
+    points = tuple(ProductPoint(Vector(), Vector.from_map(dict(enumerate(y)))) for y in ys)
     return Trajectory.from_points(space, points, *series(space, points), STOP_CONVERGED_T,
                                   StopRule(), 0.0)
 
@@ -614,7 +614,7 @@ def wobble_map(space, offset):
         B = Box((-offset - 1.0,) * d, (-offset + 1.0,) * d)
     else:
         indices = SEQ_INDICES
-        A = B = DeclaredSet("anything", lambda v, tol: True, lambda rng: Vector.zero())
+        A = B = DeclaredSet("anything", lambda v, tol: True, lambda rng: Vector())
 
     def ev(x, y, side):
         # the image lies in B on side AB and in A on side BA
@@ -728,7 +728,7 @@ def test_points_is_a_lazy_read_only_view(monkeypatch):
 
 def test_from_points_round_trips_sequence_supports():
     space = NormedSpaceSpec("l1", "sequence", None)
-    points = (ProductPoint(Vector.from_map({4: 1.5}), Vector.zero()),
+    points = (ProductPoint(Vector.from_map({4: 1.5}), Vector()),
               ProductPoint(Vector.from_map({1: -2.0, 4: 0.25}), Vector.from_map({9: 3.0})))
     traj = Trajectory.from_points(space, points, *series(space, points), STOP_BUDGET, StopRule(),
                                   None)

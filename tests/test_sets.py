@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proxcycle import (
     CyclicMapSpec,
@@ -189,10 +189,10 @@ def test_hull_vertices_are_packed_once(monkeypatch):
     assert packs == []
 
     A = Hull((Vector.dense([1.0, 0.5]), Vector.dense([2.0, 1.0]), Vector.dense([1.5, 2.0])))
-    B = Hull(tuple(-v for v in A.vertices))
-    T = CyclicMapSpec("negate", R2, A, B, lambda x, y, side: -x)
+    B = Hull(tuple(v.scale(-1.0) for v in A.vertices))
+    T = CyclicMapSpec("negate", R2, A, B, lambda x, y, side: x.scale(-1.0))
     x0 = sample(A, R2, 1, seed=2)[0]
-    traj = run(T, x0, -x0, StopRule(50, None, None))
+    traj = run(T, x0, x0.scale(-1.0), StopRule(50, None, None))
     assert traj.n_points == 51
     packed = len(packs)
     assert dist(A, B, R2) == dist(A, B, R2)
@@ -205,7 +205,7 @@ def test_hull_vertices_are_packed_once(monkeypatch):
                          ids=["dense", "sequence"])
 def test_prepare_pair_places_each_hull_over_the_union_index(sp):
     A = Hull((Vector.from_map({1: 1.0, 3: -2.0}), Vector.from_map({0: 0.5})))
-    B = Hull((Vector.from_map({2: 4.0}), Vector.from_map({1: -1.0, 2: 3.0}), Vector.zero()))
+    B = Hull((Vector.from_map({2: 4.0}), Vector.from_map({1: -1.0, 2: 3.0}), Vector()))
     index, (_, da), (_, db) = _prepare_pair(A, B, sp)
     arr, want = pack([*A.vertices, *B.vertices], sp)
     assert index == want
@@ -263,7 +263,7 @@ def reference_sample(S, space, n, seed):
                for _ in range(n)]
     elif isinstance(S, Hull):
         out = [sum(map(Vector.scale, S.vertices, _simplex_weights(rng, len(S.vertices))),
-                   Vector.zero()) for _ in range(n)]
+                   Vector()) for _ in range(n)]
     else:
         out = [S.sampler(rng) for _ in range(n)]
     for v in out:
@@ -274,7 +274,8 @@ def reference_sample(S, space, n, seed):
 @st.composite
 def sets_in_spaces(draw):
     """A box in a dense space, or a hull or paired-block set in a dense or
-    sequence space."""
+    sequence space.  A hull has up to 30 vertices over part of the space,
+    their coordinates scaled by 2^e for one e in [-1000, 1000]."""
     kind, mode = draw(st.sampled_from([("box", "dense"), ("hull", "dense"), ("hull", "sequence"),
                                        ("blocks", "dense"), ("blocks", "sequence")]))
     norm_name = draw(st.sampled_from(["l1", "l2", "linf"]))
@@ -290,15 +291,27 @@ def sets_in_spaces(draw):
         widths = draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d))
         return Box(tuple(lower), tuple(map(float.__add__, lower, widths))), space
     index = st.integers(0, d - 1 if mode == "dense" else 12)
-    vertices = st.dictionaries(index, coordinate, max_size=d).map(Vector.from_map)
-    return Hull(tuple(draw(st.lists(vertices, min_size=1, max_size=5)))), space
+    e = draw(st.integers(-1000, 1000))
+    scaled = coordinate.map(lambda c: math.ldexp(c, e))
+    vertices = st.dictionaries(index, scaled, max_size=d).map(Vector.from_map)
+    return Hull(tuple(draw(st.lists(vertices, min_size=1, max_size=30)))), space
 
 
-@settings(max_examples=150, deadline=None)
+def one_coordinate_hull(k):
+    """k vertices on one coordinate, where np.add.reduce sums pairwise."""
+    rng = random.Random(k)
+    return Hull(tuple(Vector.dense([rng.uniform(-4.0, 4.0)]) for _ in range(k)))
+
+
+@settings(max_examples=300, deadline=None)
 @given(case=sets_in_spaces(), n=st.integers(0, 12), seed=st.integers(0, 2 ** 32))
+@example(case=(one_coordinate_hull(30), R1), n=40, seed=30)
+@example(case=(one_coordinate_hull(30), L1_SEQ), n=40, seed=30)
 def test_sample_and_the_probe_draw_as_before(case, n, seed):
     # one row draw serves every set kind: sample's Vectors and the probe's
-    # rows are the draws each made before, a box's rows included
+    # rows are the draws each made before, a box's rows included; a hull's
+    # draw adds its vertex rows one at a time, as the Vector sum does, and a
+    # reordered sum (np.add.reduce, @) differs from about 10 vertices on
     S, space = case
     want = reference_sample(S, space, n, seed)
     assert sample(S, space, n, seed=seed) == want
@@ -888,7 +901,7 @@ def test_a_row_of_the_wrong_length_leaves_every_box(norm_name):
 def test_a_row_of_the_wrong_length_is_in_no_hull():
     # numpy would broadcast a short row against every vertex
     R3 = NormedSpaceSpec("l2", "dense", 3)
-    simplex = Hull((Vector.zero(), *(basis(i) * 2.0 for i in range(3))))
+    simplex = Hull((Vector(), *(basis(i).scale(2.0) for i in range(3))))
     inside = member_test(simplex, R3, TOL_NUM)
     assert inside([0.5, 0.5, 0.5])
     assert not inside([0.5]) and not inside([0.5, 0.5]) and not inside([0.5, 0.5, 0.5, 0.0])

@@ -2,10 +2,11 @@
 package imports a name it never uses (__init__.py is left out, since its
 imports are the package's exports), every top-level function, class or
 assigned name is exported or named somewhere besides its definition, every
-exported function is read by package code or listed with its reason, the
-config loader converts a number to float only in its one number reader,
-only the modules where linear algebra runs import numpy, only space
-writes a product distance, and only sets tells the set kinds apart."""
+exported function is read by package code or listed with its reason, so is
+each method and operator of Vector, the config loader converts a number to
+float only in its one number reader, only the modules where linear algebra
+runs import numpy, only space writes a product distance, and only sets
+tells the set kinds apart."""
 import ast
 import re
 from pathlib import Path
@@ -134,6 +135,43 @@ UNREACHED = {
 def test_every_exported_function_is_reached_or_listed():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreached_exports(sources) == sorted(UNREACHED)
+
+
+def class_surface(source: str, cls: str) -> list[str]:
+    """The methods and operators that class cls of source defines or assigns,
+    but single-underscore names: its public surface, dunders included."""
+    body = next(n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == cls)
+    names = [n.name for n in body.body if isinstance(n, ast.FunctionDef)]
+    names += [t.id for n in body.body if isinstance(n, ast.Assign) for t in n.targets
+              if isinstance(t, ast.Name)]
+    return sorted(n for n in names if n.startswith("__") or not n.startswith("_"))
+
+
+def test_the_check_finds_each_method_and_operator():
+    source = ("class V:\n    x: int = 0\n\n    @staticmethod\n    def make():\n        pass\n\n"
+              "    def _helper(self):\n        pass\n\n    def __mul__(self, c):\n        pass\n\n"
+              "    __rmul__ = __mul__\n\nclass W:\n    def other(self):\n        pass\n")
+    assert class_surface(source, "V") == ["__mul__", "__rmul__", "make"]
+
+
+# each method and operator of space.Vector, with the reason it stays: one
+# spelling per operation, so Vector() is the zero vector and scale the only
+# multiple (no zero, *, or unary -)
+VECTOR_SURFACE = {
+    "from_map": "config's vectors and basis; perfbench's tracer wraps it until ROADMAP item 2",
+    "dense": "a dense row's Vector (row_vector); perfbench's tracer wraps it until ROADMAP item 2",
+    "__add__": "l1_kannan's image; perfbench's tracer wraps it until ROADMAP item 2",
+    "__sub__": "perfbench's tracer wraps it until ROADMAP item 2",
+    "scale": "perfbench's tracer wraps it until ROADMAP item 2",
+    "value_at": "one coordinate of a Vector evaluator's argument, as the tests' maps read it",
+    "dense_values": "a dense row (row_kernel)",
+    "support": "the index pack_flat packs over",
+    "max_index": "validate's and dense_values' dimension check",
+}
+
+
+def test_vector_keeps_one_spelling_per_operation():
+    assert class_surface((SRC / "space.py").read_text(), "Vector") == sorted(VECTOR_SURFACE)
 
 
 def float_calls_outside(source: str, reader: str) -> list[int]:

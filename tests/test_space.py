@@ -42,9 +42,8 @@ def test_vector_arithmetic_cancels():
     v = basis(1) + basis(2)
     w = basis(2) + basis(3)
     assert (v - w).coords == ((1, 1.0), (3, -1.0))
-    assert (v - v) == Vector.zero()
+    assert (v - v) == Vector()
     assert (v.scale(2.0)).value_at(1) == 2.0
-    assert (-v).value_at(2) == -1.0
 
 
 def test_vector_rejects_negative_index():
@@ -65,7 +64,7 @@ def test_frozen_norm_values():
     # classic 3-4-5 triangle
     assert norm(L2, Vector.dense([3.0, 4.0])) == 5.0
     assert norm(LINF, Vector.dense([3.0, -4.0])) == 4.0
-    assert norm(L1, Vector.zero()) == 0.0
+    assert norm(L1, Vector()) == 0.0
     p3 = NormedSpaceSpec("lp", "sequence", None, p=3.0)
     assert norm(p3, Vector.dense([1.0, 1.0])) == pytest.approx(2.0 ** (1.0 / 3.0))
 
@@ -116,7 +115,7 @@ def test_absolute_homogeneity(v, a):
 @given(sparse)
 def test_norm_separates_points(v):
     for sp in (L1, L2, LINF):
-        assert (norm(sp, v) == 0.0) == (v == Vector.zero())
+        assert (norm(sp, v) == 0.0) == (v == Vector())
 
 
 @settings(max_examples=150)
@@ -130,7 +129,7 @@ def test_norm_order_l_inf_below_l2_below_l1(v, w):
 # ---------------------------------------------------------- product space
 
 def test_pair_distance_from_the_origin_is_the_larger_component_norm():
-    origin = ProductPoint(Vector.zero(), Vector.zero())
+    origin = ProductPoint(Vector(), Vector())
     p = ProductPoint(Vector.dense([3.0, 4.0]), Vector.dense([1.0, 1.0]))
     assert pair_distance(L2_2, p, origin) == 5.0
     q = ProductPoint(Vector.dense([0.0, 0.0]), Vector.dense([0.0, 7.0]))
@@ -188,7 +187,7 @@ def kernel_vectors(rng, d, offset, n=40):
     """Vectors with d coordinates (over indices 0 .. 15 when d is None):
     offset plus noise at mixed scales, with zero rows, 1e308 entries whose
     differences overflow, subnormals and NaN mixed in."""
-    out = [Vector.zero()]
+    out = [Vector()]
     for _ in range(n):
         idx = range(d) if d is not None else sorted(rng.sample(range(16), rng.randint(1, 6)))
         vals = [offset + rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 3) for _ in idx]
@@ -249,7 +248,7 @@ def test_dense_row_refuses_an_index_past_the_dimension():
 
 # ------------------------------------------------------------ formats
 
-PACKED = [Vector.dense([1.5, 0.0, -2.0]), Vector.zero(), basis(3).scale(0.25),
+PACKED = [Vector.dense([1.5, 0.0, -2.0]), Vector(), basis(3).scale(0.25),
           Vector.dense([0.1, 0.2, 0.3, -0.4])]
 
 
