@@ -274,7 +274,13 @@ def member_test(S: ConvexSet, space: NormedSpaceSpec, tol: float) -> Callable[[A
 # sampling
 
 def _simplex_weights(rng: random.Random, k: int) -> list[float]:
-    """k weights uniform on the simplex: the spacings of k - 1 sorted rng.random() cuts."""
+    """k weights uniform on the simplex: the spacings of k - 1 sorted rng.random()
+    cuts.  One weight draws no cut and two draw one, with no sort."""
+    if k == 1:
+        return [1.0]
+    if k == 2:
+        r = rng.random()
+        return [r, 1.0 - r]
     at = sorted([rng.random() for _ in range(k - 1)])
     at.append(1.0)
     return [at[0], *map(float.__sub__, at[1:], at)]
@@ -284,10 +290,13 @@ def sample_rows(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> 
     """The space.row_kernel rows of n elements of S, deterministic per seed;
     a draw of k < n is its prefix.  A hull's draws add its packed, weighted
     vertex rows vertex by vertex, so each coordinate sums left to right from
-    0.0, bit for bit the sum of the scaled vertex Vectors."""
+    0.0, bit for bit the sum of the scaled vertex Vectors.  In a dense space
+    those sums are put at the packed index of a zero row: a sum starts at
+    +0.0 and only adds products, so it is never -0.0, and its zeros are the
+    0.0 that a dense row has where the Vector sum has no coordinate."""
+    check_set(S, space)
     rng = random.Random(f"sample:{seed}")
     if isinstance(S, Box):
-        check_set(S, space)
         spans = [(lo, hi - lo) for lo, hi in zip(S.lower, S.upper)]
         return [[lo + rng.random() * w for lo, w in spans] for _ in range(n)]
     if isinstance(S, Hull):
@@ -297,6 +306,10 @@ def sample_rows(S: ConvexSet, space: NormedSpaceSpec, n: int, seed: int = 0) -> 
         X = np.zeros((n, len(index)))
         for w, v in zip(W.T, V):  # not @ or np.add.reduce, which reorder the sum
             X += w[:, None] * v
+        if space.mode == "dense":
+            rows = np.zeros((n, space.dimension))
+            rows[:, index] = X
+            return rows.tolist()
         draws = (unpack(x, index) for x in X.tolist())
     else:
         draws = (S.sampler(rng) for _ in range(n))
@@ -481,6 +494,7 @@ def _paired_block_sampler(offset: int) -> Callable[[random.Random], Vector]:
     taking n.bit_length() bits until they are below n."""
     swaps = [(n, n.bit_length()) for n in range(MAX_BLOCK, 0, -1)]
     blocks_in_order = list(range(1, MAX_BLOCK + 1))
+    pair_at = [(2 * n - 2 + offset, 2 * n - 1 + offset) for n in range(MAX_BLOCK + 1)]
 
     def sampler(rng: random.Random) -> Vector:
         bits = rng.getrandbits
@@ -497,7 +511,8 @@ def _paired_block_sampler(offset: int) -> Callable[[random.Random], Vector]:
         coords = []  # the blocks are distinct, so in block order the indices ascend
         for n, w in sorted(zip(blocks, _simplex_weights(rng, cuts + 1))):
             if w != 0.0:
-                coords += ((2 * n - 2 + offset, w), (2 * n - 1 + offset, w))
+                i, j = pair_at[n]
+                coords += ((i, w), (j, w))
         return Vector(tuple(coords))
 
     return sampler

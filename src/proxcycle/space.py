@@ -198,7 +198,9 @@ def _norm_values(space: NormedSpaceSpec, vals: list[float]) -> float:
 def row_kernel(space: NormedSpaceSpec) -> tuple[Callable[[Vector], Any], Callable[..., float]]:
     """(row, gap) with gap(row(u), row(v)) == norm(space, u - v), without u - v.  A
     dense row is v.dense_values(dimension), and math.dist reduces it as hypot
-    does, zero terms adding nothing; a sequence row is v itself."""
+    does, zero terms adding nothing; a sequence row is v itself.  The l1
+    sequence gap adds each |term| as it merges the two coordinate tuples, from
+    0.0 and left to right: l1_sum's sum, as a cancelled coordinate adds +0.0."""
     if space.mode == "dense":
         row = methodcaller("dense_values", space.dimension)
         if space.norm == "l2":
@@ -210,6 +212,33 @@ def row_kernel(space: NormedSpaceSpec) -> tuple[Callable[[Vector], Any], Callabl
             return _norm_values(space, [z for z in map(sub, a, b) if z != 0.0])
 
         return row, dense_gap
+
+    def l1_gap(a: Vector, b: Vector) -> float:
+        ac, bc = a.coords, b.coords
+        na, nb = len(ac), len(bc)
+        i = j = 0
+        total = 0.0
+        while i < na and j < nb:
+            ia, va = ac[i]
+            ib, vb = bc[j]
+            if ia < ib:
+                total += abs(va)
+                i += 1
+            elif ib < ia:
+                total += abs(vb)
+                j += 1
+            else:
+                total += abs(va - vb)
+                i += 1
+                j += 1
+        for _, v in ac[i:]:
+            total += abs(v)
+        for _, v in bc[j:]:
+            total += abs(v)
+        return total
+
+    if space.norm == "l1":
+        return lambda v: v, l1_gap
 
     def gap(a: Vector, b: Vector) -> float:
         # one merge of the two sorted coordinate tuples, in index order; a

@@ -218,6 +218,9 @@ def test_hull_vertex_outside_the_space_is_refused():
         contains(hull, R2, Vector.dense([0.5, 0.0]))
     with pytest.raises(DimensionMismatch):
         dist(hull, Box((3.0, 0.0), (4.0, 1.0)), R2)
+    for n in (0, 2):  # as contains does, before any draw
+        with pytest.raises(DimensionMismatch):
+            sample_rows(hull, R2, n, seed=1)
 
 
 def test_sampling_is_deterministic():
@@ -254,6 +257,23 @@ def test_sample_refuses_a_box_where_contains_does():
             contains(box, space, Vector.dense([1.5]))
 
 
+def stdlib_simplex_weights(rng, k):
+    """k weights uniform on the simplex, from the stdlib alone: the spacings of
+    0.0, k - 1 sorted rng.random() cuts and 1.0."""
+    edges = [0.0, *sorted(rng.random() for _ in range(k - 1)), 1.0]
+    return [b - a for a, b in zip(edges, edges[1:])]
+
+
+def test_simplex_weights_are_the_sorted_cut_spacings():
+    # one and two weights skip the sort: they must still give the spacings'
+    # values and consume the stream as k - 1 rng.random() calls do
+    for k in range(1, 31):
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert _simplex_weights(rng, k) == stdlib_simplex_weights(ref, k), (k, seed)
+            assert rng.getstate() == ref.getstate(), (k, seed)
+
+
 def reference_sample(S, space, n, seed):
     """sample's draw as it was made before sample_rows: a box's coordinate
     rows as Vectors, a hull's weighted vertex sums, a declared set's sampler."""
@@ -262,7 +282,7 @@ def reference_sample(S, space, n, seed):
         out = [Vector.dense([lo + rng.random() * (hi - lo) for lo, hi in zip(S.lower, S.upper)])
                for _ in range(n)]
     elif isinstance(S, Hull):
-        out = [sum(map(Vector.scale, S.vertices, _simplex_weights(rng, len(S.vertices))),
+        out = [sum(map(Vector.scale, S.vertices, stdlib_simplex_weights(rng, len(S.vertices))),
                    Vector()) for _ in range(n)]
     else:
         out = [S.sampler(rng) for _ in range(n)]
@@ -303,10 +323,18 @@ def one_coordinate_hull(k):
     return Hull(tuple(Vector.dense([rng.uniform(-4.0, 4.0)]) for _ in range(k)))
 
 
+# support = the whole dense space; weights below 1/2 round the +-2^-1074
+# terms to 0.0 and -0.0, and equal ones cancel
+FULL_SUPPORT_HULL = Hull((Vector.dense([5e-324, -5e-324, 1.0]),
+                          Vector.dense([-5e-324, 1.0, -2.5]),
+                          Vector.dense([5e-324, 5e-324, 0.5])))
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=sets_in_spaces(), n=st.integers(0, 12), seed=st.integers(0, 2 ** 32))
 @example(case=(one_coordinate_hull(30), R1), n=40, seed=30)
 @example(case=(one_coordinate_hull(30), L1_SEQ), n=40, seed=30)
+@example(case=(FULL_SUPPORT_HULL, NormedSpaceSpec("l1", "dense", 3)), n=40, seed=3)
 def test_sample_and_the_probe_draw_as_before(case, n, seed):
     # one row draw serves every set kind: sample's Vectors and the probe's
     # rows are the draws each made before, a box's rows included; a hull's
@@ -316,7 +344,8 @@ def test_sample_and_the_probe_draw_as_before(case, n, seed):
     want = reference_sample(S, space, n, seed)
     assert sample(S, space, n, seed=seed) == want
     row, _ = row_kernel(space)
-    assert sample_rows(S, space, n, seed) == [row(v) for v in want]
+    # repr tells a -0.0 from the 0.0 of a coordinate the Vector sum drops
+    assert repr(sample_rows(S, space, n, seed)) == repr([row(v) for v in want])
     probe = _Probe(replace(builtin("interval_contraction"), space=space, A=S, B=S))
     assert probe._stream(S, n, seed) == [row(v) for v in want]
 
@@ -799,7 +828,7 @@ def reference_paired_block_draw(rng, offset):
     """One paired-block draw through the stdlib calls it stands for."""
     k = rng.randint(1, 4)
     blocks = rng.sample(range(1, 7), k)
-    weights = _simplex_weights(rng, k)
+    weights = stdlib_simplex_weights(rng, k)
     coords = []
     for n, w in sorted(zip(blocks, weights)):
         if w != 0.0:

@@ -76,8 +76,27 @@ def test_frozen_norm_values():
 ], ids=["l1-dense", "l1-sequence", "lp"])
 def test_l1_and_lp_add_their_terms_left_to_right(space, values, want):
     # builtin sum compensates float sums since CPython 3.12, which gives 1.0
-    # and 1.001663896579312 here; the norm must not depend on the version
-    assert norm(space, Vector.dense(values)) == want
+    # and 1.001663896579312 here; the norm must not depend on the version,
+    # and row_kernel's gap is the norm's sum
+    v = Vector.dense(values)
+    assert norm(space, v) == want
+    row, gap = row_kernel(space)
+    assert gap(row(v), row(Vector())) == want
+    assert gap(row(Vector()), row(v)) == want
+
+
+def test_the_l1_sequence_gap_adds_its_terms_in_merge_order():
+    # ten terms of 0.1 from indices that interleave, one cancelled shared
+    # index between them and a tail of b's: the merge takes both branches,
+    # the shared one and either tail, and sums left to right as l1_sum does
+    u = Vector.from_map({0: 0.1, 2: -0.1, 4: 0.7, 5: 0.1, 7: 0.1})
+    v = Vector.from_map({1: 0.1, 3: -0.1, 4: 0.7, 6: 0.1, 8: 0.1, 9: -0.1, 10: 0.1})
+    _, gap = row_kernel(L1)
+    assert gap(u, v) == gap(v, u) == norm(L1, u - v) == 0.9999999999999999
+    # 1.0 first absorbs each 1e-16; two of them added before it give more
+    u = Vector.from_map({1: 1e-16, 3: 1e-16, 5: -1e-16})
+    v = Vector.from_map({0: 1.0, 2: 1e-16, 4: -1e-16})
+    assert gap(u, v) == gap(v, u) == norm(L1, u - v) == 1.0
 
 
 def test_dense_mode_rejects_out_of_range_support():
