@@ -35,6 +35,7 @@ from proxcycle import (
     check_kannan,
     check_kannan_strict_hypothesis,
     check_phi_contraction,
+    contains,
     diagnose_cauchy,
     diagnose_even_gaps,
     diagnose_monotone_t,
@@ -48,7 +49,7 @@ from proxcycle import (
 from proxcycle import maps
 from proxcycle.config import ConfigError, parse_phi
 from proxcycle.maps import RowEvaluator, native_form
-from proxcycle.report import Violation, merge_reports, render_pair
+from proxcycle.report import Violation, merge_reports, render_pair, render_vector
 from proxcycle.sets import Box, Hull
 from vector_reference import coupled_image, displacement
 
@@ -309,8 +310,44 @@ def reference_phi(T, phi, pairs, tol=TOL_NUM):
     return out
 
 
+def reference_cyclic_invariance(T, n, seed, tol=TOL_NUM):
+    """check_cyclic_invariance's checked count and (lhs, rhs, inputs, note)
+    violations, each image tested with contains."""
+    checked, out = 0, []
+    for side in (SIDE_AB, SIDE_BA):
+        for p in reference_side(T, side, n, seed):
+            image = T.evaluator(p.first, p.second, side)
+            checked += 1
+            if not contains(T.domain_sets(side)[1], T.space, image, tol):
+                out.append((1.0, 0.0, (render_pair(p), render_vector(image)),
+                            f"{SIDES[side]}-side image left the {SIDES[side][1]} set"))
+    return checked, out
+
+
+def reference_kannan_strict(T, n, seed, tol=TOL_NUM):
+    """check_kannan_strict_hypothesis's checked count and (lhs, rhs, inputs,
+    note) violations: n - n // 2 points on AB and n // 2 on BA, each counted
+    when its displacement exceeds the declared distance."""
+    checked, out = 0, []
+    for side, count in ((SIDE_AB, n - n // 2), (SIDE_BA, n // 2)):
+        for p in reference_side(T, side, count, seed):
+            d0 = displacement(T, p, side)
+            if d0 <= T.declared_dist + tol:
+                continue
+            d1 = displacement(T, coupled_image(T, p, side), 1 - side)
+            checked += 1
+            if not d1 < d0 - tol:
+                out.append((d1, d0, (render_pair(p),),
+                            "coupled image displacement failed to decrease strictly"))
+    return checked, out
+
+
 def violations_of(report):
     return [(v.lhs, v.rhs, v.inputs) for v in report.violations]
+
+
+def noted_violations_of(report):
+    return [(v.lhs, v.rhs, v.inputs, v.note) for v in report.violations]
 
 
 def every_violation(report):
@@ -334,6 +371,28 @@ def test_phi_contraction_matches_the_pairwise_definition(name):
     pairs = zip(reference_side(T, SIDE_AB, 120, seed),
                 reference_side(T, SIDE_BA, 120, seed + 104729))
     assert violations_of(rep) == reference_phi(T, HALF, pairs)
+
+
+REFERENCE_MAPS = {
+    **{name: builtin(name) for name in ("non_cyclic", "flip", "l1_kannan")},
+    "interval-dist-0": replace(INTERVAL, declared_dist=0.0),
+    "interval-hull-sets": replace(INTERVAL, A=Hull((Vector.dense([1.0]), Vector.dense([2.0]))),
+                                  B=Hull((Vector.dense([-2.0]), Vector.dense([-1.0])))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+def test_cyclic_invariance_matches_the_pointwise_definition(name):
+    T = REFERENCE_MAPS[name]
+    rep = check_cyclic_invariance(T, 90, seed=5)
+    assert (rep.checked, noted_violations_of(rep)) == reference_cyclic_invariance(T, 90, 5)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+def test_kannan_strict_matches_the_pointwise_definition(name):
+    T = REFERENCE_MAPS[name]
+    rep = check_kannan_strict_hypothesis(T, 151, seed=7)
+    assert (rep.checked, noted_violations_of(rep)) == reference_kannan_strict(T, 151, 7)
 
 
 def counting(T):
@@ -565,6 +624,7 @@ def nan_tail_trajectory():
 
 
 NAN_CHECKS = {
+    "cyclic_invariance": lambda: check_cyclic_invariance(NAN_BA, 20),
     "phi_contraction": lambda: check_phi_contraction(NAN_BA, HALF, 20),
     "kannan": lambda: check_kannan(NAN_BA, 20),
     "kannan_strict": lambda: check_kannan_strict_hypothesis(NAN_BA, 20),
