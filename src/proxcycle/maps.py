@@ -6,11 +6,15 @@ A coupled cyclic map, after Sintunavarat & Kumam (Fixed Point Theory Appl.
 p-cyclic maps generalise this to p sets; the table here has the two sides
 of p = 2.  A side is an index into SIDES, whose labels notes and messages
 print; CyclicMapSpec.domain_sets gives its sets, and coupled its step, the
-one place that names the side of (y, x).  The checkers sample point pairs
-and test the contraction-style inequalities that the iteration and
-certification layers rely on; each returns a CheckReport whose violations
-carry printable witnesses.  The phi bound holds for every cross-side pair
-(Eldred & Veeramani 2006), so check_phi_contraction samples such pairs.
+one place that names the side of (y, x).  Each checker tests on sampled
+points an inequality that the iteration and certification layers rely on,
+as one row of the driver _sampled: its draws, a (side, count, seed) for
+each point of a tuple, zipped, and a test of each tuple.  The driver draws
+through _Probe, refuses a negative count, counts each tuple tested once per
+bound, and makes each bound broken a Violation whose witness, the tuple's
+points and any image row, is rendered when first read.  The phi bound
+holds for every cross-side pair (Eldred & Veeramani 2006), so
+check_phi_contraction samples such pairs.
 T is evaluated one way, native_form: a RowEvaluator runs on coordinate
 rows, any other evaluator on Vectors, each image becoming a row once.  run
 takes it as it is; the checkers and certify take row_map, T on rows.
@@ -225,12 +229,6 @@ class _Probe:
             got += map(_Point, rxs[k:n], rys[k:n], repeat(side))
         return got[:n]
 
-    def witness(self, *points: _Point, image=None) -> Callable[[], tuple[str, ...]]:
-        """The inputs of a Violation at points, and then at the row image if
-        given, rendered when first read.  It holds the points and the row to
-        Vector function, not the probe and its sample streams."""
-        return partial(_render, self.vector, points, image)
-
     def image(self, p: _Point) -> _Point:
         if p.image is None:  # on the side after p's, as in run
             p.image = _Point(*coupled(self.f, p.rx, p.ry, p.side), (p.side + 1) % len(SIDES))
@@ -243,9 +241,8 @@ class _Probe:
         return p.disp
 
 
-def _render(vector: Callable[[Any], Vector], points: tuple[_Point, ...],
-            image=None) -> tuple[str, ...]:
-    """Each point's text, rendered once per point, then the image row's."""
+def _render(vector: Callable[[Any], Vector], points: tuple[_Point, ...], image) -> tuple[str, ...]:
+    """Each point's text, rendered once per point, then the image row's if any."""
     for p in points:
         if p.text is None:
             p.text = render_pair(ProductPoint(vector(p.rx), vector(p.ry)))
@@ -253,23 +250,41 @@ def _render(vector: Callable[[Any], Vector], points: tuple[_Point, ...],
     return texts if image is None else (*texts, render_vector(vector(image)))
 
 
+def _sampled(name: str, T: CyclicMapSpec, draws: list[tuple], test: Callable,
+             bounds: int = 1, detail: str = "") -> CheckReport:
+    """The report of one row: test(probe, points) returns None to skip the
+    tuple, else the bounds it broke as (lhs, rhs, note, image) rows, () when
+    none.  A witness holds the points and row_vector, not the probe."""
+    if any(count < 0 for group in draws for _, count, _ in group):
+        raise MapsError(f"{name} cannot draw a negative number of samples")
+    probe = _Probe(T)
+    violations: list[Violation] = []
+    tested = 0
+    for group in draws:
+        for points in zip(*(probe.points(*draw) for draw in group)):
+            failed = test(probe, points)
+            if failed is None:
+                continue
+            tested += 1
+            if failed:
+                violations += [Violation(partial(_render, probe.vector, points, image),
+                                         lhs, rhs, note) for lhs, rhs, note, image in failed]
+    return conclude(name, bounds * tested, violations, detail)
+
+
 def check_cyclic_invariance(T: CyclicMapSpec, n_samples: int = 200, seed: int = 0,
                             tol: float = TOL_NUM) -> CheckReport:
     """T must send A x B into B and B x A into A (sampled)."""
-    probe = _Probe(T)
-    violations: list[Violation] = []
-    checked = 0
-    for side in (SIDE_AB, SIDE_BA):
-        inside = member_test(T.domain_sets(side)[1], T.space, tol)
-        for p in probe.points(side, n_samples, seed):
-            r = probe.f(p.rx, p.ry, p.side)
-            checked += 1
-            if not inside(r):
-                violations.append(Violation(
-                    probe.witness(p, image=r), 1.0, 0.0,
-                    note=f"{SIDES[side]}-side image left the {SIDES[side][1]} set",
-                ))
-    return conclude("cyclic_invariance", checked, violations)
+    inside = [member_test(T.domain_sets(side)[1], T.space, tol) for side in range(len(SIDES))]
+
+    def test(probe: _Probe, points: tuple[_Point]):
+        (p,) = points
+        if inside[p.side](r := probe.f(p.rx, p.ry, p.side)):
+            return ()
+        return ((1.0, 0.0, f"{SIDES[p.side]}-side image left the {SIDES[p.side][1]} set", r),)
+
+    draws = [((side, n_samples, seed),) for side in range(len(SIDES))]
+    return _sampled("cyclic_invariance", T, draws, test)
 
 
 def _require_dist(T: CyclicMapSpec) -> float:
@@ -288,23 +303,21 @@ def check_phi_contraction(T: CyclicMapSpec, phi: PhiSpec, n_samples: int = 1000,
     seed + 104729; each image component is one bound checked.
     """
     phi_d = phi(_require_dist(T))
-    probe = _Probe(T)
-    violations: list[Violation] = []
-    ps = probe.points(SIDE_AB, n_samples, seed)
-    qs = probe.points(SIDE_BA, n_samples, seed + 104729)
-    for p, q in zip(ps, qs):  # both image components obey the same bound
+
+    def test(probe: _Probe, points: tuple[_Point, _Point]):
+        p, q = points
         delta = larger(probe.gap(p.rx, q.rx), probe.gap(p.ry, q.ry))
         rhs = delta - phi(delta) + phi_d
         img_p, img_q = probe.image(p), probe.image(q)
-        for a, b, component in ((img_p.rx, img_q.rx, "first"), (img_p.ry, img_q.ry, "second")):
-            lhs = probe.gap(a, b)
-            if not lhs <= rhs + tol:
-                violations.append(Violation(
-                    probe.witness(p, q), lhs, rhs,
-                    note=f"{component}-component image pair broke the phi bound",
-                ))
-    return conclude("phi_contraction", 2 * len(ps), violations,
-                    detail="quantification=all_cross_pairs")
+        lhs1, lhs2 = probe.gap(img_p.rx, img_q.rx), probe.gap(img_p.ry, img_q.ry)
+        if lhs1 <= rhs + tol and lhs2 <= rhs + tol:  # both components obey one bound
+            return ()
+        return tuple((lhs, rhs, f"{c}-component image pair broke the phi bound", None)
+                     for lhs, c in ((lhs1, "first"), (lhs2, "second")) if not lhs <= rhs + tol)
+
+    return _sampled("phi_contraction", T,
+                    [((SIDE_AB, n_samples, seed), (SIDE_BA, n_samples, seed + 104729))], test,
+                    bounds=2, detail="quantification=all_cross_pairs")
 
 
 def check_kannan(T: CyclicMapSpec, n_samples: int = 1000, seed: int = 0,
@@ -315,28 +328,19 @@ def check_kannan(T: CyclicMapSpec, n_samples: int = 1000, seed: int = 0,
     coupled displacements.  One point of each same-side pair is a cross-side
     pair's point, whose coupled image is reused.
     """
-    probe = _Probe(T)
-    violations: list[Violation] = []
-    checked = 0
-    half = n_samples // 2
-    combos = [
-        (SIDE_AB, SIDE_BA, n_samples - half),  # cross side
-        (SIDE_AB, SIDE_AB, half - half // 2),  # same side
-        (SIDE_BA, SIDE_BA, half // 2),
-    ]
-    for side1, side2, count in combos:
-        ps = probe.points(side1, count, seed)
-        qs = probe.points(side2, count, seed + 15485863)
-        for p, q in zip(ps, qs):
-            lhs = probe.gap(probe.image(p).rx, probe.image(q).rx)
-            rhs = 0.5 * (probe.displacement(p) + probe.displacement(q))
-            checked += 1
-            if not lhs <= rhs + tol:
-                violations.append(Violation(
-                    probe.witness(p, q), lhs, rhs,
-                    note=f"sides {SIDES[side1]}/{SIDES[side2]}",
-                ))
-    return conclude("kannan", checked, violations)
+    def test(probe: _Probe, points: tuple[_Point, _Point]):
+        p, q = points
+        lhs = probe.gap(probe.image(p).rx, probe.image(q).rx)
+        rhs = 0.5 * (probe.displacement(p) + probe.displacement(q))
+        if lhs <= rhs + tol:
+            return ()
+        return ((lhs, rhs, f"sides {SIDES[p.side]}/{SIDES[q.side]}", None),)
+
+    half, qseed = n_samples // 2, seed + 15485863
+    return _sampled("kannan", T, [
+        ((SIDE_AB, n_samples - half, seed), (SIDE_BA, n_samples - half, qseed)),  # cross side
+        ((SIDE_AB, half - half // 2, seed), (SIDE_AB, half - half // 2, qseed)),  # same side
+        ((SIDE_BA, half // 2, seed), (SIDE_BA, half // 2, qseed))], test)
 
 
 def check_kannan_strict_hypothesis(T: CyclicMapSpec, n_samples: int = 500,
@@ -347,22 +351,17 @@ def check_kannan_strict_hypothesis(T: CyclicMapSpec, n_samples: int = 500,
     the displacement of its coupled image must be strictly smaller.
     """
     d = _require_dist(T)
-    probe = _Probe(T)
-    violations: list[Violation] = []
-    checked = 0
-    for side in (SIDE_AB, SIDE_BA):  # n - n // 2 points on AB and n // 2 on BA
-        for p in probe.points(side, (n_samples + 1 - side) // 2, seed):
-            d0 = probe.displacement(p)
-            if d0 <= d + tol:
-                continue
-            d1 = probe.displacement(probe.image(p))
-            checked += 1
-            if not d1 < d0 - tol:
-                violations.append(Violation(
-                    probe.witness(p), d1, d0,
-                    note="coupled image displacement failed to decrease strictly",
-                ))
-    return conclude("kannan_strict_hypothesis", checked, violations)
+
+    def test(probe: _Probe, points: tuple[_Point]):
+        (p,) = points
+        if (d0 := probe.displacement(p)) <= d + tol:
+            return None
+        if (d1 := probe.displacement(probe.image(p))) < d0 - tol:
+            return ()
+        return ((d1, d0, "coupled image displacement failed to decrease strictly", None),)
+
+    draws = [((side, (n_samples + 1 - side) // 2, seed),) for side in range(len(SIDES))]
+    return _sampled("kannan_strict_hypothesis", T, draws, test)  # n - n // 2 on AB, n // 2 on BA
 
 
 # ---------------------------------------------------------------------------

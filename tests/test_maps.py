@@ -447,6 +447,23 @@ def test_a_checker_that_checks_nothing_is_inconclusive():
     assert check_kannan(INTERVAL, 0).status == "inconclusive"
 
 
+SAMPLE_COUNT_CHECKS = {
+    "cyclic_invariance": lambda n: check_cyclic_invariance(INTERVAL, n),
+    "phi_contraction": lambda n: check_phi_contraction(INTERVAL, HALF, n),
+    "kannan": lambda n: check_kannan(INTERVAL, n),
+    "kannan_strict": lambda n: check_kannan_strict_hypothesis(INTERVAL, n),
+}
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+@pytest.mark.parametrize("check", sorted(SAMPLE_COUNT_CHECKS))
+def test_a_negative_sample_count_is_refused(check, n):
+    # a count of 0 draws nothing and is inconclusive; a negative one is an error
+    assert SAMPLE_COUNT_CHECKS[check](0).status == "inconclusive"
+    with pytest.raises(MapsError, match="cannot draw a negative number of samples"):
+        SAMPLE_COUNT_CHECKS[check](n)
+
+
 # ------------------------------------------------------------- row form
 
 # each row builtin's evaluator as it was written on Vectors

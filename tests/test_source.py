@@ -5,10 +5,12 @@ assigned name is exported or named somewhere besides its definition, every
 exported function is read by package code or listed with its reason, so is
 each method and operator of Vector, the config loader converts a number to
 float only in its one number reader, only the modules where linear algebra
-runs import numpy, only space writes a product distance, and only sets
-tells the set kinds apart."""
+runs import numpy, only space writes a product distance, only sets
+tells the set kinds apart, and maps builds its violations and reports in
+one driver over the side table."""
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -274,3 +276,30 @@ def test_only_sets_tells_the_set_kinds_apart():
     # a module that needs a set-kind decision asks sets for it
     assert {name: lines for name in MODULES if name != "sets.py"
             if (lines := set_kind_tests((SRC / name).read_text()))} == {}
+
+
+def sampled_driver_shape(source: str) -> tuple[int, int, list[int]]:
+    """How many calls of source construct a Violation and call conclude, by
+    name or as an attribute, and the lines of each loop or comprehension
+    over a literal tuple of SIDE_AB and SIDE_BA."""
+    nodes = list(ast.walk(ast.parse(source)))
+    called = Counter(n.func.id if isinstance(n.func, ast.Name) else n.func.attr for n in nodes
+                     if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)))
+    side_loops = sorted(n.iter.lineno for n in nodes
+                        if isinstance(n, (ast.For, ast.comprehension))
+                        and isinstance(n.iter, ast.Tuple) and n.iter.elts
+                        and {getattr(e, "id", None) for e in n.iter.elts} <= {"SIDE_AB", "SIDE_BA"})
+    return called["Violation"], called["conclude"], side_loops
+
+
+def test_the_check_finds_each_violation_conclude_and_side_loop():
+    source = ("for side in (SIDE_AB, SIDE_BA):\n    v = Violation(w, 1.0, 0.0)\n"
+              "xs = [s for s in (SIDE_BA, SIDE_AB)]\nr = conclude('a', 1, [])\n"
+              "q = report.conclude('b', 0, [])\nfor s in range(len(SIDES)):\n    pass\n"
+              "for s in (SIDE_AB, 2):\n    pass\nu = (SIDE_AB, SIDE_BA)\n")
+    assert sampled_driver_shape(source) == (1, 2, [1, 3])
+
+
+def test_maps_has_one_sampled_driver_over_the_side_table():
+    # each hypothesis is a row of the one driver, which loops over range(len(SIDES))
+    assert sampled_driver_shape((SRC / "maps.py").read_text()) == (1, 1, [])
