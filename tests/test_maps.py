@@ -56,6 +56,9 @@ from vector_reference import coupled_image, displacement
 INTERVAL = builtin("interval_contraction")
 FLIP = builtin("flip")
 HALF = PhiSpec.linear(0.5)
+# the interval map between the hulls of its boxes' end points
+INTERVAL_HULLS = replace(INTERVAL, A=Hull((Vector.dense([1.0]), Vector.dense([2.0]))),
+                         B=Hull((Vector.dense([-2.0]), Vector.dense([-1.0]))))
 
 
 def grid(lo, hi, step):
@@ -376,8 +379,7 @@ def test_phi_contraction_matches_the_pairwise_definition(name):
 REFERENCE_MAPS = {
     **{name: builtin(name) for name in ("non_cyclic", "flip", "l1_kannan")},
     "interval-dist-0": replace(INTERVAL, declared_dist=0.0),
-    "interval-hull-sets": replace(INTERVAL, A=Hull((Vector.dense([1.0]), Vector.dense([2.0]))),
-                                  B=Hull((Vector.dense([-2.0]), Vector.dense([-1.0])))),
+    "interval-hull-sets": INTERVAL_HULLS,
 }
 
 
@@ -591,8 +593,7 @@ def vector_only(T):
 
 ONE_PATH_MAPS = {
     **{name: builtin(name) for name in sorted(VECTOR_FORMS) + ["l1_kannan"]},
-    "interval-hull-sets": replace(INTERVAL, A=Hull((Vector.dense([1.0]), Vector.dense([2.0]))),
-                                  B=Hull((Vector.dense([-2.0]), Vector.dense([-1.0])))),
+    "interval-hull-sets": INTERVAL_HULLS,
 }
 
 ONE_PATH_CHECKS = {
